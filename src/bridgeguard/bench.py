@@ -1,30 +1,25 @@
 """Per-stage timing of the detection pipeline over a corpus.
 
-Stages match the pipeline's structure: graph construction, global mining
-(WL document + embedding + statistics + flow flag), local mining (motif
-census), classification. Times are wall-clock milliseconds, single worker
-for stability. Published reference timings for the original BridgeGuard
-benchmark are carried alongside for comparison, never asserted.
+Each transaction runs through `pipeline.detect` with a stage hook that
+times the paper's stages: graph construction, global mining (WL document +
+embedding + statistics + flow flag), local mining (motif census),
+classification (feature vector + classifier scores and label). Times are
+wall-clock milliseconds, single worker for stability. Published reference
+timings for the original BridgeGuard benchmark are carried alongside for
+comparison, never asserted.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import concat_features
 from .errors import CorpusTooSmall
-from .features import assemble_global, direction_flag, graph_stats
-from .graph2vec import infer_embedding
 from .ingest import TxRecord
-from .motifs import local_feature
-from .pipeline import DetectorBundle, _signatures
-from .wl import wl_document
-from .xteg import build_xteg
-
-STAGES = ("xteg_construction", "global_mining", "local_mining", "classification")
+from .pipeline import STAGES, DetectorBundle, detect
 
 # Original BridgeGuard benchmark, milliseconds per stage (total 15.212 -> ~65 TPS).
 REFERENCE_STAGE_MS = {
@@ -64,32 +59,24 @@ def run_bench(records: list[TxRecord], bundle: DetectorBundle,
               min_corpus: int = 100) -> BenchReport:
     if len(records) < min_corpus:
         raise CorpusTooSmall(f"bench needs >= {min_corpus} transactions, got {len(records)}")
-    cfg = bundle.config
-    signatures = _signatures(cfg)
-    sums = {stage: 0.0 for stage in STAGES}
-    totals = []
-    for record in records:
-        t0 = time.perf_counter_ns()
-        graph = build_xteg(record)
-        t1 = time.perf_counter_ns()
-        doc = wl_document(graph, cfg.wl_iterations)
-        embedding = infer_embedding(bundle.embedding, doc)
-        glob = assemble_global(embedding, graph_stats(graph),
-                               direction_flag(record.logs, signatures))
-        t2 = time.perf_counter_ns()
-        loc = local_feature(graph)
-        t3 = time.perf_counter_ns()
-        bundle.predict(concat_features(glob, loc))
-        t4 = time.perf_counter_ns()
+    spent = dict.fromkeys(STAGES, 0)  # ns per stage over the corpus
 
-        sums["xteg_construction"] += (t1 - t0) / 1e6
-        sums["global_mining"] += (t2 - t1) / 1e6
-        sums["local_mining"] += (t3 - t2) / 1e6
-        sums["classification"] += (t4 - t3) / 1e6
-        totals.append((t4 - t0) / 1e6)
+    @contextmanager
+    def stage(name: str):
+        t0 = time.perf_counter_ns()
+        try:
+            yield
+        finally:
+            spent[name] += time.perf_counter_ns() - t0
+
+    totals = []  # ms per transaction
+    for record in records:
+        before = sum(spent.values())
+        detect(bundle, [record], stage=stage)
+        totals.append((sum(spent.values()) - before) / 1e6)
 
     n = len(records)
-    stage_ms = {stage: sums[stage] / n for stage in STAGES}
+    stage_ms = {name: spent[name] / 1e6 / n for name in STAGES}
     total_ms = sum(stage_ms.values())
     return BenchReport(
         n=n,
@@ -97,7 +84,7 @@ def run_bench(records: list[TxRecord], bundle: DetectorBundle,
         total_ms=total_ms,
         tps=1000.0 / total_ms if total_ms > 0 else float("inf"),
         median_total_ms=float(np.median(totals)),
-        config_hash=cfg.config_hash(),
+        config_hash=bundle.config.config_hash(),
     )
 
 

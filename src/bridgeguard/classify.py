@@ -152,6 +152,19 @@ class KNNModel:
     classes: list[str]
     seed: int = 0
 
+    def scores(self, features) -> dict[str, dict[str, float]]:
+        return knn_neighbor_stats(self, features)
+
+    def label(self, stats: dict[str, dict[str, float]]) -> str:
+        """Majority class of the neighbor stats; ties break on smallest
+        summed distance, then fixed class order."""
+        def rank(label: str):
+            entry = stats[label]
+            order = LABELS.index(label) if label in LABELS else len(LABELS)
+            return (-entry["count"], entry["sum_distance"], order, label)
+        present = [c for c in self.classes if stats[c]["count"] > 0]
+        return min(present, key=rank)
+
 
 def knn_train(train: list[LabeledSample], k: int = 5, seed: int = 0) -> KNNModel:
     if not train:
@@ -182,17 +195,8 @@ def knn_neighbor_stats(model: KNNModel, features) -> dict[str, dict[str, float]]
 
 
 def knn_predict(model: KNNModel, features) -> str:
-    """Majority label among the k nearest by standardized Euclidean distance.
-
-    Ties break on smallest summed distance, then fixed class order.
-    """
-    stats = knn_neighbor_stats(model, features)
-    def rank(label: str):
-        entry = stats[label]
-        order = LABELS.index(label) if label in LABELS else len(LABELS)
-        return (-entry["count"], entry["sum_distance"], order, label)
-    present = [c for c in model.classes if stats[c]["count"] > 0]
-    return min(present, key=rank)
+    """Majority label among the k nearest by standardized Euclidean distance."""
+    return model.label(knn_neighbor_stats(model, features))
 
 
 # --- decision tree -----------------------------------------------------------
@@ -218,6 +222,16 @@ class DecisionTreeModel:
     max_depth: int | None
     min_samples_leaf: int
     seed: int = 0
+
+    def scores(self, features) -> dict[str, float]:
+        return dtree_leaf_distribution(self, features)
+
+    def label(self, dist: dict[str, float]) -> str:
+        """Most probable leaf class; ties break on fixed class order."""
+        def rank(label: str):
+            order = LABELS.index(label) if label in LABELS else len(LABELS)
+            return (-dist[label], order, label)
+        return min(self.classes, key=rank)
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -317,11 +331,7 @@ def dtree_leaf_distribution(model: DecisionTreeModel, features) -> dict[str, flo
 
 
 def dtree_predict(model: DecisionTreeModel, features) -> str:
-    dist = dtree_leaf_distribution(model, features)
-    def rank(label: str):
-        order = LABELS.index(label) if label in LABELS else len(LABELS)
-        return (-dist[label], order, label)
-    return min(model.classes, key=rank)
+    return model.label(dtree_leaf_distribution(model, features))
 
 
 # --- evaluation --------------------------------------------------------------
@@ -419,77 +429,6 @@ def collapse_attack(label: str) -> str:
 def evaluate_binary(predictions: list[str], labels: list[str]) -> Metrics:
     return evaluate([collapse_attack(p) for p in predictions],
                     [collapse_attack(t) for t in labels], classes=BINARY_CLASSES)
-
-
-# --- repeated protocol -------------------------------------------------------
-
-
-def _train_predict(train: list[LabeledSample], test: list[LabeledSample],
-                   classifier: str, seed: int, **hyper) -> list[str]:
-    if classifier == "knn":
-        model = knn_train(train, k=hyper.get("k", 5), seed=seed)
-        return [knn_predict(model, s.features) for s in test]
-    if classifier == "dtree":
-        model = dtree_train(
-            train,
-            max_depth=hyper.get("max_depth"),
-            min_samples_leaf=hyper.get("min_samples_leaf", 1),
-            seed=seed,
-            class_weighting=hyper.get("class_weighting", False),
-        )
-        return [dtree_predict(model, s.features) for s in test]
-    raise InvalidConfig(f"unknown classifier {classifier!r}")
-
-
-def _aggregate(reports: list[dict]) -> dict:
-    """Mean/std (population) over per-run metric dicts of identical shape."""
-    def walk(path, node, agg):
-        if isinstance(node, dict):
-            for key, sub in node.items():
-                walk(path + (key,), sub, agg)
-        else:
-            agg.setdefault(path, []).append(node)
-
-    collected: dict[tuple, list] = {}
-    for report in reports:
-        walk((), report, collected)
-
-    def build(stat):
-        out: dict = {}
-        for path, values in collected.items():
-            cursor = out
-            for key in path[:-1]:
-                cursor = cursor.setdefault(key, {})
-            arr = np.asarray(values, dtype=np.float64)
-            cursor[path[-1]] = float(arr.mean() if stat == "mean" else arr.std())
-        return out
-
-    return {"mean": build("mean"), "std": build("std")}
-
-
-def repeated_eval(samples: list[LabeledSample], runs: int = 10,
-                  classifier: str = "knn", ratio: float = 0.7,
-                  base_seed: int = 0, **hyper) -> dict:
-    """`runs` independent seeded splits + train + eval; mean and std of metrics."""
-    if runs < 1:
-        raise InvalidConfig("runs must be >= 1")
-    per_run = []
-    for run in range(runs):
-        seed = base_seed + run
-        train, test = split_dataset(samples, ratio=ratio, seed=seed)
-        predictions = _train_predict(train, test, classifier, seed, **hyper)
-        truth = [s.label for s in test]
-        report = evaluate(predictions, truth, classes=LABELS).to_dict()
-        report.pop("confusion")
-        report.pop("classes")
-        binary = evaluate_binary(predictions, truth).to_dict()
-        report["binary"] = {"Attack": binary["per_class"][ATTACK],
-                            "accuracy": binary["accuracy"]}
-        per_run.append(report)
-    out = _aggregate(per_run)
-    out["runs"] = runs
-    out["classifier"] = classifier
-    return out
 
 
 # --- serialization -----------------------------------------------------------

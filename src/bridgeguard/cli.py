@@ -17,7 +17,6 @@ from .bench import format_bench_table, run_bench
 from .config import RunConfig, resolve_config
 from .errors import BridgeGuardError
 from .ingest import (
-    DatasetManifest,
     TxRecord,
     flatten_frames,
     load_manifest,
@@ -25,16 +24,16 @@ from .ingest import (
     save_trace_file,
 )
 from .pipeline import (
+    CLASSIFIERS,
     detect,
     load_bundle,
-    prepare,
     repeated_pipeline_eval,
     save_bundle,
     train_detector,
 )
 from .rpc import RpcClient
 from .synthgen import GenConfig, gen_config_hash, gen_dataset, write_corpus
-from .xteg import dump_xteg
+from .xteg import build_xteg, dump_xteg
 
 
 def _fail(message: str) -> "click.exceptions.Exit":
@@ -63,13 +62,13 @@ def _write_json(path: Path, payload: dict) -> None:
         f.write("\n")
 
 
-def _load_corpus(manifest_path: Path, manifest: DatasetManifest):
+def _load_corpus(manifest_file) -> tuple[list[TxRecord], list[str]]:
+    manifest_path = Path(manifest_file)
     records, labels = [], []
-    base = manifest_path.parent
-    for entry in manifest.entries:
+    for entry in load_manifest(manifest_path).entries:
         source = Path(entry.source)
         if not source.is_absolute():
-            source = base / source
+            source = manifest_path.parent / source
         records.append(load_trace_file(source, chain_id=entry.chain_id))
         labels.append(entry.label)
     return records, labels
@@ -117,7 +116,7 @@ def ingest(inputs, config_file, rpc_url, cache_dir, out_dir, dump_graph, fmt):
     records, failures = _resolve_inputs(inputs, cfg)
     rows = []
     for record in records:
-        graph = prepare(record, cfg).graph
+        graph = build_xteg(record)
         rows.append({
             "tx_hash": record.tx_hash,
             "chain_id": record.chain_id,
@@ -172,24 +171,18 @@ def synth(out_dir, n_normal, attack_rate, src_tgt_ratio, noise_prob,
           f"wrote {len(samples)} transactions ({counts}) -> {manifest_path}")
 
 
-def _corpus_from_options(manifest_file) -> tuple[list[TxRecord], list[str]]:
-    manifest_path = Path(manifest_file)
-    manifest = load_manifest(manifest_path)
-    return _load_corpus(manifest_path, manifest)
-
-
 @main.command()
 @click.option("--manifest", "manifest_file", type=click.Path(exists=True), required=True)
 @click.option("--model-dir", type=click.Path(), required=True)
 @click.option("--config", "config_file", type=click.Path(exists=True), default=None)
-@click.option("--classifier", type=click.Choice(["knn", "dtree"]), default=None)
+@click.option("--classifier", type=click.Choice(CLASSIFIERS), default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
 def train(manifest_file, model_dir, config_file, classifier, seed, fmt):
     """Split, featurize, fit a detector; write the model bundle + metrics."""
     cfg = _config(config_file, classifier=classifier, seed=seed)
     try:
-        records, labels = _corpus_from_options(manifest_file)
+        records, labels = _load_corpus(manifest_file)
         bundle, metrics = train_detector(records, labels, cfg)
         save_bundle(bundle, model_dir)
     except (BridgeGuardError, OSError) as exc:
@@ -214,7 +207,7 @@ def _metrics_table(report: dict) -> str:
 @main.command()
 @click.option("--manifest", "manifest_file", type=click.Path(exists=True), required=True)
 @click.option("--config", "config_file", type=click.Path(exists=True), default=None)
-@click.option("--classifier", "classifiers", type=click.Choice(["knn", "dtree"]),
+@click.option("--classifier", "classifiers", type=click.Choice(CLASSIFIERS),
               multiple=True, help="Repeatable; defaults to the configured classifier.")
 @click.option("--runs", type=int, default=None)
 @click.option("--seed", type=int, default=None)
@@ -226,7 +219,7 @@ def evaluate(manifest_file, config_file, classifiers, runs, seed, out_file, fmt)
     cfg = _config(config_file, runs=runs, seed=seed)
     kinds = tuple(classifiers) or (cfg.classifier,)
     try:
-        records, labels = _corpus_from_options(manifest_file)
+        records, labels = _load_corpus(manifest_file)
         report = repeated_pipeline_eval(records, labels, cfg, classifiers=kinds)
     except (BridgeGuardError, OSError) as exc:
         raise _fail(str(exc))
@@ -285,7 +278,7 @@ def bench(manifest_file, model_dir, limit, out_file, fmt):
     """Per-stage timing and TPS over a corpus (single worker)."""
     try:
         bundle = load_bundle(model_dir)
-        records, _ = _corpus_from_options(manifest_file)
+        records, _ = _load_corpus(manifest_file)
         if limit:
             records = records[:limit]
         report = run_bench(records, bundle)

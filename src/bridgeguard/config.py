@@ -45,6 +45,17 @@ class RunConfig:
         return hashlib.blake2b(canonical.encode(), digest_size=8).hexdigest()
 
 
+def config_from_dict(values: dict, source: str | Path) -> RunConfig:
+    """A RunConfig from stored or user-given settings; a key that is not a
+    RunConfig field is an InvalidConfig naming `source`."""
+    if not isinstance(values, dict):
+        raise InvalidConfig(f"{source}: settings must be a JSON object")
+    unknown = set(values) - {f.name for f in fields(RunConfig)}
+    if unknown:
+        raise InvalidConfig(f"{source}: unknown keys {sorted(unknown)}")
+    return RunConfig(**values)
+
+
 def resolve_config(config_file: str | Path | None = None,
                    env: dict | None = None, **flags) -> RunConfig:
     """Build a RunConfig; later sources win (flags strongest)."""
@@ -57,10 +68,7 @@ def resolve_config(config_file: str | Path | None = None,
                 file_values = json.load(f)
             except json.JSONDecodeError as exc:
                 raise InvalidConfig(f"{config_file}: invalid JSON ({exc})") from exc
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(file_values) - known
-        if unknown:
-            raise InvalidConfig(f"{config_file}: unknown keys {sorted(unknown)}")
+        config_from_dict(file_values, config_file)  # rejects unknown keys
         values.update(file_values)
 
     if env.get(ENV_RPC_URL):
@@ -70,7 +78,4 @@ def resolve_config(config_file: str | Path | None = None,
         if value is not None:
             values[key] = value
 
-    try:
-        return RunConfig(**values)
-    except TypeError as exc:
-        raise InvalidConfig(str(exc)) from exc
+    return config_from_dict(values, "flags")

@@ -9,6 +9,7 @@ resolved configuration.
 from __future__ import annotations
 
 import json
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,21 +19,17 @@ from .classify import (
     FeatureVector,
     LabeledSample,
     concat_features,
-    dtree_leaf_distribution,
-    dtree_predict,
     dtree_train,
     evaluate,
     evaluate_binary,
-    knn_neighbor_stats,
-    knn_predict,
     knn_train,
     load_classifier,
     save_classifier,
     split_dataset,
 )
-from .config import RunConfig
+from .config import RunConfig, config_from_dict
 from .errors import InvalidConfig, ModelMissing
-from .features import DEFAULT_SIGNATURES, assemble_global, direction_flag, graph_stats
+from .features import assemble_global, direction_flag, graph_stats
 from .graph2vec import (
     EmbeddingModel,
     TrainParams,
@@ -51,16 +48,15 @@ EMBEDDING_FILE = "embedding.npz"
 CLASSIFIER_FILE = "classifier.json"
 BUNDLE_FORMAT_VERSION = 1
 
+# The paper's stages, in pipeline order; `stage` hooks receive these names.
+STAGES = ("xteg_construction", "global_mining", "local_mining", "classification")
 
-def _train_params(cfg: RunConfig) -> TrainParams:
-    return TrainParams(epochs=cfg.epochs, learning_rate=cfg.learning_rate,
-                       negative=cfg.negative, wl_iterations=cfg.wl_iterations)
+_UNTIMED = nullcontext()
 
 
-def _signatures(cfg: RunConfig) -> dict[str, str]:
-    if cfg.signatures:
-        return dict(cfg.signatures)
-    return DEFAULT_SIGNATURES
+def _no_stage(name: str) -> AbstractContextManager:
+    """The default stage hook: runs each stage untimed."""
+    return _UNTIMED
 
 
 @dataclass
@@ -75,23 +71,33 @@ class PreparedTx:
     census: LocalFeature
 
 
-def prepare(record: TxRecord, cfg: RunConfig) -> PreparedTx:
-    graph = build_xteg(record)
-    return PreparedTx(
-        record=record,
-        graph=graph,
-        doc=wl_document(graph, cfg.wl_iterations),
-        stats=graph_stats(graph),
-        flag=direction_flag(record.logs, _signatures(cfg)),
-        census=local_feature(graph),
-    )
+def prepare(record: TxRecord, cfg: RunConfig, stage=_no_stage) -> PreparedTx:
+    """`stage(name)` gives a context manager entered around each stage's
+    work, for timing; the default does nothing."""
+    with stage("xteg_construction"):
+        graph = build_xteg(record)
+    with stage("global_mining"):
+        doc = wl_document(graph, cfg.wl_iterations)
+        stats = graph_stats(graph)
+        flag = direction_flag(record.logs, cfg.signatures or None)
+    with stage("local_mining"):
+        census = local_feature(graph)
+    return PreparedTx(record=record, graph=graph, doc=doc, stats=stats, flag=flag,
+                      census=census)
 
 
 def feature_vector(prep: PreparedTx, model: EmbeddingModel,
-                   cfg: RunConfig) -> FeatureVector:
-    embedding = infer_embedding(model, prep.doc)
-    glob = assemble_global(embedding, prep.stats, prep.flag)
-    return concat_features(glob, prep.census)
+                   cfg: RunConfig, stage=_no_stage) -> FeatureVector:
+    with stage("global_mining"):
+        embedding = infer_embedding(model, prep.doc)
+    return _assemble(prep, embedding, stage)
+
+
+def _assemble(prep: PreparedTx, embedding: np.ndarray, stage=_no_stage) -> FeatureVector:
+    with stage("global_mining"):
+        glob = assemble_global(embedding, prep.stats, prep.flag)
+    with stage("classification"):  # the 37-dim input, as the classifier sees it
+        return concat_features(glob, prep.census)
 
 
 @dataclass
@@ -101,15 +107,8 @@ class DetectorBundle:
     classifier_kind: str
     config: RunConfig
 
-    def predict(self, features) -> str:
-        if self.classifier_kind == "knn":
-            return knn_predict(self.classifier, features)
-        return dtree_predict(self.classifier, features)
 
-    def scores(self, features) -> dict:
-        if self.classifier_kind == "knn":
-            return knn_neighbor_stats(self.classifier, features)
-        return dtree_leaf_distribution(self.classifier, features)
+CLASSIFIERS = ("knn", "dtree")  # the kinds `_fit_classifier` accepts
 
 
 def _fit_classifier(kind: str, train: list[LabeledSample], cfg: RunConfig):
@@ -122,37 +121,51 @@ def _fit_classifier(kind: str, train: list[LabeledSample], cfg: RunConfig):
     raise InvalidConfig(f"unknown classifier {kind!r}")
 
 
+def _fit_split(preps: list[PreparedTx], labels: list[str], cfg: RunConfig,
+               seed: int):
+    """Seeded stratified split, graph2vec fit on the training documents only,
+    and the labelled feature vectors of both sides: (model, train, test)."""
+    shells = [LabeledSample(tx_hash=str(i), features=None, label=lab)
+              for i, lab in enumerate(labels)]
+    train_shells, test_shells = split_dataset(shells, ratio=cfg.split_ratio, seed=seed)
+    train_idx = [int(s.tx_hash) for s in train_shells]
+    test_idx = [int(s.tx_hash) for s in test_shells]
+    params = TrainParams(epochs=cfg.epochs, learning_rate=cfg.learning_rate,
+                         negative=cfg.negative, wl_iterations=cfg.wl_iterations)
+    model = train_graph2vec([preps[i].doc for i in train_idx],
+                            dim=cfg.embedding_dim, params=params, seed=seed)
+    # infer_embedding depends only on (model, content hash), and contents repeat.
+    embeddings: dict[str, np.ndarray] = {}
+
+    def sample(i: int) -> LabeledSample:
+        doc = preps[i].doc
+        if doc.content_hash not in embeddings:
+            embeddings[doc.content_hash] = infer_embedding(model, doc)
+        return LabeledSample(preps[i].record.tx_hash,
+                             _assemble(preps[i], embeddings[doc.content_hash]),
+                             labels[i])
+
+    return model, [sample(i) for i in train_idx], [sample(i) for i in test_idx]
+
+
+def _test_metrics(classifier, test: list[LabeledSample]) -> tuple[dict, dict]:
+    """(three-class, binary) metrics of `classifier` on the test samples."""
+    predictions = [classifier.label(classifier.scores(s.features)) for s in test]
+    truth = [s.label for s in test]
+    return (evaluate(predictions, truth, classes=LABELS).to_dict(),
+            evaluate_binary(predictions, truth).to_dict())
+
+
 def train_detector(records: list[TxRecord], labels: list[str],
                    cfg: RunConfig) -> tuple[DetectorBundle, dict]:
     """Single split -> embedding + classifier; returns bundle and test metrics."""
     preps = [prepare(r, cfg) for r in records]
-    shells = [LabeledSample(tx_hash=str(i), features=None, label=lab)
-              for i, lab in enumerate(labels)]
-    train_shells, test_shells = split_dataset(shells, ratio=cfg.split_ratio,
-                                              seed=cfg.seed)
-    train_idx = [int(s.tx_hash) for s in train_shells]
-    test_idx = [int(s.tx_hash) for s in test_shells]
-    model = train_graph2vec([preps[i].doc for i in train_idx],
-                            dim=cfg.embedding_dim, params=_train_params(cfg),
-                            seed=cfg.seed)
-
-    def samples(indices: list[int]) -> list[LabeledSample]:
-        return [LabeledSample(tx_hash=records[i].tx_hash,
-                              features=feature_vector(preps[i], model, cfg),
-                              label=labels[i]) for i in indices]
-
-    train_samples = samples(train_idx)
-    test_samples = samples(test_idx)
-    classifier = _fit_classifier(cfg.classifier, train_samples, cfg)
+    model, train, test = _fit_split(preps, labels, cfg, cfg.seed)
+    classifier = _fit_classifier(cfg.classifier, train, cfg)
     bundle = DetectorBundle(embedding=model, classifier=classifier,
                             classifier_kind=cfg.classifier, config=cfg)
-    predictions = [bundle.predict(s.features) for s in test_samples]
-    truth = [s.label for s in test_samples]
-    metrics = {
-        "three_class": evaluate(predictions, truth, classes=LABELS).to_dict(),
-        "binary": evaluate_binary(predictions, truth).to_dict(),
-    }
-    return bundle, metrics
+    three_class, binary = _test_metrics(classifier, test)
+    return bundle, {"three_class": three_class, "binary": binary}
 
 
 def repeated_pipeline_eval(records: list[TxRecord], labels: list[str],
@@ -162,40 +175,11 @@ def repeated_pipeline_eval(records: list[TxRecord], labels: list[str],
     if cfg.runs < 1:
         raise InvalidConfig("runs must be >= 1")
     preps = [prepare(r, cfg) for r in records]
-    indexed = [LabeledSample(tx_hash=str(i), features=None, label=lab)
-               for i, lab in enumerate(labels)]
-
     per_run: dict[str, list[dict]] = {kind: [] for kind in classifiers}
     for run in range(cfg.runs):
-        seed = cfg.seed + run
-        train_shells, test_shells = split_dataset(indexed, ratio=cfg.split_ratio,
-                                                  seed=seed)
-        train_idx = [int(s.tx_hash) for s in train_shells]
-        test_idx = [int(s.tx_hash) for s in test_shells]
-        model = train_graph2vec([preps[i].doc for i in train_idx],
-                                dim=cfg.embedding_dim, params=_train_params(cfg),
-                                seed=seed)
-        emb_cache: dict[str, np.ndarray] = {}  # embeddings repeat per content
-
-        def fv(i: int) -> FeatureVector:
-            prep = preps[i]
-            h = prep.doc.content_hash
-            if h not in emb_cache:
-                emb_cache[h] = infer_embedding(model, prep.doc)
-            glob = assemble_global(emb_cache[h], prep.stats, prep.flag)
-            return concat_features(glob, prep.census)
-
-        train_samples = [LabeledSample(records[i].tx_hash, fv(i), labels[i])
-                         for i in train_idx]
-        test_samples = [LabeledSample(records[i].tx_hash, fv(i), labels[i])
-                        for i in test_idx]
-        truth = [s.label for s in test_samples]
+        _, train, test = _fit_split(preps, labels, cfg, cfg.seed + run)
         for kind in classifiers:
-            classifier = _fit_classifier(kind, train_samples, cfg)
-            predictor = knn_predict if kind == "knn" else dtree_predict
-            predictions = [predictor(classifier, s.features) for s in test_samples]
-            report = evaluate(predictions, truth, classes=LABELS).to_dict()
-            binary = evaluate_binary(predictions, truth).to_dict()
+            report, binary = _test_metrics(_fit_classifier(kind, train, cfg), test)
             report["binary"] = binary
             per_run[kind].append(report)
 
@@ -268,24 +252,27 @@ def load_bundle(model_dir: str | Path) -> DetectorBundle:
         meta = json.load(f)
     if meta.get("version") != BUNDLE_FORMAT_VERSION:
         raise ModelMissing(f"unsupported bundle version {meta.get('version')}")
-    cfg = RunConfig(**meta["config"])
     return DetectorBundle(
         embedding=load_model(model_dir / EMBEDDING_FILE),
         classifier=load_classifier(model_dir / CLASSIFIER_FILE),
         classifier_kind=meta["classifier_kind"],
-        config=cfg,
+        config=config_from_dict(meta["config"], meta_path),
     )
 
 
-def detect(bundle: DetectorBundle, records: list[TxRecord]) -> list[dict]:
-    """One output row per transaction: hash, predicted label, score detail."""
+def detect(bundle: DetectorBundle, records: list[TxRecord],
+           stage=_no_stage) -> list[dict]:
+    """One output row per transaction: hash, predicted label, score detail.
+
+    The label is derived from the score detail, computed once; `stage` is
+    the timing hook of `prepare`."""
+    cfg, classifier = bundle.config, bundle.classifier
     rows = []
     for record in records:
-        prep = prepare(record, bundle.config)
-        features = feature_vector(prep, bundle.embedding, bundle.config)
-        rows.append({
-            "tx_hash": record.tx_hash,
-            "label": bundle.predict(features),
-            "scores": bundle.scores(features),
-        })
+        features = feature_vector(prepare(record, cfg, stage), bundle.embedding,
+                                  cfg, stage)
+        with stage("classification"):
+            scores = classifier.scores(features)
+            label = classifier.label(scores)
+        rows.append({"tx_hash": record.tx_hash, "label": label, "scores": scores})
     return rows

@@ -8,7 +8,6 @@ replay offline.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import requests
@@ -42,9 +41,17 @@ class RpcClient:
             response = self.session.post(self.endpoint, json=payload, timeout=self.timeout)
         except Exception as exc:
             raise RpcUnavailable(f"{self.endpoint}: {exc}") from exc
-        if getattr(response, "status_code", 200) >= 500:
-            raise RpcUnavailable(f"{self.endpoint}: HTTP {response.status_code}")
-        body = response.json()
+        status = getattr(response, "status_code", 200)
+        if status >= 400:
+            raise RpcUnavailable(f"{self.endpoint}: {method}: HTTP {status}")
+        try:
+            body = response.json()
+        except ValueError as exc:  # json's and requests' decode errors alike
+            raise RpcUnavailable(f"{self.endpoint}: {method}: HTTP {status}, "
+                                 "body is not JSON") from exc
+        if not isinstance(body, dict):
+            raise RpcUnavailable(f"{self.endpoint}: {method}: HTTP {status}, "
+                                 "body is not a JSON-RPC object")
         if "error" in body and body["error"]:
             err = body["error"]
             if err.get("code") == _METHOD_NOT_FOUND:
@@ -92,17 +99,3 @@ class RpcClient:
             with open(cache_path, "w") as f:
                 json.dump(doc, f)
         return record
-
-    def fetch_many(self, tx_hashes: list[str], workers: int = 4) -> list[TxRecord]:
-        """Fetch with a bounded number of concurrent requests."""
-        self.chain_id()  # resolve once before fanning out
-        if workers <= 1:
-            return [self.fetch_tx_record(h) for h in tx_hashes]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(self.fetch_tx_record, tx_hashes))
-
-
-def fetch_trace_rpc(endpoint: str, tx_hash: str,
-                    cache_dir: str | Path | None = None, session=None) -> TxRecord:
-    """One-shot fetch of a normalized TxRecord from an RPC endpoint."""
-    return RpcClient(endpoint, cache_dir=cache_dir, session=session).fetch_tx_record(tx_hash)

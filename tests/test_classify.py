@@ -15,7 +15,6 @@ from bridgeguard.classify import (
     knn_predict,
     knn_train,
     load_classifier,
-    repeated_eval,
     save_classifier,
     split_dataset,
 )
@@ -392,40 +391,6 @@ def test_binary_collapse():
     assert collapse_attack("Normal") == "Normal"
     metrics = evaluate_binary(["AttackSrc", "Normal"], ["AttackTgt", "Normal"])
     assert metrics.per_class["Attack"].recall == 1.0
-
-
-# --- repeated protocol ---------------------------------------------------------------
-
-
-def test_repeated_eval_single_run_mean_equals_run_and_zero_std(rng):
-    samples = _blobs(rng, n_per_class=20)
-    report = repeated_eval(samples, runs=1, classifier="knn", base_seed=5)
-    assert report["runs"] == 1
-    flat_std = []
-
-    def collect(node):
-        if isinstance(node, dict):
-            for v in node.values():
-                collect(v)
-        else:
-            flat_std.append(node)
-
-    collect(report["std"])
-    assert all(v == 0.0 for v in flat_std)
-
-
-def test_repeated_eval_deterministic(rng):
-    samples = _blobs(rng, n_per_class=15)
-    r1 = repeated_eval(samples, runs=3, classifier="dtree", base_seed=2, max_depth=4)
-    r2 = repeated_eval(samples, runs=3, classifier="dtree", base_seed=2, max_depth=4)
-    assert r1 == r2
-
-
-def test_repeated_eval_degenerate_single_class(rng):
-    samples = [_sample(rng.normal(0, 1, 3), "Normal", f"n{i}") for i in range(20)]
-    report = repeated_eval(samples, runs=3, classifier="knn", base_seed=1, k=3)
-    assert report["mean"]["per_class"]["Normal"]["recall"] == 1.0
-    assert report["std"]["per_class"]["Normal"]["recall"] == 0.0
 
 
 # --- serialization ----------------------------------------------------------------------

@@ -3,9 +3,17 @@ import json
 import numpy as np
 import pytest
 
+from bridgeguard.bench import STAGES, run_bench
+from bridgeguard.classify import (
+    dtree_leaf_distribution,
+    dtree_predict,
+    knn_neighbor_stats,
+    knn_predict,
+)
 from bridgeguard.config import RunConfig
-from bridgeguard.errors import ModelMissing
+from bridgeguard.errors import InvalidConfig, ModelMissing
 from bridgeguard.pipeline import (
+    BUNDLE_FILE,
     detect,
     feature_vector,
     load_bundle,
@@ -90,3 +98,68 @@ def test_repeated_pipeline_eval_deterministic_json(small_corpus):
         per_class = r1[kind]["mean"]["per_class"]
         assert set(per_class) == {"Normal", "AttackSrc", "AttackTgt"}
         assert set(r1[kind]["std"]["per_class"]) == set(per_class)
+
+
+def _leaves(node):
+    if isinstance(node, dict):
+        for value in node.values():
+            yield from _leaves(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _leaves(value)
+    else:
+        yield node
+
+
+def test_repeated_pipeline_eval_single_run_has_zero_std(small_corpus):
+    records, labels = small_corpus
+    report = repeated_pipeline_eval(records, labels, RunConfig(seed=5, epochs=25, runs=1),
+                                    classifiers=("knn", "dtree"))
+    assert report["runs"] == 1
+    for kind in ("knn", "dtree"):
+        assert all(v == 0.0 for v in _leaves(report[kind]["std"]) if not isinstance(v, str))
+
+
+def test_repeated_pipeline_eval_normal_only_corpus(small_corpus):
+    records, labels = small_corpus
+    normal = [r for r, lab in zip(records, labels) if lab == "Normal"][:40]
+    report = repeated_pipeline_eval(normal, ["Normal"] * len(normal),
+                                    RunConfig(seed=1, k=3, epochs=10, runs=3))
+    assert report["knn"]["mean"]["per_class"]["Normal"]["recall"] == 1.0
+    assert report["knn"]["std"]["per_class"]["Normal"]["recall"] == 0.0
+
+
+def test_load_bundle_rejects_unknown_config_key(small_corpus, tmp_path):
+    records, labels = small_corpus
+    bundle, _ = train_detector(records[:40], labels[:40], RunConfig(seed=2, epochs=5))
+    save_bundle(bundle, tmp_path / "model")
+    meta_path = tmp_path / "model" / BUNDLE_FILE
+    meta = json.loads(meta_path.read_text())
+    meta["config"]["not_a_key"] = 1
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(InvalidConfig, match="not_a_key"):
+        load_bundle(tmp_path / "model")
+
+
+@pytest.mark.parametrize("kind, oracle_label, oracle_scores", [
+    ("knn", knn_predict, knn_neighbor_stats),
+    ("dtree", dtree_predict, dtree_leaf_distribution),
+])
+def test_detect_and_bench_share_the_classification_path(small_corpus, kind,
+                                                        oracle_label, oracle_scores):
+    records, labels = small_corpus
+    cfg = RunConfig(seed=13, classifier=kind, **FAST)
+    bundle, _ = train_detector(records, labels, cfg)
+    rows = detect(bundle, records)
+    assert [r["tx_hash"] for r in rows] == [r.tx_hash for r in records]
+    for record, row in zip(records, rows):
+        fv = feature_vector(prepare(record, cfg), bundle.embedding, cfg)
+        assert row["label"] == oracle_label(bundle.classifier, fv)
+        assert row["scores"] == oracle_scores(bundle.classifier, fv)
+
+    report = run_bench(records, bundle)
+    assert report.n == len(records)
+    assert tuple(report.stage_ms) == STAGES
+    assert all(report.stage_ms[s] >= 0 for s in STAGES)
+    assert report.total_ms == pytest.approx(sum(report.stage_ms.values()))
+    assert 0 < report.median_total_ms

@@ -4,7 +4,7 @@ import pytest
 
 from bridgeguard.errors import RpcUnavailable, TraceUnsupported, TxNotFound
 from bridgeguard.ingest import record_from_document
-from bridgeguard.rpc import RpcClient, fetch_trace_rpc
+from bridgeguard.rpc import RpcClient
 
 A = "0x" + "aa" * 20
 B = "0x" + "bb" * 20
@@ -100,17 +100,36 @@ def test_transport_failure_raises_rpc_unavailable():
 
 
 def test_rpc_and_file_ingestion_agree(tmp_path):
-    record_rpc = fetch_trace_rpc("http://node", TX, cache_dir=tmp_path,
-                                 session=FakeNode())
+    record_rpc = RpcClient("http://node", cache_dir=tmp_path,
+                           session=FakeNode()).fetch_tx_record(TX)
     doc = {"tx_hash": TX, "chain_id": 1, "block_number": "0x10",
            "trace": TRACE, "logs": RECEIPT["logs"]}
     record_file = record_from_document(doc)
     assert record_rpc == record_file
 
 
-def test_fetch_many_bounded_workers(tmp_path):
-    node = FakeNode()
-    client = RpcClient("http://node", cache_dir=tmp_path, session=node)
-    records = client.fetch_many([TX, TX], workers=2)
-    assert len(records) == 2
-    assert records[0] == records[1]
+class NonJsonResponse(FakeResponse):
+    def json(self):
+        return json.loads(self._body)
+
+
+@pytest.mark.parametrize("body", ["<html><body>Please sign in</body></html>",
+                                  '["not", "an", "object"]'])
+def test_non_json_body_raises_rpc_unavailable_naming_the_status(body):
+    class Gateway:  # a proxy page or stray JSON served with status 200
+        def post(self, *args, **kwargs):
+            return NonJsonResponse(body, 200)
+
+    with pytest.raises(RpcUnavailable, match="HTTP 200"):
+        RpcClient("http://node", session=Gateway()).chain_id()
+
+
+@pytest.mark.parametrize("status", [400, 403, 404, 429])
+def test_client_error_status_raises_rpc_unavailable_naming_the_status(status):
+    class Refusing:
+        def post(self, *args, **kwargs):
+            return NonJsonResponse("<html><body>Too Many Requests</body></html>",
+                                   status)
+
+    with pytest.raises(RpcUnavailable, match=f"HTTP {status}"):
+        RpcClient("http://node", session=Refusing()).chain_id()
