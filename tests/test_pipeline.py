@@ -100,6 +100,15 @@ def test_repeated_pipeline_eval_deterministic_json(small_corpus):
         assert set(r1[kind]["std"]["per_class"]) == set(per_class)
 
 
+def test_repeated_pipeline_eval_dtree_deterministic(small_corpus):
+    records, labels = small_corpus
+    cfg = RunConfig(seed=2, max_depth=4, epochs=25, runs=3)
+    r1 = repeated_pipeline_eval(records, labels, cfg, classifiers=("dtree",))
+    r2 = repeated_pipeline_eval(records, labels, cfg, classifiers=("dtree",))
+    assert r1 == r2
+    assert r1["runs"] == 3
+
+
 def _leaves(node):
     if isinstance(node, dict):
         for value in node.values():
