@@ -9,8 +9,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .errors import InvalidConfig
 
@@ -45,14 +46,34 @@ class RunConfig:
         return hashlib.blake2b(canonical.encode(), digest_size=8).hexdigest()
 
 
+# Field name -> the types its value may have (`int | None` -> (int, NoneType)).
+_FIELD_TYPES = {name: get_args(hint) or (hint,)
+                for name, hint in get_type_hints(RunConfig).items()}
+
+
+def _type_ok(value: object, allowed: tuple[type, ...]) -> bool:
+    if isinstance(value, bool):  # a bool is an int to isinstance
+        return bool in allowed
+    if isinstance(value, int) and float in allowed:
+        return True
+    return isinstance(value, allowed)
+
+
 def config_from_dict(values: dict, source: str | Path) -> RunConfig:
     """A RunConfig from stored or user-given settings; a key that is not a
-    RunConfig field is an InvalidConfig naming `source`."""
+    RunConfig field, or a value not of its field's type, is an InvalidConfig
+    naming `source`."""
     if not isinstance(values, dict):
         raise InvalidConfig(f"{source}: settings must be a JSON object")
-    unknown = set(values) - {f.name for f in fields(RunConfig)}
+    unknown = set(values) - set(_FIELD_TYPES)
     if unknown:
         raise InvalidConfig(f"{source}: unknown keys {sorted(unknown)}")
+    for key, value in values.items():
+        allowed = _FIELD_TYPES[key]
+        if not _type_ok(value, allowed):
+            expected = " | ".join("null" if t is type(None) else t.__name__ for t in allowed)
+            raise InvalidConfig(f"{source}: {key} must be {expected}, "
+                                f"got {type(value).__name__} {value!r}")
     return RunConfig(**values)
 
 

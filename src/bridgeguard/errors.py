@@ -51,7 +51,8 @@ class SelfLoopPresent(BridgeGuardError):
 
 
 class MultiEdgePresent(BridgeGuardError):
-    """Motif census input must be a 0/1 adjacency matrix."""
+    """Motif census input must be a 0/1 adjacency matrix or an arc list
+    without repeats and with endpoints in 0..n-1."""
 
 
 class GraphTooLarge(BridgeGuardError):

@@ -52,17 +52,31 @@ class RpcClient:
         if not isinstance(body, dict):
             raise RpcUnavailable(f"{self.endpoint}: {method}: HTTP {status}, "
                                  "body is not a JSON-RPC object")
-        if "error" in body and body["error"]:
-            err = body["error"]
+        err = body.get("error")
+        if err:
+            if not isinstance(err, dict):
+                raise RpcUnavailable(f"{method}: {err}")
             if err.get("code") == _METHOD_NOT_FOUND:
                 raise TraceUnsupported(f"node lacks {method}")
             raise RpcUnavailable(f"{method}: {err.get('message', err)}")
         return body.get("result")
 
+    def _post_object(self, method: str, params: list) -> dict | None:
+        """`_post` for a method whose result is an object or null."""
+        result = self._post(method, params)
+        if result is not None and not isinstance(result, dict):
+            raise RpcUnavailable(f"{method}: result is {type(result).__name__}, "
+                                 "not an object")
+        return result
+
     def chain_id(self) -> int:
         if self._chain_id is None:
             result = self._post("eth_chainId", [])
-            self._chain_id = int(result, 16) if isinstance(result, str) else int(result)
+            try:
+                self._chain_id = int(result, 16) if isinstance(result, str) else int(result)
+            except (TypeError, ValueError) as exc:
+                raise RpcUnavailable(f"eth_chainId: result {result!r} is not a "
+                                     "chain id") from exc
         return self._chain_id
 
     def _cache_path(self, chain_id: int, tx_hash: str) -> Path | None:
@@ -78,10 +92,10 @@ class RpcClient:
             with open(cache_path) as f:
                 return record_from_document(json.load(f))
 
-        receipt = self._post("eth_getTransactionReceipt", [tx_hash])
+        receipt = self._post_object("eth_getTransactionReceipt", [tx_hash])
         if receipt is None:
             raise TxNotFound(tx_hash)
-        trace = self._post("debug_traceTransaction", [tx_hash, {"tracer": "callTracer"}])
+        trace = self._post_object("debug_traceTransaction", [tx_hash, {"tracer": "callTracer"}])
         if trace is None:
             raise TraceUnsupported("trace method returned no result")
 

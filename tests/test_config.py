@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bridgeguard.config import ENV_RPC_URL, RunConfig, resolve_config
+from bridgeguard.config import ENV_RPC_URL, RunConfig, config_from_dict, resolve_config
 from bridgeguard.errors import InvalidConfig
 
 
@@ -49,3 +49,27 @@ def test_config_hash_tracks_values():
     assert a.config_hash() == b.config_hash()
     assert a.config_hash() != c.config_hash()
     assert len(a.config_hash()) == 16
+
+
+@pytest.mark.parametrize("values", [{"k": "5"}, {"k": True}])
+def test_value_of_the_wrong_type_rejected_naming_key_and_source(tmp_path, values):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(values))
+    with pytest.raises(InvalidConfig, match=r"config\.json: k must be int"):
+        resolve_config(config_file, env={})
+    with pytest.raises(InvalidConfig, match="bundle.json: k "):
+        config_from_dict(values, "bundle.json")
+
+
+@pytest.mark.parametrize("values", [{"learning_rate": 1}, {"max_depth": None}])
+def test_int_for_float_and_null_for_optional_accepted(tmp_path, values):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(values))
+    cfg = resolve_config(config_file, env={})
+    ((key, value),) = values.items()
+    assert getattr(cfg, key) == value
+
+
+def test_default_config_hash_is_stable():
+    # The default hash is inside pinned train-eval metrics digests.
+    assert RunConfig().config_hash() == "9a18485db4294495"

@@ -133,3 +133,40 @@ def test_client_error_status_raises_rpc_unavailable_naming_the_status(status):
 
     with pytest.raises(RpcUnavailable, match=f"HTTP {status}"):
         RpcClient("http://node", session=Refusing()).chain_id()
+
+
+class ScriptedNode(FakeNode):
+    """FakeNode with one method's reply body replaced."""
+
+    def __init__(self, method, body):
+        super().__init__()
+        self.method = method
+        self.body = body
+
+    def post(self, url, json=None, timeout=None):
+        if json["method"] == self.method:
+            return FakeResponse(self.body)
+        return super().post(url, json=json, timeout=timeout)
+
+
+@pytest.mark.parametrize("method", ["eth_chainId", "eth_getTransactionReceipt",
+                                    "debug_traceTransaction"])
+def test_string_error_raises_rpc_unavailable_naming_the_method(method):
+    client = RpcClient("http://node", session=ScriptedNode(method, {"error": "rate limited"}))
+    with pytest.raises(RpcUnavailable, match=f"{method}: rate limited"):
+        client.fetch_tx_record(TX)
+
+
+@pytest.mark.parametrize("method", ["eth_getTransactionReceipt", "debug_traceTransaction"])
+@pytest.mark.parametrize("result", ["0x10", ["not", "an", "object"], 7])
+def test_non_object_result_raises_rpc_unavailable_naming_the_method(method, result):
+    client = RpcClient("http://node", session=ScriptedNode(method, {"result": result}))
+    with pytest.raises(RpcUnavailable, match=f"{method}: result is"):
+        client.fetch_tx_record(TX)
+
+
+@pytest.mark.parametrize("result", ["zz", {"id": 1}, None])
+def test_unparseable_chain_id_raises_rpc_unavailable(result):
+    client = RpcClient("http://node", session=ScriptedNode("eth_chainId", {"result": result}))
+    with pytest.raises(RpcUnavailable, match="eth_chainId: result"):
+        client.chain_id()
