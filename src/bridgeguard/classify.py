@@ -26,7 +26,7 @@ from .errors import (
 )
 from .features import GLOBAL_DIM, GlobalFeature
 from .hashing import derive_seed
-from .ingest import LABELS
+from .ingest import LABELS, read_json
 from .motifs import LocalFeature
 
 LOCAL_DIM = 16
@@ -78,8 +78,7 @@ def _label_order(labels: set[str]) -> list[str]:
 # --- dataset splitting ----------------------------------------------------
 
 
-def split_dataset(samples: list[LabeledSample], ratio: float = 0.7,
-                  stratified: bool = True, seed: int = 0):
+def split_dataset(samples: list[LabeledSample], ratio: float = 0.7, seed: int = 0):
     """Disjoint, exhaustive (train, test); per-class proportions within ±1."""
     if not 0.0 < ratio < 1.0:
         raise InvalidConfig(f"split ratio must be in (0, 1), got {ratio}")
@@ -92,26 +91,16 @@ def split_dataset(samples: list[LabeledSample], ratio: float = 0.7,
 
     train_idx: list[int] = []
     test_idx: list[int] = []
-    if stratified:
-        for label in _label_order(set(groups)):
-            idx = np.array(groups[label])
-            rng = np.random.default_rng(derive_seed(seed, "split", label))
-            rng.shuffle(idx)
-            n_train = int(round(ratio * idx.size))
-            n_train = min(max(n_train, 1), idx.size)
-            if n_train == idx.size and idx.size > 1:
-                n_train -= 1
-            train_idx.extend(idx[:n_train].tolist())
-            test_idx.extend(idx[n_train:].tolist())
-    else:
-        if len(samples) < 2:
-            raise ClassTooSmall("need at least 2 samples to split")
-        idx = np.arange(len(samples))
-        rng = np.random.default_rng(derive_seed(seed, "split"))
+    for label in _label_order(set(groups)):
+        idx = np.array(groups[label])
+        rng = np.random.default_rng(derive_seed(seed, "split", label))
         rng.shuffle(idx)
-        n_train = min(max(int(round(ratio * idx.size)), 1), idx.size - 1)
-        train_idx = idx[:n_train].tolist()
-        test_idx = idx[n_train:].tolist()
+        n_train = int(round(ratio * idx.size))
+        n_train = min(max(n_train, 1), idx.size)
+        if n_train == idx.size and idx.size > 1:
+            n_train -= 1
+        train_idx.extend(idx[:n_train].tolist())
+        test_idx.extend(idx[n_train:].tolist())
 
     if not test_idx:
         raise ClassTooSmall("split produced an empty test set")
@@ -481,11 +470,12 @@ def load_classifier(path: str | Path) -> KNNModel | DecisionTreeModel:
     path = Path(path)
     if not path.exists():
         raise ModelMissing(str(path))
-    with open(path) as f:
-        doc = json.load(f)
+    doc = read_json(path, ModelVersionMismatch)
+    if not isinstance(doc, dict):
+        raise ModelVersionMismatch(f"{path}: not a JSON object")
     if doc.get("version") != CLASSIFIER_FORMAT_VERSION:
-        raise ModelVersionMismatch(f"classifier format {doc.get('version')}")
-    if doc["kind"] == "knn":
+        raise ModelVersionMismatch(f"{path}: classifier format {doc.get('version')}")
+    if doc.get("kind") == "knn":
         return KNNModel(
             k=doc["hyperparams"]["k"],
             standardizer=Standardizer(
@@ -496,7 +486,7 @@ def load_classifier(path: str | Path) -> KNNModel | DecisionTreeModel:
             classes=list(doc["classes"]),
             seed=doc["hyperparams"]["seed"],
         )
-    if doc["kind"] == "dtree":
+    if doc.get("kind") == "dtree":
         return DecisionTreeModel(
             root=_tree_from_dict(doc["payload"]["tree"]),
             classes=list(doc["classes"]),
@@ -504,4 +494,4 @@ def load_classifier(path: str | Path) -> KNNModel | DecisionTreeModel:
             min_samples_leaf=doc["hyperparams"]["min_samples_leaf"],
             seed=doc["hyperparams"]["seed"],
         )
-    raise ModelVersionMismatch(f"unknown classifier kind {doc['kind']!r}")
+    raise ModelVersionMismatch(f"{path}: unknown classifier kind {doc.get('kind')!r}")

@@ -1,12 +1,13 @@
 """Command-line surface: ingest, synth, train, evaluate, detect, bench.
 
-Exit codes: 0 success, 1 fatal configuration/IO error, 2 partial input
-failure (bad inputs listed on stderr, good ones still processed). All
+Exit codes: 0 success, 1 fatal error (one `error:` line on stderr), 2 some
+inputs failed to load or process (listed on stderr, the rest processed). All
 artifacts embed the resolved configuration and its hash.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -36,23 +37,21 @@ from .synthgen import GenConfig, gen_config_hash, gen_dataset, write_corpus
 from .xteg import build_xteg, dump_xteg
 
 
-def _fail(message: str) -> "click.exceptions.Exit":
-    click.echo(f"error: {message}", err=True)
-    return click.exceptions.Exit(1)
+def _guarded(command):
+    """Report a BridgeGuardError or OSError that ends `command` as one
+    `error:` line on stderr, with exit code 1."""
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except (BridgeGuardError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            raise click.exceptions.Exit(1) from exc
+    return run
 
 
-def _config(config_file, **flags) -> RunConfig:
-    try:
-        return resolve_config(config_file, **flags)
-    except BridgeGuardError as exc:
-        raise _fail(str(exc))
-
-
-def _emit(payload: dict, fmt: str, table: str | None = None) -> None:
-    if fmt == "json":
-        click.echo(json.dumps(payload, sort_keys=True, indent=1))
-    else:
-        click.echo(table if table is not None else json.dumps(payload, sort_keys=True, indent=1))
+def _emit(payload: dict, fmt: str, table: str) -> None:
+    click.echo(json.dumps(payload, sort_keys=True, indent=1) if fmt == "json" else table)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -74,9 +73,9 @@ def _load_corpus(manifest_file) -> tuple[list[TxRecord], list[str]]:
     return records, labels
 
 
-def _resolve_inputs(inputs, cfg: RunConfig):
-    """Paths load from disk; 0x hashes fetch over RPC. Failures collected."""
-    records: list[TxRecord] = []
+def _each_input(inputs, cfg: RunConfig, work) -> list[tuple[str, str]]:
+    """Load each input (a file path, or a 0x hash over RPC) and pass its record
+    to `work`; a failure in either ends only that input and is returned."""
     failures: list[tuple[str, str]] = []
     client = None
     for item in inputs:
@@ -87,12 +86,27 @@ def _resolve_inputs(inputs, cfg: RunConfig):
                                            "or BRIDGEGUARD_RPC_URL")
                 if client is None:
                     client = RpcClient(cfg.rpc_url, cache_dir=cfg.cache_dir)
-                records.append(client.fetch_tx_record(item))
+                work(client.fetch_tx_record(item))
             else:
-                records.append(load_trace_file(item))
+                work(load_trace_file(item))
         except (BridgeGuardError, OSError) as exc:
             failures.append((item, str(exc)))
-    return records, failures
+    return failures
+
+
+def _report(rows: list[dict], failures: list[tuple[str, str]], config_hash: str,
+            fmt: str, table: str, out_file=None) -> None:
+    """Emit a batch command's rows and failures (and write them to `out_file`),
+    list the failed inputs on stderr, and exit 2 if there are any."""
+    payload = {"rows": rows, "failures": [list(f) for f in failures],
+               "config_hash": config_hash}
+    if out_file:
+        _write_json(Path(out_file), payload)
+    _emit(payload, fmt, table)
+    for item, message in failures:
+        click.echo(f"failed: {item}: {message}", err=True)
+    if failures:
+        raise click.exceptions.Exit(2)
 
 
 @click.group()
@@ -110,13 +124,18 @@ def main() -> None:
               help="Write normalized trace documents here.")
 @click.option("--dump-graph", is_flag=True, help="Print the execution graph dump.")
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
+@_guarded
 def ingest(inputs, config_file, rpc_url, cache_dir, out_dir, dump_graph, fmt):
     """Normalize traces from files or tx hashes; optionally dump graphs."""
-    cfg = _config(config_file, rpc_url=rpc_url, cache_dir=cache_dir)
-    records, failures = _resolve_inputs(inputs, cfg)
+    cfg = resolve_config(config_file, rpc_url=rpc_url, cache_dir=cache_dir)
+    if out_dir:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     rows = []
-    for record in records:
+
+    def summarize(record: TxRecord) -> None:
         graph = build_xteg(record)
+        if out_dir:
+            save_trace_file(record, Path(out_dir) / f"{record.tx_hash}.json")
         rows.append({
             "tx_hash": record.tx_hash,
             "chain_id": record.chain_id,
@@ -125,21 +144,14 @@ def ingest(inputs, config_file, rpc_url, cache_dir, out_dir, dump_graph, fmt):
             "vertices": len(graph.vertices),
             "edges": len(graph.edges),
         })
-        if out_dir:
-            out = Path(out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            save_trace_file(record, out / f"{record.tx_hash}.json")
         if dump_graph:
             click.echo(dump_xteg(graph))
+
+    failures = _each_input(inputs, cfg, summarize)
     table = "\n".join(
         f"{r['tx_hash']}  frames={r['frames']} logs={r['logs']} "
         f"vertices={r['vertices']} edges={r['edges']}" for r in rows)
-    _emit({"rows": rows, "failures": [list(f) for f in failures],
-           "config_hash": cfg.config_hash()}, fmt, table)
-    for item, message in failures:
-        click.echo(f"failed: {item}: {message}", err=True)
-    if failures:
-        raise click.exceptions.Exit(2)
+    _report(rows, failures, cfg.config_hash(), fmt, table)
 
 
 @main.command()
@@ -151,17 +163,15 @@ def ingest(inputs, config_file, rpc_url, cache_dir, out_dir, dump_graph, fmt):
 @click.option("--depth-jitter", type=int, default=3, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
+@_guarded
 def synth(out_dir, n_normal, attack_rate, src_tgt_ratio, noise_prob,
           depth_jitter, seed, fmt):
     """Generate a labeled synthetic corpus on disk."""
     gen_cfg = GenConfig(n_normal=n_normal, attack_rate=attack_rate,
                         src_tgt_ratio=src_tgt_ratio,
                         noise=(noise_prob, depth_jitter), seed=seed)
-    try:
-        samples, manifest = gen_dataset(gen_cfg)
-        manifest_path = write_corpus(samples, manifest, out_dir, gen_cfg)
-    except BridgeGuardError as exc:
-        raise _fail(str(exc))
+    samples, manifest = gen_dataset(gen_cfg)
+    manifest_path = write_corpus(samples, manifest, out_dir, gen_cfg)
     counts: dict[str, int] = {}
     for tx in samples:
         counts[tx.label] = counts.get(tx.label, 0) + 1
@@ -178,15 +188,13 @@ def synth(out_dir, n_normal, attack_rate, src_tgt_ratio, noise_prob,
 @click.option("--classifier", type=click.Choice(CLASSIFIERS), default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
+@_guarded
 def train(manifest_file, model_dir, config_file, classifier, seed, fmt):
     """Split, featurize, fit a detector; write the model bundle + metrics."""
-    cfg = _config(config_file, classifier=classifier, seed=seed)
-    try:
-        records, labels = _load_corpus(manifest_file)
-        bundle, metrics = train_detector(records, labels, cfg)
-        save_bundle(bundle, model_dir)
-    except (BridgeGuardError, OSError) as exc:
-        raise _fail(str(exc))
+    cfg = resolve_config(config_file, classifier=classifier, seed=seed)
+    records, labels = _load_corpus(manifest_file)
+    bundle, metrics = train_detector(records, labels, cfg)
+    save_bundle(bundle, model_dir)
     payload = {"metrics": metrics, "config": cfg.to_dict(),
                "config_hash": cfg.config_hash(), "model_dir": str(model_dir)}
     _write_json(Path(model_dir) / "metrics.json", payload)
@@ -214,15 +222,13 @@ def _metrics_table(report: dict) -> str:
 @click.option("--out", "out_file", type=click.Path(), default=None,
               help="Write the metrics JSON here.")
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
+@_guarded
 def evaluate(manifest_file, config_file, classifiers, runs, seed, out_file, fmt):
     """Repeated split/train/eval protocol; mean and std of all metrics."""
-    cfg = _config(config_file, runs=runs, seed=seed)
+    cfg = resolve_config(config_file, runs=runs, seed=seed)
     kinds = tuple(classifiers) or (cfg.classifier,)
-    try:
-        records, labels = _load_corpus(manifest_file)
-        report = repeated_pipeline_eval(records, labels, cfg, classifiers=kinds)
-    except (BridgeGuardError, OSError) as exc:
-        raise _fail(str(exc))
+    records, labels = _load_corpus(manifest_file)
+    report = repeated_pipeline_eval(records, labels, cfg, classifiers=kinds)
     payload = {"report": report, "config": cfg.to_dict(),
                "config_hash": cfg.config_hash()}
     if out_file:
@@ -246,26 +252,17 @@ def evaluate(manifest_file, config_file, classifiers, runs, seed, out_file, fmt)
 @click.option("--cache-dir", default=None)
 @click.option("--out", "out_file", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
+@_guarded
 def detect_cmd(inputs, model_dir, config_file, rpc_url, cache_dir, out_file, fmt):
     """Label transactions with a trained detector."""
-    cfg = _config(config_file, rpc_url=rpc_url, cache_dir=cache_dir)
-    try:
-        bundle = load_bundle(model_dir)
-    except BridgeGuardError as exc:
-        raise _fail(str(exc))
-    records, failures = _resolve_inputs(inputs, cfg)
-    rows = detect(bundle, records)
-    payload = {"rows": rows, "failures": [list(f) for f in failures],
-               "config_hash": bundle.config.config_hash()}
-    if out_file:
-        _write_json(Path(out_file), payload)
+    cfg = resolve_config(config_file, rpc_url=rpc_url, cache_dir=cache_dir)
+    bundle = load_bundle(model_dir)
+    rows: list[dict] = []
+    failures = _each_input(inputs, cfg,
+                           lambda record: rows.extend(detect(bundle, [record])))
     table = "\n".join(f"{row['tx_hash']}  {row['label']}  {json.dumps(row['scores'])}"
                       for row in rows) or "(no inputs)"
-    _emit(payload, fmt, table)
-    for item, message in failures:
-        click.echo(f"failed: {item}: {message}", err=True)
-    if failures:
-        raise click.exceptions.Exit(2)
+    _report(rows, failures, bundle.config.config_hash(), fmt, table, out_file)
 
 
 @main.command()
@@ -274,16 +271,14 @@ def detect_cmd(inputs, model_dir, config_file, rpc_url, cache_dir, out_file, fmt
 @click.option("--limit", type=int, default=None, help="Bench only the first N transactions.")
 @click.option("--out", "out_file", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
+@_guarded
 def bench(manifest_file, model_dir, limit, out_file, fmt):
     """Per-stage timing and TPS over a corpus (single worker)."""
-    try:
-        bundle = load_bundle(model_dir)
-        records, _ = _load_corpus(manifest_file)
-        if limit:
-            records = records[:limit]
-        report = run_bench(records, bundle)
-    except BridgeGuardError as exc:
-        raise _fail(str(exc))
+    bundle = load_bundle(model_dir)
+    records, _ = _load_corpus(manifest_file)
+    if limit:
+        records = records[:limit]
+    report = run_bench(records, bundle)
     payload = report.to_dict()
     if out_file:
         _write_json(Path(out_file), payload)

@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 
 from .errors import InvalidConfig
+from .ingest import read_json
 
 ENV_RPC_URL = "BRIDGEGUARD_RPC_URL"
 
@@ -62,7 +63,8 @@ def _type_ok(value: object, allowed: tuple[type, ...]) -> bool:
 def config_from_dict(values: dict, source: str | Path) -> RunConfig:
     """A RunConfig from stored or user-given settings; a key that is not a
     RunConfig field, or a value not of its field's type, is an InvalidConfig
-    naming `source`."""
+    naming `source`. An int given for a float field becomes a float, so equal
+    settings hash equally."""
     if not isinstance(values, dict):
         raise InvalidConfig(f"{source}: settings must be a JSON object")
     unknown = set(values) - set(_FIELD_TYPES)
@@ -74,7 +76,8 @@ def config_from_dict(values: dict, source: str | Path) -> RunConfig:
             expected = " | ".join("null" if t is type(None) else t.__name__ for t in allowed)
             raise InvalidConfig(f"{source}: {key} must be {expected}, "
                                 f"got {type(value).__name__} {value!r}")
-    return RunConfig(**values)
+    return RunConfig(**{key: float(value) if float in _FIELD_TYPES[key] else value
+                        for key, value in values.items()})
 
 
 def resolve_config(config_file: str | Path | None = None,
@@ -84,11 +87,7 @@ def resolve_config(config_file: str | Path | None = None,
     values: dict = {}
 
     if config_file is not None:
-        with open(config_file) as f:
-            try:
-                file_values = json.load(f)
-            except json.JSONDecodeError as exc:
-                raise InvalidConfig(f"{config_file}: invalid JSON ({exc})") from exc
+        file_values = read_json(config_file, InvalidConfig)
         config_from_dict(file_values, config_file)  # rejects unknown keys
         values.update(file_values)
 

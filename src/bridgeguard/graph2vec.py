@@ -20,6 +20,7 @@ weighting its token gradient by multiplicity.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from .errors import EmptyCorpus, ModelVersionMismatch
 from .hashing import derive_seed
 from .wl import WLDocument
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2  # 2: string arrays, loaded without pickle
 
 
 @dataclass(frozen=True)
@@ -191,9 +192,6 @@ def infer_embedding(model: EmbeddingModel, doc: WLDocument) -> np.ndarray:
 
 
 def save_model(model: EmbeddingModel, path: str | Path) -> None:
-    tokens_in_order = [None] * len(model.vocab)
-    for token, i in model.vocab.items():
-        tokens_in_order[i] = token
     header = {
         "version": MODEL_FORMAT_VERSION,
         "dim": model.dim,
@@ -208,28 +206,31 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
     np.savez(
         path,
         header=json.dumps(header),
-        tokens=np.array(tokens_in_order, dtype=object),
+        tokens=np.array(sorted(model.vocab, key=model.vocab.get), dtype=str),
         token_vectors=model.token_vectors,
         graph_vectors=model.graph_vectors,
         token_counts=model.token_counts,
-        doc_hashes=np.array(model.doc_hashes, dtype=object),
+        doc_hashes=np.array(model.doc_hashes, dtype=str),
     )
 
 
 def load_model(path: str | Path) -> EmbeddingModel:
-    with np.load(path, allow_pickle=True) as data:
-        header = json.loads(str(data["header"]))
-        if header.get("version") != MODEL_FORMAT_VERSION:
-            raise ModelVersionMismatch(
-                f"model format {header.get('version')} != {MODEL_FORMAT_VERSION}")
-        tokens = list(data["tokens"])
-        return EmbeddingModel(
-            dim=int(header["dim"]),
-            vocab={token: i for i, token in enumerate(tokens)},
-            token_vectors=data["token_vectors"],
-            graph_vectors=data["graph_vectors"],
-            token_counts=data["token_counts"],
-            doc_hashes=list(data["doc_hashes"]),
-            params=TrainParams(**header["params"]),
-            seed=int(header["seed"]),
-        )
+    """Read a model `save_model` wrote, unpickling nothing. A file that is not
+    a version-2 model raises ModelVersionMismatch naming it."""
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            header = json.loads(str(data["header"]))
+            if not isinstance(header, dict) or header.get("version") != MODEL_FORMAT_VERSION:
+                raise ModelVersionMismatch(f"{path}: model format is not {MODEL_FORMAT_VERSION}")
+            return EmbeddingModel(
+                dim=int(header["dim"]),
+                vocab={token: i for i, token in enumerate(data["tokens"].tolist())},
+                token_vectors=data["token_vectors"],
+                graph_vectors=data["graph_vectors"],
+                token_counts=data["token_counts"],
+                doc_hashes=data["doc_hashes"].tolist(),
+                params=TrainParams(**header["params"]),
+                seed=int(header["seed"]),
+            )
+    except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        raise ModelVersionMismatch(f"{path}: not an embedding model ({exc})") from exc

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import EmptyTrace, InvalidConfig, MalformedTrace
+from .errors import BridgeGuardError, EmptyTrace, InvalidConfig, MalformedTrace
 
 FRAME_KINDS = frozenset({
     "CALL", "STATICCALL", "DELEGATECALL", "CALLCODE",
@@ -177,7 +177,10 @@ def record_from_document(doc: object, chain_id: int | None = None) -> TxRecord:
     counter = [0]
     root = _parse_frame(trace, 0, counter)
 
-    logs = [_parse_log(entry, i) for i, entry in enumerate(doc.get("logs") or [])]
+    raw_logs = doc.get("logs") or []
+    if not isinstance(raw_logs, list):
+        raise MalformedTrace("`logs` must be a list")
+    logs = [_parse_log(entry, i) for i, entry in enumerate(raw_logs)]
     seen = set()
     for log in logs:
         if log.log_index in seen:
@@ -203,14 +206,20 @@ def record_from_document(doc: object, chain_id: int | None = None) -> TxRecord:
     )
 
 
+def read_json(path: str | Path, error: type[BridgeGuardError]) -> object:
+    """The JSON document in the UTF-8 file at `path`. A file that does not
+    decode, or nests deeper than the decoder's recursion allows, raises
+    `error` naming the path; an OSError passes through."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except (ValueError, RecursionError) as exc:  # ValueError: JSON and UTF-8
+            raise error(f"{path}: invalid JSON ({exc})") from exc
+
+
 def load_trace_file(path: str | Path, chain_id: int | None = None) -> TxRecord:
     """Load one transaction's trace document plus receipt logs from disk."""
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise MalformedTrace(f"{path}: invalid JSON ({exc})") from exc
-    return record_from_document(doc, chain_id=chain_id)
+    return record_from_document(read_json(path, MalformedTrace), chain_id=chain_id)
 
 
 # --- serialization (round-trip format) ------------------------------------

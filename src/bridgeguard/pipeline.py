@@ -38,10 +38,10 @@ from .graph2vec import (
     save_model,
     train_graph2vec,
 )
-from .ingest import LABELS, TxRecord
+from .ingest import LABELS, TxRecord, read_json
 from .motifs import LocalFeature, local_feature
 from .wl import WLDocument, wl_document
-from .xteg import XTEG, build_xteg
+from .xteg import build_xteg
 
 BUNDLE_FILE = "bundle.json"
 EMBEDDING_FILE = "embedding.npz"
@@ -64,7 +64,6 @@ class PreparedTx:
     """Split-independent per-transaction artifacts; only the embedding
     depends on the training split."""
     record: TxRecord
-    graph: XTEG
     doc: WLDocument
     stats: tuple[int, int, int, float]
     flag: float
@@ -82,8 +81,7 @@ def prepare(record: TxRecord, cfg: RunConfig, stage=_no_stage) -> PreparedTx:
         flag = direction_flag(record.logs, cfg.signatures or None)
     with stage("local_mining"):
         census = local_feature(graph)
-    return PreparedTx(record=record, graph=graph, doc=doc, stats=stats, flag=flag,
-                      census=census)
+    return PreparedTx(record=record, doc=doc, stats=stats, flag=flag, census=census)
 
 
 def feature_vector(prep: PreparedTx, model: EmbeddingModel,
@@ -248,8 +246,9 @@ def load_bundle(model_dir: str | Path) -> DetectorBundle:
     meta_path = model_dir / BUNDLE_FILE
     if not meta_path.exists():
         raise ModelMissing(f"no detector bundle at {model_dir}")
-    with open(meta_path) as f:
-        meta = json.load(f)
+    meta = read_json(meta_path, ModelMissing)
+    if not isinstance(meta, dict):
+        raise ModelMissing(f"{meta_path}: not a JSON object")
     if meta.get("version") != BUNDLE_FORMAT_VERSION:
         raise ModelMissing(f"unsupported bundle version {meta.get('version')}")
     return DetectorBundle(

@@ -8,12 +8,13 @@ replay offline.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import requests
 
 from .errors import RpcUnavailable, TraceUnsupported, TxNotFound
-from .ingest import TxRecord, record_from_document
+from .ingest import TxRecord, read_json, record_from_document
 
 _METHOD_NOT_FOUND = -32601
 
@@ -89,8 +90,7 @@ class RpcClient:
         chain_id = self.chain_id()
         cache_path = self._cache_path(chain_id, tx_hash)
         if cache_path is not None and cache_path.exists():
-            with open(cache_path) as f:
-                return record_from_document(json.load(f))
+            return record_from_document(read_json(cache_path, RpcUnavailable))
 
         receipt = self._post_object("eth_getTransactionReceipt", [tx_hash])
         if receipt is None:
@@ -108,8 +108,13 @@ class RpcClient:
         }
         record = record_from_document(doc)
 
-        if cache_path is not None:
+        if cache_path is not None:  # written beside, then renamed: never partial
             cache_path.parent.mkdir(parents=True, exist_ok=True)
-            with open(cache_path, "w") as f:
-                json.dump(doc, f)
+            tmp = cache_path.with_name(f"{cache_path.name}.{os.getpid()}.tmp")
+            try:
+                with open(tmp, "w") as f:
+                    json.dump(doc, f)
+                os.replace(tmp, cache_path)
+            finally:
+                tmp.unlink(missing_ok=True)
         return record

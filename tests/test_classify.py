@@ -26,6 +26,7 @@ from bridgeguard.errors import (
     KTooLarge,
     LengthMismatch,
     ModelMissing,
+    ModelVersionMismatch,
 )
 from bridgeguard.features import assemble_global
 from bridgeguard.motifs import LocalFeature
@@ -413,3 +414,11 @@ def test_classifier_round_trip(tmp_path, rng):
 
     with pytest.raises(ModelMissing):
         load_classifier(tmp_path / "missing.json")
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", "{broken", '{"version": 1}'])
+def test_classifier_file_that_is_not_a_classifier_rejected(tmp_path, content):
+    path = tmp_path / "classifier.json"
+    path.write_text(content)
+    with pytest.raises(ModelVersionMismatch, match="classifier.json"):
+        load_classifier(path)

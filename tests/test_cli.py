@@ -92,6 +92,51 @@ def test_detect_partial_failure_exit_code_2(workspace, runner, tmp_path):
     assert len(payload["failures"]) == 1
 
 
+A = "0x" + "aa" * 20
+B = "0x" + "bb" * 20
+C = "0x" + "cc" * 20
+
+
+def _deep_chain_text(depth: int) -> str:
+    """A ping-pong reentrancy chain `depth` frames deep, like the deep
+    documents of perfbench's `large` workload, built as text because
+    json.dumps recurses once per nesting level."""
+    frame = '{"type":"CALL","from":"%s","to":"%s","input":"0x","calls":['
+    links = [frame % ((B, C) if d % 2 else (C, B)) for d in range(1, depth)]
+    return ('{"trace":' + frame % (A, B) + "".join(links) + "]}" * depth
+            + ',"logs":[]}')
+
+
+@pytest.fixture
+def hostile_inputs(workspace, tmp_path):
+    """A good trace, then three that fail: a root self-send (a one-vertex
+    graph), a file that is not UTF-8, and a call chain at the EVM depth limit."""
+    corpus = workspace["corpus"]
+    good = corpus / load_manifest(corpus / "manifest.jsonl").entries[0].source
+    self_send = tmp_path / "self_send.json"
+    self_send.write_text(json.dumps({"trace": {"type": "CALL", "from": A, "to": A,
+                                               "input": "0x"}, "logs": []}))
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"trace": "\xff"}')
+    deep = tmp_path / "deep.json"
+    deep.write_text(_deep_chain_text(1024))
+    return [str(p) for p in (good, self_send, latin1, deep)]
+
+
+@pytest.mark.parametrize("command", [["ingest"], ["detect", "--model-dir"]])
+def test_failing_inputs_end_only_themselves(workspace, runner, hostile_inputs, command):
+    if command[0] == "detect":
+        command = command + [str(workspace["model"])]
+    result = runner.invoke(main, command + hostile_inputs + ["--format", "json"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # no uncaught exception
+    assert "Traceback" not in result.output
+    payload = json.loads(result.output.split("failed:")[0])
+    assert len(payload["rows"]) == 1
+    assert [item for item, _ in payload["failures"]] == hostile_inputs[1:]
+    assert result.output.count("failed: ") == 3
+
+
 def test_detect_missing_model_is_fatal(runner, tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -174,6 +219,19 @@ def test_bench_too_small_corpus_fails(workspace, runner, tmp_path):
         "--model-dir", str(model_dir),
     ])
     assert result.exit_code == 1
+
+
+def test_bench_missing_trace_file_is_one_error_line(workspace, runner, tmp_path):
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(json.dumps({"source": "traces/missing.json", "label": "Normal",
+                                    "chain_id": 1}) + "\n")
+    result = runner.invoke(main, ["bench", "--manifest", str(manifest),
+                                  "--model-dir", str(workspace["model"])])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "missing.json" in lines[0]
 
 
 def test_version_and_help(runner):

@@ -70,6 +70,15 @@ def test_int_for_float_and_null_for_optional_accepted(tmp_path, values):
     assert getattr(cfg, key) == value
 
 
+def test_int_for_float_hashes_like_the_float():
+    as_int = config_from_dict({"learning_rate": 1, "split_ratio": 1}, "a.json")
+    as_float = config_from_dict({"learning_rate": 1.0, "split_ratio": 1.0}, "b.json")
+    assert type(as_int.learning_rate) is float
+    assert as_int.config_hash() == as_float.config_hash()
+    with pytest.raises(InvalidConfig, match="learning_rate must be float"):
+        config_from_dict({"learning_rate": True}, "c.json")
+
+
 def test_default_config_hash_is_stable():
     # The default hash is inside pinned train-eval metrics digests.
     assert RunConfig().config_hash() == "9a18485db4294495"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,48 @@ def test_model_round_trip_and_version_check(tmp_path):
     arrays["header"] = json.dumps(header)
     np_.savez(path, **arrays)
     with pytest.raises(ModelVersionMismatch):
+        load_model(path)
+
+
+_UNPICKLED = []
+
+
+def _record_unpickling():
+    _UNPICKLED.append(True)
+    return "token"
+
+
+class _Payload:
+    """Unpickling this calls `_record_unpickling`, as a crafted file could
+    call anything."""
+
+    def __reduce__(self):
+        return _record_unpickling, ()
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_object_arrays_are_never_unpickled(tmp_path, version):
+    # Version 1 stored tokens and hashes as pickled object arrays.
+    path = tmp_path / "embedding.npz"
+    save_model(train_graph2vec([_doc("a", "b")], params=FAST, seed=4), path)
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    header = json.loads(str(arrays["header"]))
+    header["version"] = version
+    arrays.update(header=json.dumps(header), tokens=np.array([_Payload()] * 2, dtype=object),
+                  doc_hashes=arrays["doc_hashes"].astype(object))
+    np.savez(path, **arrays)
+    with pytest.raises(ModelVersionMismatch, match="embedding.npz"):
+        load_model(path)
+    assert _UNPICKLED == []
+
+
+@pytest.mark.parametrize("content", [b"not a model", b"", b"PK\x03\x04truncated"],
+                         ids=["text", "empty", "truncated-zip"])
+def test_file_that_is_not_a_model_rejected_naming_it(tmp_path, content):
+    path = tmp_path / "embedding.npz"
+    path.write_bytes(content)
+    with pytest.raises(ModelVersionMismatch, match="embedding.npz"):
         load_model(path)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bridgeguard.errors import EmptyTrace, InvalidConfig, MalformedTrace
+from bridgeguard.errors import BridgeGuardError, EmptyTrace, InvalidConfig, MalformedTrace
 from bridgeguard.hashing import keccak256
 from bridgeguard.ingest import (
     LABELS,
@@ -14,11 +14,13 @@ from bridgeguard.ingest import (
     flatten_frames,
     load_manifest,
     load_trace_file,
+    read_json,
     record_from_document,
     save_manifest,
     save_trace_file,
     validate_record,
 )
+from bridgeguard.xteg import XTEG, build_xteg
 from conftest import random_trace_doc
 
 A = "0x" + "aa" * 20
@@ -126,6 +128,63 @@ def test_errors_empty_and_malformed(tmp_path):
     path.write_text("{not json")
     with pytest.raises(MalformedTrace):
         load_trace_file(path)
+
+
+@pytest.mark.parametrize("content", [
+    b'{"trace": "\xff"}',
+    b'[' * 100_000 + b']' * 100_000,  # nests deeper than the decoder recurses
+], ids=["not-utf8", "too-deep"])
+def test_undecodable_file_raises_the_given_error_naming_the_path(tmp_path, content):
+    path = tmp_path / "tx.json"
+    path.write_bytes(content)
+    with pytest.raises(MalformedTrace, match="tx.json: invalid JSON"):
+        load_trace_file(path)
+    with pytest.raises(InvalidConfig, match="tx.json: invalid JSON"):
+        read_json(path, InvalidConfig)
+
+
+def test_missing_file_raises_os_error(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        read_json(tmp_path / "missing.json", MalformedTrace)
+
+
+@pytest.mark.parametrize("logs", [True, 5, 1.5, "0x", {"0": {}}])
+def test_logs_that_are_not_a_list_rejected(logs):
+    with pytest.raises(MalformedTrace, match="logs"):
+        record_from_document(_doc({"type": "CALL", "from": A, "to": B, "input": "0x"},
+                                  logs=logs))
+
+
+# Any JSON value, for a field that should hold something else.
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+def _slots(node):
+    """(container, key) of every value nested in a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in list(items):
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), data=st.data())
+def test_any_document_gives_a_graph_or_a_typed_error(seed, data):
+    # A valid document with one value, anywhere in it, replaced by any JSON.
+    doc = random_trace_doc(np.random.default_rng(seed), max_frames=4)
+    container, key = data.draw(st.sampled_from(list(_slots(doc))))
+    container[key] = data.draw(_JUNK)
+    try:
+        graph = build_xteg(record_from_document(doc))
+    except BridgeGuardError:
+        return
+    assert isinstance(graph, XTEG)
 
 
 def test_duplicate_log_index_rejected():

@@ -149,6 +149,11 @@ def test_load_bundle_rejects_unknown_config_key(small_corpus, tmp_path):
     with pytest.raises(InvalidConfig, match="not_a_key"):
         load_bundle(tmp_path / "model")
 
+    for content in ("[]", "{broken"):
+        meta_path.write_text(content)
+        with pytest.raises(ModelMissing, match="bundle.json"):
+            load_bundle(tmp_path / "model")
+
 
 @pytest.mark.parametrize("kind, oracle_label, oracle_scores", [
     ("knn", knn_predict, knn_neighbor_stats),

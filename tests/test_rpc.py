@@ -170,3 +170,26 @@ def test_unparseable_chain_id_raises_rpc_unavailable(result):
     client = RpcClient("http://node", session=ScriptedNode("eth_chainId", {"result": result}))
     with pytest.raises(RpcUnavailable, match="eth_chainId: result"):
         client.chain_id()
+
+
+def test_interrupted_cache_write_leaves_no_entry(tmp_path, monkeypatch):
+    def dump_half(doc, f):
+        f.write(json.dumps(doc)[:20])
+        raise OSError("disk full")
+
+    client = RpcClient("http://node", cache_dir=tmp_path, session=FakeNode())
+    monkeypatch.setattr(json, "dump", dump_half)
+    with pytest.raises(OSError, match="disk full"):
+        client.fetch_tx_record(TX)
+    monkeypatch.undo()
+    assert list(tmp_path.rglob("*")) == [tmp_path / "1"]  # no entry, no temporary
+    assert client.fetch_tx_record(TX).tx_hash == TX
+
+
+def test_truncated_cache_entry_raises_rpc_unavailable_naming_it(tmp_path):
+    RpcClient("http://node", cache_dir=tmp_path, session=FakeNode()).fetch_tx_record(TX)
+    (entry,) = tmp_path.rglob("*.json")
+    entry.write_text(entry.read_text()[:30])
+    offline = RpcClient("http://node", cache_dir=tmp_path, session=FakeNode(known=False))
+    with pytest.raises(RpcUnavailable, match=f"{entry.name}: invalid JSON"):
+        offline.fetch_tx_record(TX)
