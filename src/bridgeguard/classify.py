@@ -475,23 +475,26 @@ def load_classifier(path: str | Path) -> KNNModel | DecisionTreeModel:
         raise ModelVersionMismatch(f"{path}: not a JSON object")
     if doc.get("version") != CLASSIFIER_FORMAT_VERSION:
         raise ModelVersionMismatch(f"{path}: classifier format {doc.get('version')}")
-    if doc.get("kind") == "knn":
-        return KNNModel(
-            k=doc["hyperparams"]["k"],
-            standardizer=Standardizer(
-                mean=np.asarray(doc["standardizer"]["mean"]),
-                std=np.asarray(doc["standardizer"]["std"])),
-            x=np.asarray(doc["payload"]["x"]),
-            y=list(doc["payload"]["y"]),
-            classes=list(doc["classes"]),
-            seed=doc["hyperparams"]["seed"],
-        )
-    if doc.get("kind") == "dtree":
-        return DecisionTreeModel(
-            root=_tree_from_dict(doc["payload"]["tree"]),
-            classes=list(doc["classes"]),
-            max_depth=doc["hyperparams"]["max_depth"],
-            min_samples_leaf=doc["hyperparams"]["min_samples_leaf"],
-            seed=doc["hyperparams"]["seed"],
-        )
+    try:
+        if doc.get("kind") == "knn":
+            return KNNModel(
+                k=doc["hyperparams"]["k"],
+                standardizer=Standardizer(
+                    mean=np.asarray(doc["standardizer"]["mean"]),
+                    std=np.asarray(doc["standardizer"]["std"])),
+                x=np.asarray(doc["payload"]["x"]),
+                y=list(doc["payload"]["y"]),
+                classes=list(doc["classes"]),
+                seed=doc["hyperparams"]["seed"],
+            )
+        if doc.get("kind") == "dtree":
+            return DecisionTreeModel(
+                root=_tree_from_dict(doc["payload"]["tree"]),
+                classes=list(doc["classes"]),
+                max_depth=doc["hyperparams"]["max_depth"],
+                min_samples_leaf=doc["hyperparams"]["min_samples_leaf"],
+                seed=doc["hyperparams"]["seed"],
+            )
+    except KeyError as exc:
+        raise ModelVersionMismatch(f"{path}: missing key {exc}") from exc
     raise ModelVersionMismatch(f"{path}: unknown classifier kind {doc.get('kind')!r}")

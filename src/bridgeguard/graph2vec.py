@@ -15,6 +15,18 @@ outputs:
 Together these guarantee that identical documents hold identical vectors at
 every step, which also licenses training each distinct content once and
 weighting its token gradient by multiplicity.
+
+Noise tokens are drawn by inversion: a uniform u in [0, 1) maps to the first
+token whose unigram^0.75 CDF value is >= u, which is `searchsorted(cdf, u)`.
+`_NoiseSampler` finds that index through a guide table (Chen & Asau 1974)
+of K = 2^(ceil(log2 |vocab|) + 2) buckets, `guide[b] = searchsorted(cdf,
+b/K)`, built once per model: a draw starts at `guide[floor(u*K)]` and steps
+forward while `cdf[idx] < u`. K is a power of two, so `u*K` and `b/K` are
+exact; every index below `guide[b]` has a CDF value below b/K <= u and the
+forward steps stop at the first value >= u, so each draw equals the
+`searchsorted` result bit for bit. Each bucket holds 1/K of the probability
+mass and there are at least 4 buckets per token, so a draw takes a quarter
+of a step on average, at most.
 """
 
 from __future__ import annotations
@@ -41,6 +53,28 @@ class TrainParams:
     wl_iterations: int = 2
 
 
+class _NoiseSampler:
+    """Exact inverse-CDF draws from the unigram^0.75 noise distribution
+    through a guide table (see the module docstring)."""
+
+    def __init__(self, token_counts: np.ndarray) -> None:
+        cdf = np.cumsum(np.asarray(token_counts, dtype=np.float64) ** 0.75)
+        if not cdf.size or not cdf[-1] > 0:
+            raise ValueError("noise distribution needs a positive token count")
+        self.cdf = cdf / cdf[-1]
+        self.buckets = 2 ** ((cdf.size - 1).bit_length() + 2)
+        self.guide = np.searchsorted(self.cdf, np.arange(self.buckets) / self.buckets)
+
+    def draw(self, u: np.ndarray) -> np.ndarray:
+        """The token index of each uniform in [0, 1): `searchsorted(cdf, u)`."""
+        idx = self.guide[(u * self.buckets).astype(np.intp)]
+        behind = np.flatnonzero(self.cdf[idx] < u)
+        while behind.size:
+            idx[behind] += 1
+            behind = behind[self.cdf[idx[behind]] < u[behind]]
+        return idx
+
+
 @dataclass
 class EmbeddingModel:
     dim: int
@@ -52,24 +86,29 @@ class EmbeddingModel:
     params: TrainParams
     seed: int
     _hash_to_index: dict[str, int] = field(default_factory=dict, repr=False)
+    _noise: _NoiseSampler = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        n = len(self.vocab)
+        if (self.token_vectors.shape != (n, self.dim) or self.token_counts.shape != (n,)
+                or self.graph_vectors.shape != (len(self.doc_hashes), self.dim)):
+            raise ValueError("array shapes do not match the vocabulary and documents")
         if not self._hash_to_index:
             for i, h in enumerate(self.doc_hashes):
                 self._hash_to_index.setdefault(h, i)
+        self._noise = _NoiseSampler(self.token_counts)
 
     def lookup(self, doc: WLDocument) -> int | None:
         return self._hash_to_index.get(doc.content_hash)
 
 
+# Uniforms per sampler call: bounds its transient memory, and blocks of this
+# size stay in cache.
+_DRAW_BLOCK = 2 ** 14
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -35.0, 35.0)))
-
-
-def _noise_cdf(token_counts: np.ndarray) -> np.ndarray:
-    weights = token_counts.astype(np.float64) ** 0.75
-    cdf = np.cumsum(weights)
-    return cdf / cdf[-1]
 
 
 def _init_vector(seed: int, dim: int) -> np.ndarray:
@@ -80,15 +119,40 @@ def _lr_schedule(params: TrainParams, epoch: int) -> float:
     return params.learning_rate * max(1.0 - epoch / params.epochs, 1e-4)
 
 
-def _dbow_step(d: np.ndarray, rows: np.ndarray, labels: np.ndarray,
-               snapshot: np.ndarray, lr: float):
-    """One batched gradient step for a document; returns token-row gradients."""
-    w = snapshot[rows]
-    coef = _sigmoid(w @ d) - labels
+def _dbow_step(d: np.ndarray, w: np.ndarray, n_pos: int, lr: float,
+               token_grad: bool = False) -> np.ndarray | None:
+    """One batched gradient step of document vector `d` against its token
+    rows `w`: `n_pos` positives (label 1), then negatives (label 0). Returns
+    the gradient of those rows when `token_grad` is set (training);
+    inference, which keeps the token matrix frozen, skips it."""
+    coef = _sigmoid(w @ d)
+    coef[:n_pos] -= 1.0  # minus the labels
     grad_d = w.T @ coef
-    token_grad = coef[:, None] * d[None, :]
+    grad_w = coef[:, None] * d[None, :] if token_grad else None
     d -= lr * grad_d
-    return token_grad
+    return grad_w
+
+
+def _negatives(noise: _NoiseSampler, seed: int, stream: str, requests):
+    """The negatives of each (content hash, epoch, count) request, in order.
+
+    A request's uniforms come from its own (hash, epoch) generator, so they
+    do not depend on what else is drawn; the sampler runs on blocks of up to
+    `_DRAW_BLOCK` of them (or one larger request)."""
+    def drawn(block: list[np.ndarray]) -> list[np.ndarray]:
+        negatives = noise.draw(np.concatenate(block))
+        return np.split(negatives, np.cumsum([u.size for u in block])[:-1])
+
+    block: list[np.ndarray] = []
+    size = 0
+    for h, epoch, n in requests:
+        if block and size + n > _DRAW_BLOCK:
+            yield from drawn(block)
+            block, size = [], 0
+        block.append(np.random.default_rng(derive_seed(seed, stream, h, epoch)).random(n))
+        size += n
+    if block:
+        yield from drawn(block)
 
 
 def train_graph2vec(corpus: list[WLDocument], dim: int = 16,
@@ -110,7 +174,7 @@ def train_graph2vec(corpus: list[WLDocument], dim: int = 16,
     for doc in corpus:
         for token in doc.tokens:
             token_counts[vocab[token]] += 1
-    noise_cdf = _noise_cdf(token_counts)
+    noise = _NoiseSampler(token_counts)
 
     token_vectors = np.random.default_rng(seed).uniform(
         -0.5 / dim, 0.5 / dim, (len(vocab), dim))
@@ -131,21 +195,22 @@ def train_graph2vec(corpus: list[WLDocument], dim: int = 16,
             by_hash[h] = job
             jobs.append(job)
         job["mult"] += 1
+    columns = np.arange(dim)
 
-    n_neg = params.negative
     for epoch in range(params.epochs):
         lr = _lr_schedule(params, epoch)
         snapshot = token_vectors.copy()
         accum = np.zeros_like(token_vectors)
-        for job in jobs:
-            idx = job["idx"]
-            rng = np.random.default_rng(derive_seed(seed, "neg", job["hash"], epoch))
-            negs = np.searchsorted(noise_cdf, rng.random(idx.size * n_neg))
-            rows = np.concatenate([idx, negs])
-            labels = np.concatenate([
-                np.ones(idx.size), np.zeros(negs.size)])
-            token_grad = _dbow_step(job["vec"], rows, labels, snapshot, lr)
-            np.add.at(accum, rows, (-lr * job["mult"]) * token_grad)
+        requests = ((job["hash"], epoch, job["idx"].size * params.negative) for job in jobs)
+        for job, negs in zip(jobs, _negatives(noise, seed, "neg", requests)):
+            rows = np.concatenate([job["idx"], negs])
+            token_grad = _dbow_step(job["vec"], snapshot[rows], job["idx"].size, lr,
+                                    token_grad=True)
+            # Adding the rows into the flat view makes the same additions in
+            # the same order as `np.add.at(accum, rows, ...)`, on numpy's
+            # faster one-dimensional path.
+            np.add.at(accum.reshape(-1), (rows[:, None] * dim + columns).reshape(-1),
+                      ((-lr * job["mult"]) * token_grad).reshape(-1))
         token_vectors += accum
 
     graph_vectors = np.stack([by_hash[doc.content_hash]["vec"] for doc in corpus])
@@ -178,16 +243,16 @@ def infer_embedding(model: EmbeddingModel, doc: WLDocument) -> np.ndarray:
     h = doc.content_hash
     idx = np.array([model.vocab[t] for t in doc.tokens if t in model.vocab],
                    dtype=np.int64)
-    noise_cdf = _noise_cdf(model.token_counts)
+    n_neg = len(doc.tokens) * params.negative
     d = _init_vector(derive_seed(model.seed, "infer", h), model.dim)
-    n_slots = len(doc.tokens)
-    for epoch in range(params.epochs):
-        lr = _lr_schedule(params, epoch)
-        rng = np.random.default_rng(derive_seed(model.seed, "inferneg", h, epoch))
-        negs = np.searchsorted(noise_cdf, rng.random(n_slots * params.negative))
-        rows = np.concatenate([idx, negs])
-        labels = np.concatenate([np.ones(idx.size), np.zeros(negs.size)])
-        _dbow_step(d, rows, labels, model.token_vectors, lr)
+    # The positive rows stay put; each epoch overwrites only the negatives.
+    rows = np.empty((idx.size + n_neg, model.dim))
+    np.take(model.token_vectors, idx, axis=0, out=rows[:idx.size])
+    requests = ((h, epoch, n_neg) for epoch in range(params.epochs))
+    for epoch, negs in enumerate(_negatives(model._noise, model.seed, "inferneg", requests)):
+        # The indices are in range; "clip" only skips a buffered bounds check.
+        np.take(model.token_vectors, negs, axis=0, out=rows[idx.size:], mode="clip")
+        _dbow_step(d, rows, idx.size, _lr_schedule(params, epoch))
     return d
 
 

@@ -303,15 +303,17 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     """Read a JSON-lines manifest: {"source":..., "label":..., "chain_id":N}."""
     entries: list[ManifestEntry] = []
     seen_sources = set()
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # ValueError: JSON and UTF-8
                 raise InvalidConfig(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+            if not isinstance(obj, dict):
+                raise InvalidConfig(f"{path}:{lineno}: not a JSON object")
             label = obj.get("label")
             if label not in LABELS:
                 raise InvalidConfig(f"{path}:{lineno}: label must be one of {LABELS}")
@@ -321,11 +323,11 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             if source in seen_sources:
                 raise InvalidConfig(f"{path}:{lineno}: duplicate tx identity {source}")
             seen_sources.add(source)
-            entries.append(ManifestEntry(
-                source=source,
-                label=label,
-                chain_id=_norm_quantity(obj.get("chain_id", 0), "chain_id"),
-            ))
+            try:
+                chain_id = _norm_quantity(obj.get("chain_id", 0), "chain_id")
+            except MalformedTrace as exc:
+                raise InvalidConfig(f"{path}:{lineno}: {exc}") from exc
+            entries.append(ManifestEntry(source=source, label=label, chain_id=chain_id))
     return DatasetManifest(entries=entries)
 
 

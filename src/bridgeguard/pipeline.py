@@ -85,7 +85,7 @@ def prepare(record: TxRecord, cfg: RunConfig, stage=_no_stage) -> PreparedTx:
 
 
 def feature_vector(prep: PreparedTx, model: EmbeddingModel,
-                   cfg: RunConfig, stage=_no_stage) -> FeatureVector:
+                   stage=_no_stage) -> FeatureVector:
     with stage("global_mining"):
         embedding = infer_embedding(model, prep.doc)
     return _assemble(prep, embedding, stage)
@@ -251,6 +251,9 @@ def load_bundle(model_dir: str | Path) -> DetectorBundle:
         raise ModelMissing(f"{meta_path}: not a JSON object")
     if meta.get("version") != BUNDLE_FORMAT_VERSION:
         raise ModelMissing(f"unsupported bundle version {meta.get('version')}")
+    for key in ("classifier_kind", "config"):
+        if key not in meta:
+            raise ModelMissing(f"{meta_path}: missing key {key!r}")
     return DetectorBundle(
         embedding=load_model(model_dir / EMBEDDING_FILE),
         classifier=load_classifier(model_dir / CLASSIFIER_FILE),
@@ -268,8 +271,7 @@ def detect(bundle: DetectorBundle, records: list[TxRecord],
     cfg, classifier = bundle.config, bundle.classifier
     rows = []
     for record in records:
-        features = feature_vector(prepare(record, cfg, stage), bundle.embedding,
-                                  cfg, stage)
+        features = feature_vector(prepare(record, cfg, stage), bundle.embedding, stage)
         with stage("classification"):
             scores = classifier.scores(features)
             label = classifier.label(scores)

@@ -113,7 +113,7 @@ def test_criterion_04_feature_dimensions(corpus):
         for record in records[:300]:
             prep = prepare(record, cfg)
             assert prep.census.to_vector().shape == (16,)
-            fv = feature_vector(prep, bundle.embedding, cfg)
+            fv = feature_vector(prep, bundle.embedding)
             assert fv.values.shape == (37,)
             assert fv.values[:21].shape == (21,)
 

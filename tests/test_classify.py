@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -421,4 +423,20 @@ def test_classifier_file_that_is_not_a_classifier_rejected(tmp_path, content):
     path = tmp_path / "classifier.json"
     path.write_text(content)
     with pytest.raises(ModelVersionMismatch, match="classifier.json"):
+        load_classifier(path)
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"version": 1, "kind": "knn"}, "hyperparams"),
+    ({"version": 1, "kind": "knn", "hyperparams": {"k": 3, "seed": 0}}, "standardizer"),
+    ({"version": 1, "kind": "dtree", "classes": ["Normal"],
+      "hyperparams": {"max_depth": 2, "min_samples_leaf": 1, "seed": 0}}, "payload"),
+    ({"version": 1, "kind": "dtree", "classes": ["Normal"],
+      "hyperparams": {"max_depth": 2, "min_samples_leaf": 1, "seed": 0},
+      "payload": {"tree": {"dim": 0}}}, "counts"),
+], ids=["knn-hyperparams", "knn-standardizer", "dtree-payload", "dtree-node-counts"])
+def test_classifier_missing_key_rejected_naming_it(tmp_path, doc, key):
+    path = tmp_path / "classifier.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelVersionMismatch, match=f"classifier.json: missing key '{key}'"):
         load_classifier(path)

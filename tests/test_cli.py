@@ -234,6 +234,25 @@ def test_bench_missing_trace_file_is_one_error_line(workspace, runner, tmp_path)
     assert "missing.json" in lines[0]
 
 
+@pytest.mark.parametrize("content", [
+    b'{"source": "a.json", "label": "Normal"}\n[1]\n',
+    b'{"source": "a.json", "label": "Normal"}\n{"source": "b\xff.json"}\n',
+    b'{"source": "a.json", "label": "Normal"}\n'
+    b'{"source": "b.json", "label": "Normal", "chain_id": "zz"}\n',
+], ids=["not-an-object", "not-utf8", "bad-chain-id"])
+def test_bad_manifest_line_is_one_error_line_naming_it(runner, tmp_path, content):
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_bytes(content)
+    result = runner.invoke(main, ["train", "--manifest", str(manifest),
+                                  "--model-dir", str(tmp_path / "model")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert f"{manifest}:2:" in lines[0]
+
+
 def test_version_and_help(runner):
     assert runner.invoke(main, ["--version"]).exit_code == 0
     result = runner.invoke(main, ["--help"])

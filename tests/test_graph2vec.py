@@ -2,15 +2,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bridgeguard.errors import EmptyCorpus, ModelVersionMismatch
 from bridgeguard.graph2vec import (
     TrainParams,
+    _NoiseSampler,
     infer_embedding,
     load_model,
     save_model,
     train_graph2vec,
 )
+from bridgeguard.hashing import derive_seed
 from bridgeguard.wl import WLDocument
 
 FAST = TrainParams(epochs=30)
@@ -120,6 +124,8 @@ def test_model_round_trip_and_version_check(tmp_path):
     assert loaded.params == model.params
     assert np.array_equal(infer_embedding(loaded, _doc("a", "b")),
                           model.graph_vectors[0])
+    miss = _doc("a", "c", "zz")
+    assert np.array_equal(infer_embedding(loaded, miss), infer_embedding(model, miss))
 
     # corrupt the version field
     import json
@@ -182,3 +188,167 @@ def test_vectors_have_requested_dim_and_are_finite():
     assert model.graph_vectors.shape == (1, 16)
     assert np.isfinite(model.graph_vectors).all()
     assert np.isfinite(model.token_vectors).all()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("token_counts", np.zeros(0, dtype=np.int64)),
+    ("token_counts", np.zeros(2, dtype=np.int64)),
+    ("token_counts", np.ones(3, dtype=np.int64)),
+    ("token_vectors", np.zeros((1, 16))),
+    ("graph_vectors", np.zeros((2, 16))),
+], ids=["no-counts", "zero-counts", "extra-count", "missing-token-row", "extra-doc-row"])
+def test_model_with_inconsistent_arrays_rejected_naming_it(tmp_path, key, value):
+    # A two-token, one-document model whose noise distribution or array
+    # shapes are broken; sampling from it could pick a missing token row.
+    path = tmp_path / "embedding.npz"
+    save_model(train_graph2vec([_doc("a", "b")], params=FAST, seed=4), path)
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    arrays[key] = value
+    np.savez(path, **arrays)
+    with pytest.raises(ModelVersionMismatch, match="embedding.npz"):
+        load_model(path)
+
+
+# --- the guide-table noise sampler ----------------------------------------
+
+
+def _edge_uniforms(sampler: _NoiseSampler) -> np.ndarray:
+    """Uniforms on and beside every bucket edge b/K and every CDF value."""
+    edges = np.arange(sampler.buckets) / sampler.buckets
+    cdf = sampler.cdf
+    u = np.concatenate([[0.0, 1.0 - 2.0 ** -53], edges, np.nextafter(edges, 0.0),
+                        cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)])
+    return u[u < 1.0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       n=st.integers(min_value=1, max_value=3000),
+       skew=st.floats(min_value=0.0, max_value=12.0))
+@example(seed=0, n=1, skew=0.0)  # a one-token vocabulary
+@example(seed=1, n=3000, skew=12.0)  # counts across twelve orders of magnitude
+def test_guide_table_draw_equals_searchsorted(seed, n, skew):
+    rng = np.random.default_rng(seed)
+    counts = np.floor(10.0 ** (skew * rng.random(n))).astype(np.int64)
+    sampler = _NoiseSampler(counts)
+    assert sampler.buckets >= 4 * n
+    u = np.concatenate([rng.random(4000), _edge_uniforms(sampler)])
+    assert np.array_equal(sampler.draw(u), np.searchsorted(sampler.cdf, u))
+
+
+def test_guide_table_walks_a_bucket_holding_many_tokens():
+    # One dominant token leaves a thousand CDF steps inside the last bucket.
+    sampler = _NoiseSampler(np.array([10**12] + [1] * 1000))
+    u = _edge_uniforms(sampler)
+    assert np.array_equal(sampler.draw(u), np.searchsorted(sampler.cdf, u))
+    assert sampler.draw(np.array([1.0 - 2.0 ** -53]))[0] == 1000
+
+
+# --- oracle: the plain per-document algorithm ------------------------------
+#
+# An independent copy of the straightforward trainer and inference: noise
+# drawn with `searchsorted` over the CDF per document and epoch, a step that
+# always computes the token gradient, and `np.add.at` on token rows. The
+# optimized module must reproduce it bit for bit.
+
+
+def _plain_cdf(counts):
+    cdf = np.cumsum(counts.astype(np.float64) ** 0.75)
+    return cdf / cdf[-1]
+
+
+def _plain_step(d, rows, labels, token_vectors, lr):
+    w = token_vectors[rows]
+    coef = 1.0 / (1.0 + np.exp(-np.clip(w @ d, -35.0, 35.0))) - labels
+    grad_d = w.T @ coef
+    token_grad = coef[:, None] * d[None, :]
+    d -= lr * grad_d
+    return token_grad
+
+
+def _plain_lr(params, epoch):
+    return params.learning_rate * max(1.0 - epoch / params.epochs, 1e-4)
+
+
+def _plain_init(seed, dim):
+    return np.random.default_rng(seed).uniform(-0.5 / dim, 0.5 / dim, dim)
+
+
+def _plain_train(corpus, dim, params, seed):
+    vocab = {}
+    for doc in corpus:
+        for token in doc.tokens:
+            vocab.setdefault(token, len(vocab))
+    counts = np.zeros(len(vocab), dtype=np.int64)
+    for doc in corpus:
+        for token in doc.tokens:
+            counts[vocab[token]] += 1
+    cdf = _plain_cdf(counts)
+    token_vectors = np.random.default_rng(seed).uniform(-0.5 / dim, 0.5 / dim,
+                                                        (len(vocab), dim))
+    jobs = {}
+    for doc in corpus:
+        h = doc.content_hash
+        if h not in jobs:
+            jobs[h] = [np.array([vocab[t] for t in doc.tokens], dtype=np.int64), 0,
+                       _plain_init(derive_seed(seed, "doc", h), dim)]
+        jobs[h][1] += 1
+    for epoch in range(params.epochs):
+        lr = _plain_lr(params, epoch)
+        snapshot = token_vectors.copy()
+        accum = np.zeros_like(token_vectors)
+        for h, (idx, mult, vec) in jobs.items():
+            rng = np.random.default_rng(derive_seed(seed, "neg", h, epoch))
+            negs = np.searchsorted(cdf, rng.random(idx.size * params.negative))
+            rows = np.concatenate([idx, negs])
+            labels = np.concatenate([np.ones(idx.size), np.zeros(negs.size)])
+            token_grad = _plain_step(vec, rows, labels, snapshot, lr)
+            np.add.at(accum, rows, (-lr * mult) * token_grad)
+        token_vectors += accum
+    graph_vectors = np.stack([jobs[doc.content_hash][2] for doc in corpus])
+    return token_vectors, graph_vectors
+
+
+def _plain_infer(model, doc):
+    hit = model.lookup(doc)
+    if hit is not None:
+        return model.graph_vectors[hit].copy()
+    params, h = model.params, doc.content_hash
+    idx = np.array([model.vocab[t] for t in doc.tokens if t in model.vocab],
+                   dtype=np.int64)
+    cdf = _plain_cdf(model.token_counts)
+    d = _plain_init(derive_seed(model.seed, "infer", h), model.dim)
+    for epoch in range(params.epochs):
+        rng = np.random.default_rng(derive_seed(model.seed, "inferneg", h, epoch))
+        negs = np.searchsorted(cdf, rng.random(len(doc.tokens) * params.negative))
+        rows = np.concatenate([idx, negs])
+        labels = np.concatenate([np.ones(idx.size), np.zeros(negs.size)])
+        _plain_step(d, rows, labels, model.token_vectors, _plain_lr(params, epoch))
+    return d
+
+
+@pytest.mark.parametrize("with_empty", [False, True],
+                         ids=["empty-doc-missed", "empty-doc-trained"])
+def test_training_and_inference_match_the_plain_algorithm(rng, with_empty):
+    corpus = (_family("a", 8, rng) + _family("b", 8, rng)
+              + [_doc("c1", "c2", "c2", "c3")] * 3  # duplicate contents
+              + [_doc(*[f"t{i % 40}" for i in range(300)])])  # a long document
+    if with_empty:
+        corpus.append(WLDocument(tokens=()))
+    params = TrainParams(epochs=12, negative=3)
+    model = train_graph2vec(corpus, dim=8, params=params, seed=11)
+    token_vectors, graph_vectors = _plain_train(corpus, 8, params, 11)
+    assert np.array_equal(model.token_vectors, token_vectors)
+    assert np.array_equal(model.graph_vectors, graph_vectors)
+
+    probes = [
+        corpus[0],  # a trained-vector hit
+        _doc("a-core-0", "a-core-1", "b-core-2", "c1", "novel"),  # a miss
+        _doc("oov-1", "oov-2", "oov-2"),  # every token out of vocabulary
+        WLDocument(tokens=()),  # zero tokens: a hit only when trained
+        _doc(*[f"t{i % 50}" for i in range(2000)]),  # 2000 tokens x 3 negatives
+    ]
+    assert (model.lookup(probes[3]) is not None) == with_empty
+    for probe in probes:
+        assert np.array_equal(infer_embedding(model, probe), _plain_infer(model, probe))

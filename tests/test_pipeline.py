@@ -43,7 +43,7 @@ def test_feature_dimensions_everywhere(small_corpus):
     for record in records[:10]:
         prep = prepare(record, cfg)
         glob_dim = 21
-        fv = feature_vector(prep, bundle.embedding, cfg)
+        fv = feature_vector(prep, bundle.embedding)
         assert fv.values.shape == (37,)
         assert np.isfinite(fv.values).all()
         assert bundle.embedding.dim == 16
@@ -155,6 +155,19 @@ def test_load_bundle_rejects_unknown_config_key(small_corpus, tmp_path):
             load_bundle(tmp_path / "model")
 
 
+@pytest.mark.parametrize("key", ["classifier_kind", "config"])
+def test_load_bundle_missing_key_rejected_naming_it(small_corpus, tmp_path, key):
+    records, labels = small_corpus
+    bundle, _ = train_detector(records[:40], labels[:40], RunConfig(seed=2, epochs=5))
+    save_bundle(bundle, tmp_path / "model")
+    meta_path = tmp_path / "model" / BUNDLE_FILE
+    meta = json.loads(meta_path.read_text())
+    del meta[key]
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ModelMissing, match=f"bundle.json: missing key '{key}'"):
+        load_bundle(tmp_path / "model")
+
+
 @pytest.mark.parametrize("kind, oracle_label, oracle_scores", [
     ("knn", knn_predict, knn_neighbor_stats),
     ("dtree", dtree_predict, dtree_leaf_distribution),
@@ -167,7 +180,7 @@ def test_detect_and_bench_share_the_classification_path(small_corpus, kind,
     rows = detect(bundle, records)
     assert [r["tx_hash"] for r in rows] == [r.tx_hash for r in records]
     for record, row in zip(records, rows):
-        fv = feature_vector(prepare(record, cfg), bundle.embedding, cfg)
+        fv = feature_vector(prepare(record, cfg), bundle.embedding)
         assert row["label"] == oracle_label(bundle.classifier, fv)
         assert row["scores"] == oracle_scores(bundle.classifier, fv)
 
