@@ -4,6 +4,26 @@ Implements exactly-specified K-nearest-neighbors and Gini decision-tree
 classifiers (deterministic tie rules, bit-reproducible under seeds), the
 stratified split protocol, and precision/recall/F1/support evaluation with
 the 0/0 -> 0 convention. The 37-dim layout is [global(21), local(16)].
+
+KNN neighbours are the k smallest distances
+`sqrt(((x - z) ** 2).sum(axis=1))` between the standardized query z and the
+training rows x; equal distances rank by training-row index. A query finds
+them exactly in two steps:
+
+1. One BLAS matvec gives each row's squared distance by the Gram identity
+   `|x|^2 - 2x.z + |z|^2`. In d dims, its rounding error and that of the
+   reference expression are each at most gamma (|x|+|z|)^2, with
+   gamma = (d+3)u / (1 - (d+3)u) and u the unit roundoff (Higham, Accuracy and
+   Stability of Numerical Algorithms, ch. 3). The Gram value plus or minus
+   four times that bound therefore brackets the reference squared sum.
+2. A row is a candidate when its lower end is at most the k-th smallest
+   upper end times (1 + 4u). The slack admits squared sums that `sqrt`
+   rounds to the same distance, since `sqrt` is not injective. Only the
+   candidates get the reference expression, and a stable sort of them, in
+   ascending row order, keeps the tie rule.
+
+The neighbours, their distances and so every label are those of a full
+scan, bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    BridgeGuardError,
     ClassTooSmall,
     DimensionMismatch,
     EmptyTrainingSet,
@@ -131,15 +152,77 @@ class Standardizer:
 
 # --- K-nearest neighbors ----------------------------------------------------
 
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+# Bound on |Gram - reference| in units of gamma (|x|+|z|)^2: one for each
+# expression, the rest for rounding the bound itself.
+_GRAM_SAFETY = 4.0
+
+
+def _admit_sqrt_ties(t: float) -> float:
+    """Every a with fl(sqrt(a)) <= fl(sqrt(t)) is at most this value."""
+    return t * (1.0 + 4.0 * _UNIT_ROUNDOFF)
+
 
 @dataclass
 class KNNModel:
+    """`x` must not be modified in place: its row norms are cached."""
     k: int
     standardizer: Standardizer
     x: np.ndarray  # standardized training matrix
     y: list[str]
     classes: list[str]
     seed: int = 0
+    _sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
+    _norms: np.ndarray = field(init=False, repr=False, compare=False)
+    _err_scale: float = field(init=False, repr=False, compare=False)
+    _err_floor: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        x, mean, std = self.x, self.standardizer.mean, self.standardizer.std
+        if x.ndim != 2 or not np.isfinite(x).all():
+            raise DimensionMismatch("KNN training matrix must be 2-D and finite")
+        rows, dims = x.shape
+        if rows != len(self.y):
+            raise DimensionMismatch(f"{rows} training rows vs {len(self.y)} labels")
+        if np.shape(mean) != (dims,) or np.shape(std) != (dims,):
+            raise DimensionMismatch(f"standardizer must have {dims} dims")
+        if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std != 0).all()):
+            raise DimensionMismatch("standardizer must be finite with nonzero std")
+        if not set(self.y) <= set(self.classes):
+            raise InvalidConfig("training labels missing from the class list")
+        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
+            raise InvalidConfig(f"k must be an integer >= 1, got {self.k!r}")
+        if self.k > rows:
+            raise KTooLarge(f"k={self.k} exceeds training size {rows}")
+        self._sq_norms = np.einsum("ij,ij->i", x, x)
+        self._norms = np.sqrt(self._sq_norms)
+        gamma = (dims + 3) * _UNIT_ROUNDOFF / (1 - (dims + 3) * _UNIT_ROUNDOFF)
+        self._err_scale = _GRAM_SAFETY * gamma
+        # Each of the 4d products in the two expressions loses at most half
+        # a subnormal to underflow.
+        self._err_floor = 4.0 * (dims + 1) * float(np.finfo(np.float64).smallest_subnormal)
+
+    def neighbors(self, features) -> tuple[np.ndarray, np.ndarray]:
+        """Training-row indices of the k nearest, nearest first (equal
+        distances by row index), and their distances."""
+        q = np.asarray(getattr(features, "values", features), dtype=np.float64)
+        z = self.standardizer.transform(q)
+        z_sq = z @ z
+        gram = self.x @ z
+        gram *= -2.0
+        gram += self._sq_norms
+        gram += z_sq
+        err = self._norms + np.sqrt(z_sq)
+        err *= err  # squared before scaling, so an overflow reads as inf
+        err *= self._err_scale
+        kth = np.partition(gram + err, self.k - 1)[self.k - 1]
+        gram -= err
+        # NaN bounds (an overflow, a non-finite query) admit their rows.
+        limit = _admit_sqrt_ties(kth + self._err_floor) + self._err_floor
+        cand = np.flatnonzero(~(gram > limit))
+        dist = np.sqrt(((self.x[cand] - z) ** 2).sum(axis=1))
+        order = np.argsort(dist, kind="stable")[:self.k]
+        return cand[order], dist[order]
 
     def scores(self, features) -> dict[str, dict[str, float]]:
         return knn_neighbor_stats(self, features)
@@ -158,10 +241,6 @@ class KNNModel:
 def knn_train(train: list[LabeledSample], k: int = 5, seed: int = 0) -> KNNModel:
     if not train:
         raise EmptyTrainingSet("KNN needs at least one training sample")
-    if k < 1:
-        raise InvalidConfig("k must be >= 1")
-    if k > len(train):
-        raise KTooLarge(f"k={k} exceeds training size {len(train)}")
     x, y = _as_matrix(train)
     standardizer = Standardizer.fit(x)
     return KNNModel(k=k, standardizer=standardizer, x=standardizer.transform(x),
@@ -170,16 +249,13 @@ def knn_train(train: list[LabeledSample], k: int = 5, seed: int = 0) -> KNNModel
 
 def knn_neighbor_stats(model: KNNModel, features) -> dict[str, dict[str, float]]:
     """Per-class neighbor count and summed distance among the k nearest."""
-    q = np.asarray(getattr(features, "values", features), dtype=np.float64)
-    z = model.standardizer.transform(q)
-    dist = np.sqrt(((model.x - z) ** 2).sum(axis=1))
-    nearest = np.argsort(dist, kind="stable")[:model.k]
+    nearest, dist = model.neighbors(features)
     stats: dict[str, dict[str, float]] = {
         c: {"count": 0, "sum_distance": 0.0} for c in model.classes}
-    for i in nearest:
+    for i, d in zip(nearest.tolist(), dist.tolist()):
         entry = stats[model.y[i]]
         entry["count"] += 1
-        entry["sum_distance"] += float(dist[i])
+        entry["sum_distance"] += d
     return stats
 
 
@@ -480,9 +556,9 @@ def load_classifier(path: str | Path) -> KNNModel | DecisionTreeModel:
             return KNNModel(
                 k=doc["hyperparams"]["k"],
                 standardizer=Standardizer(
-                    mean=np.asarray(doc["standardizer"]["mean"]),
-                    std=np.asarray(doc["standardizer"]["std"])),
-                x=np.asarray(doc["payload"]["x"]),
+                    mean=np.asarray(doc["standardizer"]["mean"], dtype=np.float64),
+                    std=np.asarray(doc["standardizer"]["std"], dtype=np.float64)),
+                x=np.asarray(doc["payload"]["x"], dtype=np.float64),
                 y=list(doc["payload"]["y"]),
                 classes=list(doc["classes"]),
                 seed=doc["hyperparams"]["seed"],
@@ -497,4 +573,6 @@ def load_classifier(path: str | Path) -> KNNModel | DecisionTreeModel:
             )
     except KeyError as exc:
         raise ModelVersionMismatch(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError, BridgeGuardError) as exc:
+        raise ModelVersionMismatch(f"{path}: malformed classifier ({exc})") from exc
     raise ModelVersionMismatch(f"{path}: unknown classifier kind {doc.get('kind')!r}")

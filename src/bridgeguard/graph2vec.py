@@ -287,8 +287,10 @@ def load_model(path: str | Path) -> EmbeddingModel:
             header = json.loads(str(data["header"]))
             if not isinstance(header, dict) or header.get("version") != MODEL_FORMAT_VERSION:
                 raise ModelVersionMismatch(f"{path}: model format is not {MODEL_FORMAT_VERSION}")
+            if not isinstance(header["dim"], int):
+                raise ModelVersionMismatch(f"{path}: dim {header['dim']!r} is not an integer")
             return EmbeddingModel(
-                dim=int(header["dim"]),
+                dim=header["dim"],
                 vocab={token: i for i, token in enumerate(data["tokens"].tolist())},
                 token_vectors=data["token_vectors"],
                 graph_vectors=data["graph_vectors"],
@@ -297,5 +299,5 @@ def load_model(path: str | Path) -> EmbeddingModel:
                 params=TrainParams(**header["params"]),
                 seed=int(header["seed"]),
             )
-    except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
         raise ModelVersionMismatch(f"{path}: not an embedding model ({exc})") from exc

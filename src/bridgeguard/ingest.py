@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -74,11 +75,15 @@ class DatasetManifest:
 # --- hex normalization ---------------------------------------------------
 
 
+# ASCII only: `\d` would admit other scripts' digits, and `$` a trailing newline.
+_is_hex_body = re.compile(r"[0-9a-f]*").fullmatch
+
+
 def _norm_hex(value: object, name: str, nbytes: int | None = None) -> str:
     if not isinstance(value, str) or not value.startswith("0x"):
         raise MalformedTrace(f"{name}: expected 0x-prefixed hex string, got {value!r}")
     body = value[2:].lower()
-    if body and any(c not in "0123456789abcdef" for c in body):
+    if not _is_hex_body(body):
         raise MalformedTrace(f"{name}: non-hex characters in {value!r}")
     if nbytes is not None and len(body) != 2 * nbytes:
         raise MalformedTrace(f"{name}: expected {nbytes} bytes, got {value!r}")

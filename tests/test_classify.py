@@ -1,12 +1,18 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bridgeguard.classify import (
     FEATURE_DIM,
     FeatureVector,
+    KNNModel,
     LabeledSample,
+    Standardizer,
+    _admit_sqrt_ties,
     collapse_attack,
     concat_features,
     dtree_predict,
@@ -31,6 +37,7 @@ from bridgeguard.errors import (
     ModelVersionMismatch,
 )
 from bridgeguard.features import assemble_global
+from bridgeguard.ingest import LABELS
 from bridgeguard.motifs import LocalFeature
 
 
@@ -233,6 +240,113 @@ def test_knn_neighbor_stats_shape():
     assert set(stats) == {"Normal", "AttackSrc"}
 
 
+# --- KNN against the full scan ---------------------------------------------------
+
+
+def _raw_knn(x, k) -> KNNModel:
+    """A KNN model on `x` as given (identity standardizer), labels cycling."""
+    x = np.asarray(x, dtype=np.float64)
+    y = [LABELS[i % len(LABELS)] for i in range(len(x))]
+    dims = x.shape[1]
+    return KNNModel(k=k, standardizer=Standardizer(np.zeros(dims), np.ones(dims)), x=x,
+                    y=y, classes=[c for c in LABELS if c in y])
+
+
+def _assert_matches_full_scan(model: KNNModel, query) -> None:
+    # The plain scan: every distance, then a stable sort of all of them.
+    q = np.asarray(query, dtype=np.float64)
+    z = (q - model.standardizer.mean) / model.standardizer.std
+    dist = np.sqrt(((model.x - z) ** 2).sum(axis=1))
+    nearest = np.argsort(dist, kind="stable")[:model.k]
+    expected = {c: {"count": 0, "sum_distance": 0.0} for c in model.classes}
+    for i in nearest:
+        expected[model.y[i]]["count"] += 1
+        expected[model.y[i]]["sum_distance"] += float(dist[i])
+
+    indices, distances = model.neighbors(q)
+    assert np.array_equal(indices, nearest)
+    assert np.array_equal(distances, dist[nearest])
+    assert knn_neighbor_stats(model, q) == expected
+
+
+_GRID = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def _grid_knn_case(draw):
+    """Small-integer rows (many duplicates and equal distances) at a scale
+    from subnormal to overflowing squares, and a query, optionally far from
+    every row. An origin 2^26-2^28 grid steps away makes the Gram identity
+    cancel to a few significant bits, so it misranks rows."""
+    dims = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=24))
+    cell = st.lists(_GRID, min_size=dims, max_size=dims)
+    x = np.array(draw(st.lists(cell, min_size=n, max_size=n)), dtype=np.float64)
+    q = np.array(draw(cell), dtype=np.float64)
+    exp = draw(st.integers(min_value=-1074, max_value=940))
+    far = 2.0 ** draw(st.sampled_from([0, 20, 60]))
+    shift = draw(st.sampled_from([None, 26, 27, 28]))
+    origin = 0.0 if shift is None else 2.0 ** (exp + shift)
+    return (x * 2.0 ** exp + origin, q * 2.0 ** exp * far + origin,
+            draw(st.integers(min_value=1, max_value=n)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_grid_knn_case())
+def test_knn_neighbors_equal_the_full_scan(case):
+    x, q, k = case
+    _assert_matches_full_scan(_raw_knn(x, k), q)
+
+
+# Squared distances from the origin 1, 1, 1+2^-52, 1+2^-51 and 1+2^-50 (m = 0,
+# 1, 2, 3, 4): one ulp apart, and the first three share the distance 1.0.
+_NEAR_ONE = [[1.0, m * 2.0 ** -27] for m in (2, 0, 1, 3, 2, 4, 0)]
+_SHIFTED = np.random.default_rng(3).integers(-3, 4, (13, 3)) + 2.0 ** 27
+
+
+@pytest.mark.parametrize("x, query, k", [
+    ([[1, 2], [0, 0], [1, 2], [1, 2], [3, 3]], [1, 2], 2),
+    ([[-1], [1], [2], [-1], [1]], [0], 3),
+    (np.random.default_rng(0).normal(size=(6, 3)), [0.5, -0.5, 0.0], 6),
+    ([[0.25], [-3.0], [0.25], [7.5]], [0.1], 2),
+    ([[0, 1], [1, 0], [1, 1], [0, 0]], [1e12, -1e12], 2),
+    ([[-1e-160, 0], [1e-160, 0], [0, 3e-160]], [0, 0], 2),
+    (_NEAR_ONE, [0.0, 0.0], 2),
+    (np.array(_NEAR_ONE) + [2.0 ** 40, 2.0 ** 20], [2.0 ** 40, 2.0 ** 20], 3),
+    (_SHIFTED[:12], _SHIFTED[12], 3),
+], ids=["duplicate-rows", "equidistant", "k-equals-n", "one-dim", "far-query",
+        "underflowing-squares", "one-ulp-apart", "one-ulp-apart-far-from-origin",
+        "gram-cancellation"])
+def test_knn_neighbors_equal_the_full_scan_on_edge_cases(x, query, k):
+    _assert_matches_full_scan(_raw_knn(x, k), query)
+
+
+@settings(max_examples=400, deadline=None)
+@given(t=st.floats(min_value=2.0 ** -1022, allow_infinity=False, allow_nan=False))
+@example(t=1.0 - 2.0 ** -53)
+@example(t=1.0)
+@example(t=4.0 - 2.0 ** -50)
+@example(t=2.0 ** -1022)
+def test_threshold_admits_every_squared_sum_with_the_same_sqrt(t):
+    largest = t
+    while math.sqrt(math.nextafter(largest, math.inf)) <= math.sqrt(t):
+        largest = math.nextafter(largest, math.inf)
+    assert largest <= _admit_sqrt_ties(t)
+
+
+def test_reloaded_knn_scores_bit_equal(tmp_path, rng):
+    samples = _blobs(rng, n_per_class=30)
+    model = knn_train(samples, k=5)
+    path = tmp_path / "knn.json"
+    save_classifier(model, path)
+    loaded = load_classifier(path)
+    for probe in rng.normal(4.0, 6.0, (50, 5)):
+        assert knn_neighbor_stats(loaded, probe) == knn_neighbor_stats(model, probe)
+        for a, b in zip(loaded.neighbors(probe), model.neighbors(probe)):
+            assert np.array_equal(a, b)
+        _assert_matches_full_scan(loaded, probe)
+
+
 # --- decision tree --------------------------------------------------------------
 
 
@@ -418,7 +532,11 @@ def test_classifier_round_trip(tmp_path, rng):
         load_classifier(tmp_path / "missing.json")
 
 
-@pytest.mark.parametrize("content", ["[1, 2]", "{broken", '{"version": 1}'])
+@pytest.mark.parametrize("content", [
+    "[1, 2]", "{broken", '{"version": 1}',
+    '{"version": 1, "kind": "dtree", "classes": ["Normal"], "hyperparams": [],'
+    ' "payload": {"tree": {"counts": [1]}}}',
+])
 def test_classifier_file_that_is_not_a_classifier_rejected(tmp_path, content):
     path = tmp_path / "classifier.json"
     path.write_text(content)
@@ -439,4 +557,43 @@ def test_classifier_missing_key_rejected_naming_it(tmp_path, doc, key):
     path = tmp_path / "classifier.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelVersionMismatch, match=f"classifier.json: missing key '{key}'"):
+        load_classifier(path)
+
+
+def _saved_knn_doc(tmp_path) -> dict:
+    rng = np.random.default_rng(11)
+    path = tmp_path / "valid.json"
+    save_classifier(knn_train(_blobs(rng, n_per_class=3, dim=2), k=3), path)
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("hyperparams", None, []),
+    ("standardizer", None, []),
+    ("payload", None, "x"),
+    ("payload", "x", [1.0, 2.0]),
+    ("payload", "x", [[1.0, 2.0]] * 5 + [[1.0]]),
+    ("payload", "x", [[1.0, 2.0, 3.0]] * 6),
+    ("payload", "x", [[1.0, 2.0]] * 5),
+    ("payload", "x", [[1.0, 2.0]] * 5 + [[1.0, 1e999]]),
+    ("payload", "y", ["Normal"] * 5 + ["Unknown"]),
+    ("standardizer", "std", [1.0]),
+    ("standardizer", "std", [1.0, 0.0]),
+    ("hyperparams", "k", 0),
+    ("hyperparams", "k", 7),
+    ("hyperparams", "k", 2.5),
+    ("hyperparams", "k", "3"),
+], ids=["hyperparams-list", "standardizer-list", "payload-string", "x-one-dim",
+        "x-ragged", "x-wider-than-standardizer", "x-fewer-rows-than-labels",
+        "x-not-finite", "y-label-outside-classes", "std-shorter-than-mean",
+        "std-zero", "k-zero", "k-above-rows", "k-float", "k-string"])
+def test_malformed_knn_file_rejected_naming_it(tmp_path, section, key, value):
+    doc = _saved_knn_doc(tmp_path)
+    if key is None:
+        doc[section] = value
+    else:
+        doc[section][key] = value
+    path = tmp_path / "classifier.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelVersionMismatch, match="classifier.json"):
         load_classifier(path)

@@ -201,6 +201,17 @@ def test_bench_reports_stages_and_tps(workspace, runner, tmp_path):
     assert report["tps"] > 0
     assert abs(sum(report["stage_ms"].values()) - report["total_ms"]) < 1e-9
     assert report["reference_total_ms"] == 15.212
+    assert list(report["stage_p50_ms"]) == list(report["stage_p95_ms"]) == list(
+        report["stage_ms"])
+    for stage in report["stage_ms"]:
+        assert 0 <= report["stage_p50_ms"][stage] <= report["stage_p95_ms"][stage]
+
+    table = runner.invoke(main, [
+        "bench", "--manifest", str(corpus / "manifest.jsonl"),
+        "--model-dir", str(model_dir)])
+    assert table.exit_code == 0, table.output
+    header = table.output.splitlines()[0]
+    assert header.index("Avg. time") < header.index("p50 (ms)") < header.index("p95 (ms)")
 
 
 def test_bench_too_small_corpus_fails(workspace, runner, tmp_path):

@@ -174,6 +174,28 @@ def test_object_arrays_are_never_unpickled(tmp_path, version):
     assert _UNPICKLED == []
 
 
+@pytest.mark.parametrize("field, value", [
+    ("params", []),
+    ("params", {"epochs": 1, "window": 3}),
+    ("dim", [16]),
+    ("dim", "16"),
+    ("dim", 16.5),
+    ("seed", []),
+], ids=["params-list", "params-unknown-key", "dim-list", "dim-string", "dim-float",
+        "seed-list"])
+def test_header_field_of_the_wrong_type_rejected_naming_it(tmp_path, field, value):
+    path = tmp_path / "embedding.npz"
+    save_model(train_graph2vec([_doc("a", "b")], params=FAST, seed=4), path)
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    header = json.loads(str(arrays["header"]))
+    header[field] = value
+    arrays["header"] = json.dumps(header)
+    np.savez(path, **arrays)
+    with pytest.raises(ModelVersionMismatch, match="embedding.npz"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("content", [b"not a model", b"", b"PK\x03\x04truncated"],
                          ids=["text", "empty", "truncated-zip"])
 def test_file_that_is_not_a_model_rejected_naming_it(tmp_path, content):

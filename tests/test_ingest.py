@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bridgeguard.errors import BridgeGuardError, EmptyTrace, InvalidConfig, MalformedTrace
@@ -11,6 +11,7 @@ from bridgeguard.ingest import (
     LABELS,
     DatasetManifest,
     ManifestEntry,
+    _norm_hex,
     flatten_frames,
     load_manifest,
     load_trace_file,
@@ -128,6 +129,29 @@ def test_errors_empty_and_malformed(tmp_path):
     path.write_text("{not json")
     with pytest.raises(MalformedTrace):
         load_trace_file(path)
+
+
+@settings(max_examples=500, deadline=None)
+@given(body=st.text())
+@example(body="")
+@example(body="0123456789abcdefABCDEF")
+@example(body="\uff10\uff11")  # fullwidth digits
+@example(body="\u0660")  # Arabic-Indic digit zero
+@example(body="\u212a")  # Kelvin sign, lower-cases to ASCII "k"
+@example(body="\u0130")  # dotted capital I, lower-cases to two characters
+@example(body="ab\n")
+@example(body="ab\x00")
+def test_hex_check_equals_the_per_character_loop(body):
+    # The loop the regular expression replaced, kept as the oracle.
+    lowered = body.lower()
+    rejected = bool(lowered) and any(c not in "0123456789abcdef" for c in lowered)
+    try:
+        normalized = _norm_hex("0x" + body, "input")
+    except MalformedTrace:
+        assert rejected
+    else:
+        assert not rejected
+        assert normalized == "0x" + lowered
 
 
 @pytest.mark.parametrize("content", [
