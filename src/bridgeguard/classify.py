@@ -29,6 +29,7 @@ scan, bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -507,13 +508,23 @@ def _tree_to_dict(node: TreeNode) -> dict:
     return out
 
 
-def _tree_from_dict(obj: dict) -> TreeNode:
-    node = TreeNode(counts=np.asarray(obj["counts"], dtype=np.float64))
-    if "dim" in obj:
-        node.dim = obj["dim"]
-        node.threshold = obj["threshold"]
-        node.left = _tree_from_dict(obj["left"])
-        node.right = _tree_from_dict(obj["right"])
+def _tree_from_dict(obj: dict, n_classes: int) -> TreeNode:
+    """A saved tree, checked so that scoring cannot fail: a field of the
+    wrong type or range raises ValueError, a missing one KeyError."""
+    counts = np.asarray(obj["counts"], dtype=np.float64)
+    if counts.shape != (n_classes,) or not (np.isfinite(counts) & (counts >= 0)).all():
+        raise ValueError(f"node counts {obj['counts']!r} are not {n_classes} "
+                         "finite, non-negative numbers")
+    node = TreeNode(counts=counts)
+    if obj.keys() & {"dim", "threshold", "left", "right"}:  # a split needs all four
+        dim, threshold = obj["dim"], obj["threshold"]
+        if type(dim) is not int or not 0 <= dim < FEATURE_DIM:  # bool is not int
+            raise ValueError(f"node dim {dim!r} is not an int in 0..{FEATURE_DIM - 1}")
+        if type(threshold) not in (int, float) or not math.isfinite(threshold):
+            raise ValueError(f"node threshold {threshold!r} is not a finite number")
+        node.dim, node.threshold = dim, threshold
+        node.left = _tree_from_dict(obj["left"], n_classes)
+        node.right = _tree_from_dict(obj["right"], n_classes)
     return node
 
 
@@ -564,15 +575,16 @@ def load_classifier(path: str | Path) -> KNNModel | DecisionTreeModel:
                 seed=doc["hyperparams"]["seed"],
             )
         if doc.get("kind") == "dtree":
+            classes = list(doc["classes"])
             return DecisionTreeModel(
-                root=_tree_from_dict(doc["payload"]["tree"]),
-                classes=list(doc["classes"]),
+                root=_tree_from_dict(doc["payload"]["tree"], len(classes)),
+                classes=classes,
                 max_depth=doc["hyperparams"]["max_depth"],
                 min_samples_leaf=doc["hyperparams"]["min_samples_leaf"],
                 seed=doc["hyperparams"]["seed"],
             )
     except KeyError as exc:
         raise ModelVersionMismatch(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError, BridgeGuardError) as exc:
+    except (TypeError, ValueError, OverflowError, BridgeGuardError) as exc:
         raise ModelVersionMismatch(f"{path}: malformed classifier ({exc})") from exc
     raise ModelVersionMismatch(f"{path}: unknown classifier kind {doc.get('kind')!r}")

@@ -173,7 +173,16 @@ def _derived_tx_hash(doc: dict) -> str:
 
 
 def record_from_document(doc: object, chain_id: int | None = None) -> TxRecord:
-    """Parse one trace document (the file/RPC wire shape) into a TxRecord."""
+    """Parse one trace document (the file/RPC wire shape) into a TxRecord. A
+    call tree nested deeper than the parser's recursion allows raises
+    MalformedTrace."""
+    try:
+        return _record_from_document(doc, chain_id)
+    except RecursionError as exc:
+        raise MalformedTrace(f"call tree nests too deep to parse ({exc})") from exc
+
+
+def _record_from_document(doc: object, chain_id: int | None) -> TxRecord:
     if not isinstance(doc, dict):
         raise MalformedTrace("document is not a JSON object")
     trace = doc.get("trace")

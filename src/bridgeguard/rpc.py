@@ -50,6 +50,9 @@ class RpcClient:
         except ValueError as exc:  # json's and requests' decode errors alike
             raise RpcUnavailable(f"{self.endpoint}: {method}: HTTP {status}, "
                                  "body is not JSON") from exc
+        except RecursionError as exc:
+            raise RpcUnavailable(f"{self.endpoint}: {method}: HTTP {status}, "
+                                 "body nests too deep to decode") from exc
         if not isinstance(body, dict):
             raise RpcUnavailable(f"{self.endpoint}: {method}: HTTP {status}, "
                                  "body is not a JSON-RPC object")

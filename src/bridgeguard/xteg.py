@@ -5,6 +5,12 @@ and (emitter, topic0) log events. Edges carry the call opcode kind or EMIT,
 with parallel identical edges merged into a multiplicity count. Construction
 is a pure function of the TxRecord: vertex ids follow first appearance, so
 rebuilding the same record always yields the identical graph.
+
+Each log hangs off a host frame: the deepest frame whose callee is the
+log's emitter, the earliest in pre-order on ties, and the root frame when no
+frame enters the emitter. An EMIT edge never precedes its host frame's
+edge. The build is linear: one pre-order walk over the frames, which also
+records each callee's host, then one pass over the logs.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DisconnectedGraph, EmptyTrace
-from .ingest import FRAME_KINDS, CallFrame, TxRecord, flatten_frames
+from .ingest import FRAME_KINDS, CallFrame, TxRecord
 
 EMIT = "EMIT"
 EDGE_KINDS = frozenset(FRAME_KINDS | {EMIT})
@@ -60,13 +66,6 @@ class SimpleDigraph:
     n: int
     arcs: tuple[tuple[int, int], ...]  # sorted, deduplicated
 
-    def adjacency(self):
-        import numpy as np
-        a = np.zeros((self.n, self.n), dtype=np.int64)
-        for src, dst in self.arcs:
-            a[src, dst] = 1
-        return a
-
 
 class _VertexInterner:
     def __init__(self) -> None:
@@ -91,47 +90,41 @@ def _frame_vertex(interner: _VertexInterner, frame: CallFrame, sender: str) -> i
     return interner.intern(FUNCTION, frame.callee, frame.selector or FALLBACK)
 
 
-def _attribute_log_frame(frames: list[CallFrame], emitter: str) -> CallFrame:
-    # Deepest frame whose callee is the emitter, earliest in pre-order;
-    # root as the deterministic fallback when no frame matches.
-    best: CallFrame | None = None
-    for frame in frames:
-        if frame.callee == emitter:
-            if best is None or frame.depth > best.depth:
-                best = frame
-    return best if best is not None else frames[0]
-
-
 def build_xteg(record: TxRecord) -> XTEG:
     """Build the execution graph: one edge per frame, one EMIT per log."""
     if record.root_frame is None:  # defensive; the parser already rejects this
         raise EmptyTrace(record.tx_hash)
 
-    frames = flatten_frames(record)
     interner = _VertexInterner()
-    sender_vid = interner.intern(EOA, record.sender, "")
-    frame_vid = {frame.order: _frame_vertex(interner, frame, record.sender) for frame in frames}
-
-    parent_of: dict[int, CallFrame] = {}
-    for frame in frames:
-        for child in frame.children:
-            parent_of[child.order] = frame
-
     # Frame edges take their pre-order entry time; log edges keep receipt
-    # (log_index) order while never preceding their emitting frame's edge.
+    # (log_index) order while never preceding their host frame's edge.
     raw: list[tuple[tuple[int, int, int], int, int, str]] = []
-    for frame in frames:
-        parent = parent_of.get(frame.order)
-        src = sender_vid if parent is None else frame_vid[parent.order]
-        raw.append(((frame.order, 0, 0), src, frame_vid[frame.order], frame.frame_kind))
+    host: dict[str, tuple[int, int, int]] = {}  # callee -> (depth, order, vid)
+    stack = [(record.root_frame, interner.intern(EOA, record.sender, ""))]
+    while stack:  # pre-order
+        frame, parent_vid = stack.pop()
+        vid = _frame_vertex(interner, frame, record.sender)
+        raw.append(((frame.order, 0, 0), parent_vid, vid, frame.frame_kind))
+        best = host.get(frame.callee)
+        if best is None or frame.depth > best[0]:  # deepest, earliest on ties
+            host[frame.callee] = (frame.depth, frame.order, vid)
+        stack.extend((child, vid) for child in reversed(frame.children))
 
+    root_host = (0, record.root_frame.order, raw[0][2])  # raw[0]: the root's edge
     emit_time = 0
     for log in record.logs:  # already sorted by log_index
-        host = _attribute_log_frame(frames, log.emitter)
-        emit_time = max(emit_time, host.order)
-        src = frame_vid[host.order]
+        _, host_order, src = host.get(log.emitter, root_host)
+        emit_time = max(emit_time, host_order)
         dst = interner.intern(EVENT, log.emitter, log.topic0 or ANONYMOUS)
         raw.append(((emit_time, 1, log.log_index), src, dst, EMIT))
+
+    n = len(interner.vertices)
+    if n < 2:
+        # A root self-send collapses caller and callee into one vertex;
+        # such degenerate transactions carry no call structure to mine.
+        raise DisconnectedGraph(f"{record.tx_hash}: graph has {n} vertex(es), need >= 2")
+    # Weakly connected by construction: every vertex after the sender is
+    # first interned as the head of an edge whose tail is already interned.
 
     raw.sort(key=lambda item: item[0])
     edges: list[XtegEdge] = []
@@ -145,33 +138,7 @@ def build_xteg(record: TxRecord) -> XTEG:
             edge = XtegEdge(src=src, dst=dst, kind=kind, order=order)
             merged[key] = edge
             edges.append(edge)
-
-    graph = XTEG(tx_hash=record.tx_hash, vertices=interner.vertices, edges=edges)
-    _assert_consistent(graph)
-    return graph
-
-
-def _assert_consistent(graph: XTEG) -> None:
-    n = len(graph.vertices)
-    if n < 2:
-        # A root self-send collapses caller and callee into one vertex;
-        # such degenerate transactions carry no call structure to mine.
-        raise DisconnectedGraph(f"{graph.tx_hash}: graph has {n} vertex(es), need >= 2")
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for edge in graph.edges:
-        ra, rb = find(edge.src), find(edge.dst)
-        if ra != rb:
-            parent[ra] = rb
-    roots = {find(i) for i in range(n)}
-    if len(roots) != 1:
-        raise DisconnectedGraph(f"{graph.tx_hash}: {len(roots)} weak components")
+    return XTEG(tx_hash=record.tx_hash, vertices=interner.vertices, edges=edges)
 
 
 def to_simple_digraph(graph: XTEG) -> SimpleDigraph:

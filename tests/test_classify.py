@@ -597,3 +597,56 @@ def test_malformed_knn_file_rejected_naming_it(tmp_path, section, key, value):
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelVersionMismatch, match="classifier.json"):
         load_classifier(path)
+
+
+_DROPPED = object()
+
+
+def _saved_dtree_doc(tmp_path) -> dict:
+    rng = np.random.default_rng(11)
+    path = tmp_path / "valid.json"
+    save_classifier(dtree_train(_blobs(rng, n_per_class=3, dim=2)), path)
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("node, key, value", [
+    ("root", "dim", 99),
+    ("root", "dim", FEATURE_DIM),
+    ("root", "dim", -1),
+    ("root", "dim", 1.5),
+    ("root", "dim", True),
+    ("root", "dim", "0"),
+    ("root", "threshold", "x"),
+    ("root", "threshold", None),
+    ("root", "threshold", True),
+    ("root", "threshold", math.nan),
+    ("root", "threshold", math.inf),
+    ("root", "threshold", 10**400),
+    ("root", "counts", [3.0]),
+    ("root", "counts", [3.0, 3.0, 0.0]),
+    ("root", "counts", [3.0, -1.0]),
+    ("root", "counts", [3.0, math.nan]),
+    ("root", "counts", ["a", "b"]),
+    ("leaf", "counts", [3.0]),
+    ("leaf", "dim", 0),
+    ("root", "left", _DROPPED),
+    ("root", "right", _DROPPED),
+], ids=["dim-out-of-range", "dim-equals-feature-dim", "dim-negative", "dim-float",
+        "dim-bool", "dim-string", "threshold-string", "threshold-null", "threshold-bool",
+        "threshold-nan", "threshold-infinite", "threshold-overflows-a-float",
+        "counts-short", "counts-long", "counts-negative", "counts-nan", "counts-strings",
+        "leaf-counts-short", "leaf-with-dim-only", "left-child-missing", "right-child-missing"])
+def test_malformed_dtree_file_rejected_naming_it(tmp_path, node, key, value):
+    doc = _saved_dtree_doc(tmp_path)
+    target = doc["payload"]["tree"]
+    assert "left" in target  # the root is a split
+    while node == "leaf" and "left" in target:
+        target = target["left"]
+    if value is _DROPPED:
+        del target[key]
+    else:
+        target[key] = value
+    path = tmp_path / "classifier.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelVersionMismatch, match="classifier.json"):
+        load_classifier(path)

@@ -167,6 +167,17 @@ def test_undecodable_file_raises_the_given_error_naming_the_path(tmp_path, conte
         read_json(path, InvalidConfig)
 
 
+def test_call_tree_too_deep_to_parse_raises_malformed_trace():
+    # A 2000-frame chain, built in memory: deeper than the parser recurses.
+    root = node = {"type": "CALL", "from": A, "to": B, "input": "0x"}
+    for depth in range(1, 2000):
+        child = {"type": "CALL", "from": node["to"], "to": (B, C)[depth % 2], "input": "0x"}
+        node["calls"] = [child]
+        node = child
+    with pytest.raises(MalformedTrace, match="call tree nests too deep to parse"):
+        record_from_document(_doc(root))
+
+
 def test_missing_file_raises_os_error(tmp_path):
     with pytest.raises(FileNotFoundError):
         read_json(tmp_path / "missing.json", MalformedTrace)

@@ -124,6 +124,21 @@ def test_non_json_body_raises_rpc_unavailable_naming_the_status(body):
         RpcClient("http://node", session=Gateway()).chain_id()
 
 
+def test_reply_too_deep_to_decode_raises_rpc_unavailable_naming_the_method():
+    frame = '{"type":"CALL","from":"%s","to":"%s","input":"0x","calls":[' % (A, B)
+    trace = frame * 2000 + "]}" * 2000  # a 2000-frame call chain
+
+    class DeepNode(FakeNode):
+        def post(self, url, json=None, timeout=None):
+            if json["method"] == "debug_traceTransaction":
+                return NonJsonResponse('{"jsonrpc":"2.0","id":3,"result":' + trace + "}")
+            return super().post(url, json=json, timeout=timeout)
+
+    client = RpcClient("http://node", session=DeepNode())
+    with pytest.raises(RpcUnavailable, match="debug_traceTransaction: HTTP 200, body nests"):
+        client.fetch_tx_record(TX)
+
+
 @pytest.mark.parametrize("status", [400, 403, 404, 429])
 def test_client_error_status_raises_rpc_unavailable_naming_the_status(status):
     class Refusing:

@@ -1,19 +1,27 @@
+import re
+import time
+
 import numpy as np
 import pytest
 
 from bridgeguard.errors import DisconnectedGraph
-from bridgeguard.ingest import flatten_frames, record_from_document
+from bridgeguard.ingest import CallFrame, flatten_frames, record_from_document
 from bridgeguard.synthgen import gen_attack_tgt, gen_normal_deposit
 from bridgeguard.xteg import (
+    ANONYMOUS,
     EMIT,
     EOA,
     EVENT,
     FUNCTION,
+    XTEG,
+    XtegEdge,
+    _frame_vertex,
+    _VertexInterner,
     build_xteg,
     dump_xteg,
     to_simple_digraph,
 )
-from conftest import random_record
+from conftest import random_record, random_trace_doc
 
 A = "0x" + "aa" * 20
 B = "0x" + "bb" * 20
@@ -146,11 +154,8 @@ def test_simple_digraph_equals_bruteforce_dedup(rng):
             if e.src != e.dst:
                 expected.add((e.src, e.dst))
         simple = to_simple_digraph(graph)
-        assert set(simple.arcs) == expected
+        assert simple.arcs == tuple(sorted(expected))
         assert simple.n == len(graph.vertices)
-        adjacency = simple.adjacency()
-        assert adjacency.sum() == len(expected)
-        assert np.diagonal(adjacency).sum() == 0
 
 
 def test_reciprocal_arcs_survive_simplification():
@@ -167,3 +172,193 @@ def test_dump_contains_vertices_and_edges():
     assert text.count("\nv ") + text.startswith("v ") == len(graph.vertices)
     assert text.count("\ne ") == len(graph.edges)
     assert "EMIT" in text
+
+
+# --- the one-walk build against the scan-per-log build it replaced ------------
+
+
+def _attribute_log_frame(frames: list[CallFrame], emitter: str) -> CallFrame:
+    # Deepest frame whose callee is the emitter, earliest in pre-order;
+    # root as the deterministic fallback when no frame matches.
+    best: CallFrame | None = None
+    for frame in frames:
+        if frame.callee == emitter:
+            if best is None or frame.depth > best.depth:
+                best = frame
+    return best if best is not None else frames[0]
+
+
+def _weak_components(n: int, arcs) -> int:
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for src, dst in arcs:
+        ra, rb = find(src), find(dst)
+        if ra != rb:
+            parent[ra] = rb
+    return len({find(i) for i in range(n)})
+
+
+def oracle_build_xteg(record) -> XTEG:
+    """The O(frames x logs) build: a parent map, a frame scan per log and a
+    union-find connectivity check."""
+    frames = flatten_frames(record)
+    interner = _VertexInterner()
+    sender_vid = interner.intern(EOA, record.sender, "")
+    frame_vid = {frame.order: _frame_vertex(interner, frame, record.sender) for frame in frames}
+    parent_of = {child.order: frame for frame in frames for child in frame.children}
+    raw = []
+    for frame in frames:
+        parent = parent_of.get(frame.order)
+        src = sender_vid if parent is None else frame_vid[parent.order]
+        raw.append(((frame.order, 0, 0), src, frame_vid[frame.order], frame.frame_kind))
+    emit_time = 0
+    for log in record.logs:
+        host = _attribute_log_frame(frames, log.emitter)
+        emit_time = max(emit_time, host.order)
+        dst = interner.intern(EVENT, log.emitter, log.topic0 or ANONYMOUS)
+        raw.append(((emit_time, 1, log.log_index), frame_vid[host.order], dst, EMIT))
+    raw.sort(key=lambda item: item[0])
+    edges, merged = [], {}
+    for order, (_, src, dst, kind) in enumerate(raw):
+        if (src, dst, kind) in merged:
+            merged[src, dst, kind].multiplicity += 1
+        else:
+            merged[src, dst, kind] = XtegEdge(src=src, dst=dst, kind=kind, order=order)
+            edges.append(merged[src, dst, kind])
+    graph = XTEG(tx_hash=record.tx_hash, vertices=interner.vertices, edges=edges)
+    n = len(graph.vertices)
+    if n < 2:
+        raise DisconnectedGraph(f"{graph.tx_hash}: graph has {n} vertex(es), need >= 2")
+    components = _weak_components(n, ((e.src, e.dst) for e in graph.edges))
+    if components != 1:
+        raise DisconnectedGraph(f"{graph.tx_hash}: {components} weak components")
+    return graph
+
+
+def _addr(i: int) -> str:
+    return "0x" + format(i, "040x")
+
+
+def _topic(i: int) -> str:
+    return "0x" + format(i, "064x")
+
+
+def _log(emitter: str, index: int, topic: int | None = 1) -> dict:
+    return {"address": emitter, "topics": [] if topic is None else [_topic(topic)],
+            "data": "0x", "logIndex": index}
+
+
+def _call(to: str, selector: str = "", calls=()) -> dict:
+    return {"type": "CALL", "from": _addr(0xfe), "to": to, "input": "0x" + selector,
+            "calls": list(calls)}
+
+
+def _random_doc_with_many_logs(rng: np.random.Generator) -> dict:
+    doc = random_trace_doc(rng, max_frames=30, with_logs=False)
+    callees, stack = [], [doc["trace"]]
+    while stack:
+        node = stack.pop()
+        callees.append(node["to"])
+        stack.extend(node["calls"])
+    unseen = [_addr(int(rng.integers(1, 1 << 62))) for _ in range(3)]
+    emitters = callees + unseen + [doc["trace"]["from"]]
+    doc["logs"] = [_log(emitters[int(rng.integers(len(emitters)))], i,
+                        None if rng.random() < 0.1 else int(rng.integers(1, 4)))
+                   for i in range(int(rng.integers(0, 41)))]
+    return doc
+
+
+def _assert_same_build(doc: dict) -> None:
+    record = record_from_document(doc)
+    try:
+        expected = oracle_build_xteg(record)
+    except DisconnectedGraph as exc:
+        with pytest.raises(DisconnectedGraph, match=f"^{re.escape(str(exc))}$"):
+            build_xteg(record)
+        return
+    graph = build_xteg(record)
+    assert [(v.id, v.key) for v in graph.vertices] == [(v.id, v.key) for v in expected.vertices]
+    assert [(e.src, e.dst, e.kind, e.order, e.multiplicity) for e in graph.edges] == [
+        (e.src, e.dst, e.kind, e.order, e.multiplicity) for e in expected.edges]
+
+
+def test_build_equals_the_scan_per_log_oracle_on_random_traces(rng):
+    for _ in range(300):
+        _assert_same_build(_random_doc_with_many_logs(rng))
+
+
+S = _addr(0x5e)  # sender
+C, D, E = _addr(0xc), _addr(0xd), _addr(0xe)
+
+
+@pytest.mark.parametrize("doc", [
+    # D entered at depths 1 and 2: its logs hang off the depth-2 frame
+    {"trace": {**_call(C, calls=[_call(D, "aaaaaaaa"), _call(E, calls=[_call(D, "bbbbbbbb")])]),
+               "from": S}, "logs": [_log(D, 0), _log(D, 1, topic=2)]},
+    # two frames enter D at the maximum depth: the earlier one hosts
+    {"trace": {**_call(C, calls=[_call(E, calls=[_call(D, "aaaaaaaa")]),
+                                 _call(E, "cccccccc", calls=[_call(D, "bbbbbbbb")])]),
+               "from": S}, "logs": [_log(D, 0)]},
+    # ... also when both frames share one vertex: the host's order still decides
+    {"trace": {**_call(C, calls=[_call(D, "aaaaaaaa"), _call(E), _call(D, "aaaaaaaa")]),
+               "from": S}, "logs": [_log(E, 0), _log(D, 1)]},
+    # no frame enters the emitter: the root hosts its log
+    {"trace": {**_call(C, calls=[_call(D)]), "from": S}, "logs": [_log(E, 0, topic=None)]},
+    # a later log's host precedes an earlier log's host: emit_time stays put
+    {"trace": {**_call(C, calls=[_call(D), _call(E)]), "from": S},
+     "logs": [_log(E, 0), _log(D, 1), _log(C, 2)]},
+    # a root self-send with logs builds from the sender and its events
+    {"trace": {**_call(S), "from": S}, "logs": [_log(S, 0), _log(C, 1)]},
+    # and without logs it is one vertex: DisconnectedGraph
+    {"trace": {**_call(S), "from": S}, "logs": []},
+], ids=["emitter-at-two-depths", "equal-depth-earliest-wins", "equal-depth-same-vertex",
+        "root-fallback", "emit-time-max", "self-send-with-logs", "self-send-without-logs"])
+def test_build_equals_the_scan_per_log_oracle_on_edge_cases(doc):
+    _assert_same_build(doc)
+
+
+def test_log_host_rule_on_explicit_trace():
+    # root C -> [D(aa) at depth 1, E -> D(bb) at depth 2, E -> D(cc) at depth 2]
+    doc = {"trace": {**_call(C, calls=[
+        _call(D, "aaaaaaaa"),
+        _call(E, calls=[_call(D, "bbbbbbbb")]),
+        _call(E, calls=[_call(D, "cccccccc")]),
+    ]), "from": S}, "logs": [_log(D, 0), _log(S, 1)]}
+    graph = build_xteg(record_from_document(doc))
+    key_of = {v.id: v.key for v in graph.vertices}
+    emits = [(key_of[e.src], key_of[e.dst]) for e in graph.edges if e.kind == EMIT]
+    assert emits == [((FUNCTION, D, "bbbbbbbb"), (EVENT, D, _topic(1))),
+                     ((FUNCTION, C, "fallback"), (EVENT, S, _topic(1)))]
+    # the root-hosted log keeps its place after the depth-2 host's log
+    orders = {(key_of[e.src], e.kind): e.order for e in graph.edges}
+    assert orders[(FUNCTION, C, "fallback"), EMIT] > orders[(FUNCTION, D, "bbbbbbbb"), EMIT]
+
+
+def test_every_built_graph_is_weakly_connected(rng):
+    for _ in range(200):
+        graph = build_xteg(record_from_document(_random_doc_with_many_logs(rng)))
+        arcs = [(e.src, e.dst) for e in graph.edges]
+        assert _weak_components(len(graph.vertices), arcs) == 1
+
+
+def test_build_of_20000_frames_and_logs_within_budget(rng):
+    n = 20_000
+    nodes = [_call(_addr(int(rng.integers(1, 2000))), "a9059cbb")]
+    for _ in range(n - 1):  # a random recursive tree: depth O(log n)
+        child = _call(_addr(int(rng.integers(1, 2000))), "a9059cbb")
+        nodes[int(rng.integers(len(nodes)))]["calls"].append(child)
+        nodes.append(child)
+    emitters = [node["to"] for node in nodes]
+    logs = [_log(emitters[int(rng.integers(n))], i) for i in range(n)]
+    record = record_from_document({"trace": {**nodes[0], "from": S}, "logs": logs})
+    start = time.perf_counter()
+    graph = build_xteg(record)
+    elapsed = time.perf_counter() - start
+    assert sum(e.multiplicity for e in graph.edges) == 2 * n
+    assert elapsed < 5.0
