@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
 
 from .errors import InvalidConfig
+from .features import EMBED_DIM
 from .ingest import read_json
 
 ENV_RPC_URL = "BRIDGEGUARD_RPC_URL"
@@ -52,6 +54,16 @@ _FIELD_TYPES = {name: get_args(hint) or (hint,)
                 for name, hint in get_type_hints(RunConfig).items()}
 
 
+# Field name -> (whether a value of the right type is in range, that range).
+_RANGES = {
+    "wl_iterations": (lambda v: v >= 1, ">= 1"),
+    "epochs": (lambda v: v >= 1, ">= 1"),
+    "negative": (lambda v: v >= 0, ">= 0"),
+    "embedding_dim": (lambda v: v == EMBED_DIM, f"{EMBED_DIM} (the embedding block's width)"),
+    "learning_rate": (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
+}
+
+
 def _type_ok(value: object, allowed: tuple[type, ...]) -> bool:
     if isinstance(value, bool):  # a bool is an int to isinstance
         return bool in allowed
@@ -62,9 +74,9 @@ def _type_ok(value: object, allowed: tuple[type, ...]) -> bool:
 
 def config_from_dict(values: dict, source: str | Path) -> RunConfig:
     """A RunConfig from stored or user-given settings; a key that is not a
-    RunConfig field, or a value not of its field's type, is an InvalidConfig
-    naming `source`. An int given for a float field becomes a float, so equal
-    settings hash equally."""
+    RunConfig field, or a value not of its field's type or outside its
+    `_RANGES` range, is an InvalidConfig naming `source` and the key. An int
+    given for a float field becomes a float, so equal settings hash equally."""
     if not isinstance(values, dict):
         raise InvalidConfig(f"{source}: settings must be a JSON object")
     unknown = set(values) - set(_FIELD_TYPES)
@@ -76,6 +88,8 @@ def config_from_dict(values: dict, source: str | Path) -> RunConfig:
             expected = " | ".join("null" if t is type(None) else t.__name__ for t in allowed)
             raise InvalidConfig(f"{source}: {key} must be {expected}, "
                                 f"got {type(value).__name__} {value!r}")
+        if key in _RANGES and not _RANGES[key][0](value):
+            raise InvalidConfig(f"{source}: {key} must be {_RANGES[key][1]}, got {value!r}")
     return RunConfig(**{key: float(value) if float in _FIELD_TYPES[key] else value
                         for key, value in values.items()})
 

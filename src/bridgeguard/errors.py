@@ -46,6 +46,10 @@ class DimensionMismatch(BridgeGuardError):
     """Feature block has the wrong length for its slot."""
 
 
+class TrainingDiverged(BridgeGuardError):
+    """Embedding training produced a vector that is not finite."""
+
+
 class SelfLoopPresent(BridgeGuardError):
     """Motif census input must be a simple digraph without self-loops."""
 

@@ -8,9 +8,9 @@ outputs:
 
 * document vectors and negative-sample streams are derived from the
   document's CONTENT hash, never its corpus index;
-* token vectors update synchronously once per epoch (documents read an
-  epoch-start snapshot; their token gradients are accumulated and applied
-  at the epoch boundary).
+* token vectors update synchronously once per epoch (documents read the
+  token matrix as it stood at the epoch start; their token gradients are
+  accumulated and applied at the epoch boundary, so no copy is needed).
 
 Together these guarantee that identical documents hold identical vectors at
 every step, which also licenses training each distinct content once and
@@ -27,6 +27,33 @@ forward steps stop at the first value >= u, so each draw equals the
 `searchsorted` result bit for bit. Each bucket holds 1/K of the probability
 mass and there are at least 4 buckets per token, so a draw takes a quarter
 of a step on average, at most.
+
+Every noise stream (a distinct document's epoch in training, an epoch of an
+inference miss) and every start vector draws from `np.random.default_rng(s)`
+for a seed s derived from the content hash. Building that generator costs a
+SeedSequence and a PCG64, about 25 us, for a few hundred uniforms, so
+`_seeded` reproduces it without building one per seed. `default_rng(s)` is
+`Generator(PCG64(SeedSequence(s)))`:
+
+* SeedSequence splits s into little-endian 32-bit words (one or two for a
+  64-bit seed) and hashes them into a four-word pool; pool words past the
+  seed's are hashed from 0, so a seed below 2^32 pools like [s, 0]. It then
+  mixes every pool word into every other one. Every step is uint32
+  multiply, xor and shift, and its hash constants follow a fixed sequence
+  that does not depend on s.
+* `generate_state(4, uint64)` hashes the pool, cycled, into eight words:
+  PCG64's 128-bit initstate and initseq.
+* PCG64 seeds itself (`pcg64_srandom_r`) with inc = 2 initseq + 1 and
+  state = (inc + initstate) M + inc mod 2^128, M its multiplier.
+
+So one vectorized uint32 pass computes (state, inc) for all of a call's
+seeds, and one PCG64 set to each in turn gives the bits, and through the same
+`Generator` the doubles, that `default_rng(s)` gives. This rests on NumPy's
+stream guarantee for bit generators (NEP 19, "Compatibility policy" of
+`numpy.random`): for a given seed, SeedSequence and PCG64 produce the same
+bits in every release. The tests compare `_seeded` with `default_rng` on
+seeds across the whole 64-bit range, and the plain algorithm of the tests
+still builds one `default_rng` per stream.
 """
 
 from __future__ import annotations
@@ -35,11 +62,12 @@ import json
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import EmptyCorpus, ModelVersionMismatch
-from .hashing import derive_seed
+from .errors import EmptyCorpus, ModelVersionMismatch, TrainingDiverged
+from .hashing import derive_seed, extend_seed, seed_prefix
 from .wl import WLDocument
 
 MODEL_FORMAT_VERSION = 2  # 2: string arrays, loaded without pickle
@@ -108,11 +136,85 @@ _DRAW_BLOCK = 2 ** 14
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -35.0, 35.0)))
+    """`1 / (1 + exp(-clip(x, -35, 35)))` in place in `x`: the same
+    operations in the same order, without a temporary per operation."""
+    np.maximum(x, -35.0, out=x)
+    np.minimum(x, 35.0, out=x)
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    np.add(x, 1.0, out=x)
+    return np.divide(1.0, x, out=x)
 
 
-def _init_vector(seed: int, dim: int) -> np.ndarray:
-    return np.random.default_rng(seed).uniform(-0.5 / dim, 0.5 / dim, dim)
+# SeedSequence's hash constants and PCG64's multiplier, from NumPy's
+# numpy/random/bit_generator.pyx and numpy/random/src/pcg64/pcg64.h.
+_MASK32 = 0xFFFF_FFFF
+_MASK128 = (1 << 128) - 1
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(init: int, mult: int, steps: int) -> np.ndarray:
+    """The hash constant before and after each of `steps` successive
+    SeedSequence hash steps: two rows of uint32."""
+    consts = [init]
+    for _ in range(steps):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array([consts[:-1], consts[1:]], dtype=np.uint32)
+
+
+# Pool hashing takes 4 steps and mixing 12; generate_state(4, uint64) 8.
+_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hashmix(value: np.ndarray, before, after) -> np.ndarray:
+    value = (value ^ before) * after
+    return value ^ (value >> 16)
+
+
+def _pcg64_states(seeds: list[int]) -> list[tuple[int, int]]:
+    """The (state, inc) of `np.random.default_rng(seed).bit_generator` for
+    each seed in 0..2^64-1 (see the module docstring)."""
+    seeds = np.array(seeds, dtype=np.uint64)
+    words = np.zeros((4, seeds.size), dtype=np.uint32)
+    words[0] = seeds.astype(np.uint32)
+    words[1] = (seeds >> 32).astype(np.uint32)
+    before, after = _POOL_HASH
+    pool = _hashmix(words, before[:4, None], after[:4, None])
+    # Each source word mixes into the other three in turn; it does not change
+    # meanwhile, so its three steps are one (3, n) operation.
+    for src, step in enumerate(range(4, 16, 3)):
+        dst = [i for i in range(4) if i != src]
+        mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(
+            pool[src], before[step:step + 3, None], after[step:step + 3, None])
+        pool[dst] = mixed ^ (mixed >> 16)
+    before, after = _STATE_HASH
+    state = _hashmix(np.concatenate([pool, pool]), before[:, None], after[:, None])
+    state = state.astype(np.uint64)
+    init_hi, init_lo, seq_hi, seq_lo = (state[0::2] | state[1::2] << 32).tolist()
+    states = []
+    for a, b, c, d in zip(init_hi, init_lo, seq_hi, seq_lo):
+        inc = (c << 65 | d << 1 | 1) & _MASK128
+        states.append((((a << 64 | b) + inc) * _PCG64_MULT + inc & _MASK128, inc))
+    return states
+
+
+def _seeded(seeds: list[int]) -> Iterator[np.random.Generator]:
+    """For each seed in turn, a generator in the state
+    `np.random.default_rng(seed)` starts in. It is one generator, owned by
+    this call and re-seeded at each step: draw from it before the next."""
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    settings = bit_generator.state  # no buffered 32-bit half, as when fresh
+    for state, inc in _pcg64_states(seeds):
+        settings["state"] = {"state": state, "inc": inc}
+        bit_generator.state = settings
+        yield rng
+
+
+def _init_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
+    return rng.uniform(-0.5 / dim, 0.5 / dim, dim)
 
 
 def _lr_schedule(params: TrainParams, epoch: int) -> float:
@@ -133,28 +235,34 @@ def _dbow_step(d: np.ndarray, w: np.ndarray, n_pos: int, lr: float,
     return grad_w
 
 
-def _negatives(noise: _NoiseSampler, seed: int, stream: str, requests):
-    """The negatives of each (content hash, epoch, count) request, in order.
+def _negatives(noise: _NoiseSampler, streams: Iterable[np.random.Generator],
+               counts: Iterable[int]) -> Iterator[np.ndarray]:
+    """The negatives of each request, in order: `counts[i]` noise tokens
+    drawn from the uniforms of `streams[i]`.
 
-    A request's uniforms come from its own (hash, epoch) generator, so they
-    do not depend on what else is drawn; the sampler runs on blocks of up to
+    A request's uniforms come from its own (hash, epoch) stream, so they do
+    not depend on what else is drawn; the sampler runs on blocks of up to
     `_DRAW_BLOCK` of them (or one larger request)."""
     def drawn(block: list[np.ndarray]) -> list[np.ndarray]:
         negatives = noise.draw(np.concatenate(block))
-        return np.split(negatives, np.cumsum([u.size for u in block])[:-1])
+        ends = np.cumsum([u.size for u in block]).tolist()
+        return [negatives[start:end] for start, end in zip([0] + ends, ends)]
 
     block: list[np.ndarray] = []
     size = 0
-    for h, epoch, n in requests:
+    for rng, n in zip(streams, counts):
         if block and size + n > _DRAW_BLOCK:
             yield from drawn(block)
             block, size = [], 0
-        block.append(np.random.default_rng(derive_seed(seed, stream, h, epoch)).random(n))
+        block.append(rng.random(n))
         size += n
     if block:
         yield from drawn(block)
 
 
+# A diverging run overflows on the way; the finiteness check at the end
+# reports it as one TrainingDiverged, not a stream of RuntimeWarnings.
+@np.errstate(over="ignore", invalid="ignore")
 def train_graph2vec(corpus: list[WLDocument], dim: int = 16,
                     params: TrainParams | None = None, seed: int = 0) -> EmbeddingModel:
     """Fit one vector per corpus document; bit-reproducible under the seed."""
@@ -187,24 +295,28 @@ def train_graph2vec(corpus: list[WLDocument], dim: int = 16,
         job = by_hash.get(h)
         if job is None:
             job = {
-                "hash": h,
                 "idx": np.array([vocab[t] for t in doc.tokens], dtype=np.int64),
                 "mult": 0,
-                "vec": _init_vector(derive_seed(seed, "doc", h), dim),
+                "noise": seed_prefix(seed, "neg", h),  # + epoch: the noise seed
             }
             by_hash[h] = job
             jobs.append(job)
         job["mult"] += 1
+    starts = _seeded([derive_seed(seed, "doc", h) for h in by_hash])
+    for job, rng in zip(jobs, starts):
+        job["vec"] = _init_vector(rng, dim)
+    counts = [job["idx"].size * params.negative for job in jobs]
     columns = np.arange(dim)
 
+    # Documents read `token_vectors` as it stood at the epoch start: it
+    # changes only after the epoch's last job.
     for epoch in range(params.epochs):
         lr = _lr_schedule(params, epoch)
-        snapshot = token_vectors.copy()
         accum = np.zeros_like(token_vectors)
-        requests = ((job["hash"], epoch, job["idx"].size * params.negative) for job in jobs)
-        for job, negs in zip(jobs, _negatives(noise, seed, "neg", requests)):
+        streams = _seeded([extend_seed(job["noise"], epoch) for job in jobs])
+        for job, negs in zip(jobs, _negatives(noise, streams, counts)):
             rows = np.concatenate([job["idx"], negs])
-            token_grad = _dbow_step(job["vec"], snapshot[rows], job["idx"].size, lr,
+            token_grad = _dbow_step(job["vec"], token_vectors[rows], job["idx"].size, lr,
                                     token_grad=True)
             # Adding the rows into the flat view makes the same additions in
             # the same order as `np.add.at(accum, rows, ...)`, on numpy's
@@ -215,7 +327,7 @@ def train_graph2vec(corpus: list[WLDocument], dim: int = 16,
 
     graph_vectors = np.stack([by_hash[doc.content_hash]["vec"] for doc in corpus])
     if not np.isfinite(graph_vectors).all() or not np.isfinite(token_vectors).all():
-        raise FloatingPointError("embedding training diverged")
+        raise TrainingDiverged("embedding training diverged: a vector is not finite")
     return EmbeddingModel(
         dim=dim,
         vocab=vocab,
@@ -244,14 +356,17 @@ def infer_embedding(model: EmbeddingModel, doc: WLDocument) -> np.ndarray:
     idx = np.array([model.vocab[t] for t in doc.tokens if t in model.vocab],
                    dtype=np.int64)
     n_neg = len(doc.tokens) * params.negative
-    d = _init_vector(derive_seed(model.seed, "infer", h), model.dim)
+    noise = seed_prefix(model.seed, "inferneg", h)  # + epoch: the noise seed
+    streams = _seeded([derive_seed(model.seed, "infer", h)]
+                      + [extend_seed(noise, epoch) for epoch in range(params.epochs)])
+    d = _init_vector(next(streams), model.dim)
     # The positive rows stay put; each epoch overwrites only the negatives.
     rows = np.empty((idx.size + n_neg, model.dim))
     np.take(model.token_vectors, idx, axis=0, out=rows[:idx.size])
-    requests = ((h, epoch, n_neg) for epoch in range(params.epochs))
-    for epoch, negs in enumerate(_negatives(model._noise, model.seed, "inferneg", requests)):
+    negatives = _negatives(model._noise, streams, [n_neg] * params.epochs)
+    for epoch, negs in enumerate(negatives):
         # The indices are in range; "clip" only skips a buffered bounds check.
-        np.take(model.token_vectors, negs, axis=0, out=rows[idx.size:], mode="clip")
+        model.token_vectors.take(negs, axis=0, out=rows[idx.size:], mode="clip")
         _dbow_step(d, rows, idx.size, _lr_schedule(params, epoch))
     return d
 

@@ -103,14 +103,36 @@ def stable_hash64(text: str) -> str:
     return hashlib.blake2b(text.encode("utf-8"), digest_size=8).hexdigest()
 
 
+def seed_prefix(seed: int, *parts: object) -> hashlib.blake2b:
+    """The hash state `derive_seed(seed, *parts, ...)` reaches after `parts`.
+
+    `extend_seed(seed_prefix(seed, *parts), *more)` equals
+    `derive_seed(seed, *parts, *more)`: it hashes the same bytes, and a caller
+    deriving many seeds under one prefix hashes the prefix once.
+    """
+    h = hashlib.blake2b(digest_size=8)
+    h.update(str(int(seed)).encode("ascii"))
+    _absorb(h, parts)
+    return h
+
+
+def extend_seed(prefix: hashlib.blake2b, *parts: object) -> int:
+    """The seed derived from a `seed_prefix` state and further context parts;
+    the prefix itself is left as it was."""
+    h = prefix.copy()
+    _absorb(h, parts)
+    return int.from_bytes(h.digest(), "big")
+
+
+def _absorb(h: hashlib.blake2b, parts: tuple) -> None:
+    for part in parts:
+        h.update(b"\x1f")
+        h.update(str(part).encode("utf-8"))
+
+
 def derive_seed(seed: int, *parts: object) -> int:
     """Derive an independent 64-bit RNG seed from a base seed and context.
 
     Context parts are stringified, so content hashes and indices both work.
     """
-    h = hashlib.blake2b(digest_size=8)
-    h.update(str(int(seed)).encode("ascii"))
-    for part in parts:
-        h.update(b"\x1f")
-        h.update(str(part).encode("utf-8"))
-    return int.from_bytes(h.digest(), "big")
+    return int.from_bytes(seed_prefix(seed, *parts).digest(), "big")

@@ -202,16 +202,18 @@ def test_bench_reports_stages_and_tps(workspace, runner, tmp_path):
     assert abs(sum(report["stage_ms"].values()) - report["total_ms"]) < 1e-9
     assert report["reference_total_ms"] == 15.212
     assert list(report["stage_p50_ms"]) == list(report["stage_p95_ms"]) == list(
-        report["stage_ms"])
+        report["stage_p99_ms"]) == list(report["stage_ms"])
     for stage in report["stage_ms"]:
-        assert 0 <= report["stage_p50_ms"][stage] <= report["stage_p95_ms"][stage]
+        assert (0 <= report["stage_p50_ms"][stage] <= report["stage_p95_ms"][stage]
+                <= report["stage_p99_ms"][stage])
 
     table = runner.invoke(main, [
         "bench", "--manifest", str(corpus / "manifest.jsonl"),
         "--model-dir", str(model_dir)])
     assert table.exit_code == 0, table.output
     header = table.output.splitlines()[0]
-    assert header.index("Avg. time") < header.index("p50 (ms)") < header.index("p95 (ms)")
+    assert (header.index("Avg. time") < header.index("p50 (ms)") < header.index("p95 (ms)")
+            < header.index("p99 (ms)"))
 
 
 def test_bench_too_small_corpus_fails(workspace, runner, tmp_path):
@@ -262,6 +264,28 @@ def test_bad_manifest_line_is_one_error_line_naming_it(runner, tmp_path, content
     lines = result.output.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert f"{manifest}:2:" in lines[0]
+
+
+@pytest.mark.parametrize("settings, names", [
+    ({"wl_iterations": 0}, "wl_iterations"),
+    ({"negative": -1}, "negative"),
+    ({"embedding_dim": 8}, "embedding_dim"),
+    ({"epochs": -1}, "epochs"),
+    ({"learning_rate": float("nan")}, "learning_rate"),
+    ({"learning_rate": 1e300, "epochs": 3}, "diverged"),
+], ids=["wl-iterations", "negative", "embedding-dim", "epochs", "nan-rate", "diverges"])
+def test_bad_training_setting_is_one_error_line(workspace, runner, tmp_path, settings, names):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(settings))
+    manifest = workspace["corpus"] / "manifest.jsonl"
+    result = runner.invoke(main, ["train", "--manifest", str(manifest), "--model-dir",
+                                  str(tmp_path / "model"), "--config", str(config)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert names in lines[0]
+    assert not (tmp_path / "model").exists()
 
 
 def test_version_and_help(runner):

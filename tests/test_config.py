@@ -82,3 +82,19 @@ def test_int_for_float_hashes_like_the_float():
 def test_default_config_hash_is_stable():
     # The default hash is inside pinned train-eval metrics digests.
     assert RunConfig().config_hash() == "9a18485db4294495"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("wl_iterations", 0), ("epochs", 0), ("epochs", -1), ("negative", -1),
+    ("embedding_dim", 8), ("learning_rate", 0), ("learning_rate", -0.025),
+    ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+])
+def test_value_out_of_range_rejected_naming_key(key, value):
+    with pytest.raises(InvalidConfig, match=f"c.json: {key} must be "):
+        config_from_dict({key: value}, "c.json")
+
+
+def test_range_edges_accepted():
+    cfg = config_from_dict({"wl_iterations": 1, "epochs": 1, "negative": 0,
+                            "embedding_dim": 16, "learning_rate": 1e-9}, "c.json")
+    assert (cfg.wl_iterations, cfg.epochs, cfg.negative) == (1, 1, 0)

@@ -1,14 +1,21 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bridgeguard.errors import EmptyCorpus, ModelVersionMismatch
+from bridgeguard.errors import (
+    BridgeGuardError,
+    EmptyCorpus,
+    ModelVersionMismatch,
+    TrainingDiverged,
+)
 from bridgeguard.graph2vec import (
     TrainParams,
     _NoiseSampler,
+    _seeded,
     infer_embedding,
     load_model,
     save_model,
@@ -110,6 +117,21 @@ def test_infer_near_duplicate_lands_nearest_its_source(rng):
 def test_empty_corpus_rejected():
     with pytest.raises(EmptyCorpus):
         train_graph2vec([])
+
+
+def test_divergence_is_one_typed_error_without_warnings():
+    corpus = [_doc("a", "b", "c"), _doc("b", "c", "d"), _doc("a", "d")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDiverged, match="diverged") as caught:
+            train_graph2vec(corpus, params=TrainParams(epochs=5, learning_rate=1e100), seed=1)
+    assert isinstance(caught.value, BridgeGuardError)
+
+
+def test_no_negatives_trains_and_infers():
+    model = train_graph2vec([_doc("a", "b"), _doc("c")], params=TrainParams(epochs=3, negative=0))
+    assert np.isfinite(model.graph_vectors).all()
+    assert np.isfinite(infer_embedding(model, _doc("a", "zz"))).all()
 
 
 def test_model_round_trip_and_version_check(tmp_path):
@@ -265,6 +287,26 @@ def test_guide_table_walks_a_bucket_holding_many_tokens():
     u = _edge_uniforms(sampler)
     assert np.array_equal(sampler.draw(u), np.searchsorted(sampler.cdf, u))
     assert sampler.draw(np.array([1.0 - 2.0 ** -53]))[0] == 1000
+
+
+# --- the seeded streams ----------------------------------------------------
+
+
+_EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=6),
+       n=st.integers(min_value=0, max_value=400))
+@example(seeds=_EDGE_SEEDS, n=0)
+@example(seeds=_EDGE_SEEDS, n=150)
+def test_seeded_streams_equal_default_rng(seeds, n):
+    for seed, rng in zip(seeds, _seeded(seeds), strict=True):
+        oracle = np.random.default_rng(seed)
+        assert rng.bit_generator.state == oracle.bit_generator.state
+        assert np.array_equal(rng.random(n), oracle.random(n))
+        assert np.array_equal(rng.uniform(-0.5 / 16, 0.5 / 16, 16),
+                              oracle.uniform(-0.5 / 16, 0.5 / 16, 16))
 
 
 # --- oracle: the plain per-document algorithm ------------------------------

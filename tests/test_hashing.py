@@ -1,11 +1,15 @@
 import hashlib
 
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bridgeguard.hashing import (
     derive_seed,
     event_topic,
+    extend_seed,
     keccak256,
+    seed_prefix,
     selector,
     sha3_256,
     stable_hash64,
@@ -51,3 +55,17 @@ def test_derive_seed_separates_contexts():
     assert derive_seed(1, "a", 0) != derive_seed(1, "a", 1)
     assert derive_seed(1, "a") == derive_seed(1, "a")
     assert 0 <= derive_seed(7, "z") < 2**64
+
+
+_PARTS = st.lists(st.one_of(st.text(), st.integers()), max_size=3)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1), parts=_PARTS, more=_PARTS)
+def test_prefix_copied_seed_equals_derive_seed(seed, parts, more):
+    context = b"".join(b"\x1f" + str(part).encode("utf-8") for part in parts + more)
+    one_pass = hashlib.blake2b(str(seed).encode("ascii") + context, digest_size=8)
+    prefix = seed_prefix(seed, *parts)
+    assert extend_seed(prefix, *more) == int.from_bytes(one_pass.digest(), "big")
+    assert extend_seed(prefix, *more) == derive_seed(seed, *parts, *more)
+    assert extend_seed(prefix, *more) == derive_seed(seed, *parts, *more)  # prefix kept
+    assert extend_seed(prefix) == derive_seed(seed, *parts)
