@@ -59,6 +59,8 @@ CLASSIFIER_FORMAT_VERSION = 1
 ATTACK = "Attack"  # binary collapse of AttackSrc/AttackTgt
 BINARY_CLASSES = ("Normal", ATTACK)
 
+CLASSIFIERS = ("knn", "dtree")  # the classifier kinds a detector can use
+
 
 @dataclass(frozen=True)
 class FeatureVector:
@@ -87,10 +89,13 @@ def concat_features(glob: GlobalFeature, loc: LocalFeature) -> FeatureVector:
     return FeatureVector(values=np.concatenate([glob.to_vector(), loc.to_vector()]))
 
 
+def _values(features) -> np.ndarray:
+    """The float64 array of a FeatureVector or of a plain array-like."""
+    return np.asarray(getattr(features, "values", features), dtype=np.float64)
+
+
 def _as_matrix(samples: list[LabeledSample]) -> tuple[np.ndarray, list[str]]:
-    rows = [np.asarray(getattr(s.features, "values", s.features), dtype=np.float64)
-            for s in samples]
-    return np.stack(rows), [s.label for s in samples]
+    return np.stack([_values(s.features) for s in samples]), [s.label for s in samples]
 
 
 def _label_order(labels: set[str]) -> list[str]:
@@ -172,7 +177,6 @@ class KNNModel:
     x: np.ndarray  # standardized training matrix
     y: list[str]
     classes: list[str]
-    seed: int = 0
     _sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
     _norms: np.ndarray = field(init=False, repr=False, compare=False)
     _err_scale: float = field(init=False, repr=False, compare=False)
@@ -206,8 +210,7 @@ class KNNModel:
     def neighbors(self, features) -> tuple[np.ndarray, np.ndarray]:
         """Training-row indices of the k nearest, nearest first (equal
         distances by row index), and their distances."""
-        q = np.asarray(getattr(features, "values", features), dtype=np.float64)
-        z = self.standardizer.transform(q)
+        z = self.standardizer.transform(_values(features))
         z_sq = z @ z
         gram = self.x @ z
         gram *= -2.0
@@ -239,13 +242,13 @@ class KNNModel:
         return min(present, key=rank)
 
 
-def knn_train(train: list[LabeledSample], k: int = 5, seed: int = 0) -> KNNModel:
+def knn_train(train: list[LabeledSample], k: int = 5) -> KNNModel:
     if not train:
         raise EmptyTrainingSet("KNN needs at least one training sample")
     x, y = _as_matrix(train)
     standardizer = Standardizer.fit(x)
     return KNNModel(k=k, standardizer=standardizer, x=standardizer.transform(x),
-                    y=y, classes=_label_order(set(y)), seed=seed)
+                    y=y, classes=_label_order(set(y)))
 
 
 def knn_neighbor_stats(model: KNNModel, features) -> dict[str, dict[str, float]]:
@@ -285,9 +288,6 @@ class TreeNode:
 class DecisionTreeModel:
     root: TreeNode
     classes: list[str]
-    max_depth: int | None
-    min_samples_leaf: int
-    seed: int = 0
 
     def scores(self, features) -> dict[str, float]:
         return dtree_leaf_distribution(self, features)
@@ -367,8 +367,12 @@ def _grow(x: np.ndarray, y: np.ndarray, w: np.ndarray, n_classes: int,
 
 
 def dtree_train(train: list[LabeledSample], max_depth: int | None = None,
-                min_samples_leaf: int = 1, seed: int = 0,
+                min_samples_leaf: int = 1,
                 class_weighting: bool = False) -> DecisionTreeModel:
+    if max_depth is not None and max_depth < 1:
+        raise InvalidConfig(f"max_depth must be >= 1 or None, got {max_depth!r}")
+    if min_samples_leaf < 1:
+        raise InvalidConfig(f"min_samples_leaf must be >= 1, got {min_samples_leaf!r}")
     if not train:
         raise EmptyTrainingSet("decision tree needs at least one training sample")
     x, labels = _as_matrix(train)
@@ -381,13 +385,12 @@ def dtree_train(train: list[LabeledSample], max_depth: int | None = None,
         w = per_class[y]
     else:
         w = np.ones(y.size)
-    root = _grow(x, y, w, len(classes), 0, max_depth, max(1, min_samples_leaf))
-    return DecisionTreeModel(root=root, classes=classes, max_depth=max_depth,
-                             min_samples_leaf=min_samples_leaf, seed=seed)
+    root = _grow(x, y, w, len(classes), 0, max_depth, min_samples_leaf)
+    return DecisionTreeModel(root=root, classes=classes)
 
 
 def dtree_leaf_distribution(model: DecisionTreeModel, features) -> dict[str, float]:
-    q = np.asarray(getattr(features, "values", features), dtype=np.float64)
+    q = _values(features)
     node = model.root
     while not node.is_leaf:
         node = node.left if q[node.dim] <= node.threshold else node.right
@@ -533,7 +536,7 @@ def save_classifier(model: KNNModel | DecisionTreeModel, path: str | Path) -> No
         doc = {
             "version": CLASSIFIER_FORMAT_VERSION,
             "kind": "knn",
-            "hyperparams": {"k": model.k, "seed": model.seed},
+            "hyperparams": {"k": model.k},
             "standardizer": {"mean": model.standardizer.mean.tolist(),
                              "std": model.standardizer.std.tolist()},
             "classes": model.classes,
@@ -543,9 +546,7 @@ def save_classifier(model: KNNModel | DecisionTreeModel, path: str | Path) -> No
         doc = {
             "version": CLASSIFIER_FORMAT_VERSION,
             "kind": "dtree",
-            "hyperparams": {"max_depth": model.max_depth,
-                            "min_samples_leaf": model.min_samples_leaf,
-                            "seed": model.seed},
+            "hyperparams": {},  # none to keep; every classifier file has the section
             "classes": model.classes,
             "payload": {"tree": _tree_to_dict(model.root)},
         }
@@ -554,6 +555,8 @@ def save_classifier(model: KNNModel | DecisionTreeModel, path: str | Path) -> No
 
 
 def load_classifier(path: str | Path) -> KNNModel | DecisionTreeModel:
+    """A saved classifier; keys that scoring does not read (the `seed`,
+    `max_depth` and `min_samples_leaf` of older files) are ignored."""
     path = Path(path)
     if not path.exists():
         raise ModelMissing(str(path))
@@ -562,8 +565,12 @@ def load_classifier(path: str | Path) -> KNNModel | DecisionTreeModel:
         raise ModelVersionMismatch(f"{path}: not a JSON object")
     if doc.get("version") != CLASSIFIER_FORMAT_VERSION:
         raise ModelVersionMismatch(f"{path}: classifier format {doc.get('version')}")
+    if doc.get("kind") not in CLASSIFIERS:
+        raise ModelVersionMismatch(f"{path}: unknown classifier kind {doc.get('kind')!r}")
     try:
-        if doc.get("kind") == "knn":
+        if not isinstance(doc["hyperparams"], dict):
+            raise TypeError("hyperparams is not an object")
+        if doc["kind"] == "knn":
             return KNNModel(
                 k=doc["hyperparams"]["k"],
                 standardizer=Standardizer(
@@ -572,19 +579,11 @@ def load_classifier(path: str | Path) -> KNNModel | DecisionTreeModel:
                 x=np.asarray(doc["payload"]["x"], dtype=np.float64),
                 y=list(doc["payload"]["y"]),
                 classes=list(doc["classes"]),
-                seed=doc["hyperparams"]["seed"],
             )
-        if doc.get("kind") == "dtree":
-            classes = list(doc["classes"])
-            return DecisionTreeModel(
-                root=_tree_from_dict(doc["payload"]["tree"], len(classes)),
-                classes=classes,
-                max_depth=doc["hyperparams"]["max_depth"],
-                min_samples_leaf=doc["hyperparams"]["min_samples_leaf"],
-                seed=doc["hyperparams"]["seed"],
-            )
+        classes = list(doc["classes"])
+        return DecisionTreeModel(
+            root=_tree_from_dict(doc["payload"]["tree"], len(classes)), classes=classes)
     except KeyError as exc:
         raise ModelVersionMismatch(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError, BridgeGuardError) as exc:
         raise ModelVersionMismatch(f"{path}: malformed classifier ({exc})") from exc
-    raise ModelVersionMismatch(f"{path}: unknown classifier kind {doc.get('kind')!r}")

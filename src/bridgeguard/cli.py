@@ -15,6 +15,7 @@ import click
 
 from . import __version__
 from .bench import format_bench_table, run_bench
+from .classify import CLASSIFIERS
 from .config import RunConfig, resolve_config
 from .errors import BridgeGuardError
 from .ingest import (
@@ -25,7 +26,6 @@ from .ingest import (
     save_trace_file,
 )
 from .pipeline import (
-    CLASSIFIERS,
     detect,
     load_bundle,
     repeated_pipeline_eval,
@@ -198,8 +198,7 @@ def train(manifest_file, model_dir, config_file, classifier, seed, fmt):
     payload = {"metrics": metrics, "config": cfg.to_dict(),
                "config_hash": cfg.config_hash(), "model_dir": str(model_dir)}
     _write_json(Path(model_dir) / "metrics.json", payload)
-    _emit(payload, fmt, _metrics_table(metrics["three_class"])
-          + f"\nmodel bundle -> {model_dir}")
+    _emit(payload, fmt, _metrics_table(metrics) + f"\nmodel bundle -> {model_dir}")
 
 
 def _metrics_table(report: dict) -> str:

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
 
+from .classify import CLASSIFIERS
 from .errors import InvalidConfig
 from .features import EMBED_DIM
 from .ingest import read_json
@@ -61,6 +62,12 @@ _RANGES = {
     "negative": (lambda v: v >= 0, ">= 0"),
     "embedding_dim": (lambda v: v == EMBED_DIM, f"{EMBED_DIM} (the embedding block's width)"),
     "learning_rate": (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
+    "classifier": (lambda v: v in CLASSIFIERS, f"one of {', '.join(CLASSIFIERS)}"),
+    "k": (lambda v: v >= 1, ">= 1"),
+    "max_depth": (lambda v: v is None or v >= 1, ">= 1 or null"),
+    "min_samples_leaf": (lambda v: v >= 1, ">= 1"),
+    "split_ratio": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "runs": (lambda v: v >= 1, ">= 1"),
 }
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .classify import (
+    CLASSIFIERS,
     FeatureVector,
     LabeledSample,
     concat_features,
@@ -101,90 +102,82 @@ def _assemble(prep: PreparedTx, embedding: np.ndarray, stage=_no_stage) -> Featu
 @dataclass
 class DetectorBundle:
     embedding: EmbeddingModel
-    classifier: object  # KNNModel | DecisionTreeModel
-    classifier_kind: str
+    classifier: object  # KNNModel | DecisionTreeModel, of kind config.classifier
     config: RunConfig
 
 
-CLASSIFIERS = ("knn", "dtree")  # the kinds `_fit_classifier` accepts
+def _protocol_run(preps: list[PreparedTx], labels: list[str], cfg: RunConfig,
+                  seed: int, kinds: tuple[str, ...]) -> tuple[EmbeddingModel, dict]:
+    """One run of the evaluation protocol: a seeded stratified split,
+    graph2vec fit on the training documents only, then each classifier kind
+    fit on the training vectors and scored on the test vectors.
 
-
-def _fit_classifier(kind: str, train: list[LabeledSample], cfg: RunConfig):
-    if kind == "knn":
-        return knn_train(train, k=cfg.k, seed=cfg.seed)
-    if kind == "dtree":
-        return dtree_train(train, max_depth=cfg.max_depth,
-                           min_samples_leaf=cfg.min_samples_leaf, seed=cfg.seed,
-                           class_weighting=cfg.class_weighting)
-    raise InvalidConfig(f"unknown classifier {kind!r}")
-
-
-def _fit_split(preps: list[PreparedTx], labels: list[str], cfg: RunConfig,
-               seed: int):
-    """Seeded stratified split, graph2vec fit on the training documents only,
-    and the labelled feature vectors of both sides: (model, train, test)."""
+    Returns the embedding model and, per kind, (classifier, report): the
+    three-class test metrics with their binary collapse under "binary"."""
+    for kind in kinds:
+        if kind not in CLASSIFIERS:
+            raise InvalidConfig(f"unknown classifier {kind!r}; one of {', '.join(CLASSIFIERS)}")
     shells = [LabeledSample(tx_hash=str(i), features=None, label=lab)
               for i, lab in enumerate(labels)]
     train_shells, test_shells = split_dataset(shells, ratio=cfg.split_ratio, seed=seed)
-    train_idx = [int(s.tx_hash) for s in train_shells]
-    test_idx = [int(s.tx_hash) for s in test_shells]
     params = TrainParams(epochs=cfg.epochs, learning_rate=cfg.learning_rate,
                          negative=cfg.negative, wl_iterations=cfg.wl_iterations)
-    model = train_graph2vec([preps[i].doc for i in train_idx],
+    model = train_graph2vec([preps[int(s.tx_hash)].doc for s in train_shells],
                             dim=cfg.embedding_dim, params=params, seed=seed)
     # infer_embedding depends only on (model, content hash), and contents repeat.
     embeddings: dict[str, np.ndarray] = {}
 
-    def sample(i: int) -> LabeledSample:
-        doc = preps[i].doc
+    def sample(shell: LabeledSample) -> LabeledSample:
+        prep = preps[int(shell.tx_hash)]
+        doc = prep.doc
         if doc.content_hash not in embeddings:
             embeddings[doc.content_hash] = infer_embedding(model, doc)
-        return LabeledSample(preps[i].record.tx_hash,
-                             _assemble(preps[i], embeddings[doc.content_hash]),
-                             labels[i])
+        return LabeledSample(prep.record.tx_hash,
+                             _assemble(prep, embeddings[doc.content_hash]), shell.label)
 
-    return model, [sample(i) for i in train_idx], [sample(i) for i in test_idx]
-
-
-def _test_metrics(classifier, test: list[LabeledSample]) -> tuple[dict, dict]:
-    """(three-class, binary) metrics of `classifier` on the test samples."""
-    predictions = [classifier.label(classifier.scores(s.features)) for s in test]
+    train = [sample(s) for s in train_shells]
+    test = [sample(s) for s in test_shells]
     truth = [s.label for s in test]
-    return (evaluate(predictions, truth, classes=LABELS).to_dict(),
-            evaluate_binary(predictions, truth).to_dict())
+    fitted = {}
+    for kind in kinds:
+        if kind == "knn":
+            classifier = knn_train(train, k=cfg.k)
+        else:
+            classifier = dtree_train(train, max_depth=cfg.max_depth,
+                                     min_samples_leaf=cfg.min_samples_leaf,
+                                     class_weighting=cfg.class_weighting)
+        predictions = [classifier.label(classifier.scores(s.features)) for s in test]
+        report = evaluate(predictions, truth, classes=LABELS).to_dict()
+        report["binary"] = evaluate_binary(predictions, truth).to_dict()
+        fitted[kind] = (classifier, report)
+    return model, fitted
 
 
 def train_detector(records: list[TxRecord], labels: list[str],
                    cfg: RunConfig) -> tuple[DetectorBundle, dict]:
-    """Single split -> embedding + classifier; returns bundle and test metrics."""
+    """One protocol run seeded `cfg.seed` with the configured classifier:
+    the detector bundle and its test report."""
     preps = [prepare(r, cfg) for r in records]
-    model, train, test = _fit_split(preps, labels, cfg, cfg.seed)
-    classifier = _fit_classifier(cfg.classifier, train, cfg)
-    bundle = DetectorBundle(embedding=model, classifier=classifier,
-                            classifier_kind=cfg.classifier, config=cfg)
-    three_class, binary = _test_metrics(classifier, test)
-    return bundle, {"three_class": three_class, "binary": binary}
+    model, fitted = _protocol_run(preps, labels, cfg, cfg.seed, (cfg.classifier,))
+    classifier, report = fitted[cfg.classifier]
+    return DetectorBundle(embedding=model, classifier=classifier, config=cfg), report
 
 
 def repeated_pipeline_eval(records: list[TxRecord], labels: list[str],
                            cfg: RunConfig,
                            classifiers: tuple[str, ...] = ("knn",)) -> dict:
-    """The repeated protocol with a leakage-free embedding refit per split."""
+    """`cfg.runs` protocol runs seeded `cfg.seed + run`; the mean and std of
+    each classifier kind's reports."""
     if cfg.runs < 1:
         raise InvalidConfig("runs must be >= 1")
     preps = [prepare(r, cfg) for r in records]
-    per_run: dict[str, list[dict]] = {kind: [] for kind in classifiers}
+    reports: dict[str, list[dict]] = {kind: [] for kind in classifiers}
     for run in range(cfg.runs):
-        _, train, test = _fit_split(preps, labels, cfg, cfg.seed + run)
+        _, fitted = _protocol_run(preps, labels, cfg, cfg.seed + run, classifiers)
         for kind in classifiers:
-            report, binary = _test_metrics(_fit_classifier(kind, train, cfg), test)
-            report["binary"] = binary
-            per_run[kind].append(report)
-
-    out: dict = {"runs": cfg.runs, "config_hash": cfg.config_hash()}
-    for kind in classifiers:
-        out[kind] = _mean_std(per_run[kind])
-    return out
+            reports[kind].append(fitted[kind][1])
+    return {"runs": cfg.runs, "config_hash": cfg.config_hash(),
+            **{kind: _mean_std(reports[kind]) for kind in classifiers}}
 
 
 def _mean_std(reports: list[dict]) -> dict:
@@ -193,32 +186,15 @@ def _mean_std(reports: list[dict]) -> dict:
     Numeric leaves (scalars and nested numeric lists like the confusion
     matrix) are aggregated elementwise; the class-name lists pass through.
     """
-    def walk(path, node, collected):
-        if isinstance(node, dict):
-            for key, sub in node.items():
-                walk(path + (key,), sub, collected)
-        else:
-            collected.setdefault(path, []).append(node)
+    def aggregate(nodes: list, stat) -> object:
+        if isinstance(nodes[0], dict):
+            return {key: sub if key == "classes"
+                    else aggregate([node[key] for node in nodes], stat)
+                    for key, sub in nodes[0].items()}
+        agg = stat(np.asarray(nodes, dtype=np.float64), axis=0)
+        return agg.tolist() if agg.ndim else float(agg)
 
-    collected: dict[tuple, list] = {}
-    for report in reports:
-        walk((), report, collected)
-
-    def build(stat: str) -> dict:
-        out: dict = {}
-        for path, values in collected.items():
-            cursor = out
-            for key in path[:-1]:
-                cursor = cursor.setdefault(key, {})
-            if path[-1] == "classes":
-                cursor[path[-1]] = values[0]
-                continue
-            arr = np.asarray(values, dtype=np.float64)
-            agg = arr.mean(axis=0) if stat == "mean" else arr.std(axis=0)
-            cursor[path[-1]] = agg.tolist() if agg.ndim else float(agg)
-        return out
-
-    return {"mean": build("mean"), "std": build("std")}
+    return {"mean": aggregate(reports, np.mean), "std": aggregate(reports, np.std)}
 
 
 # --- bundle persistence ------------------------------------------------------
@@ -231,7 +207,6 @@ def save_bundle(bundle: DetectorBundle, out_dir: str | Path) -> Path:
     save_classifier(bundle.classifier, out_dir / CLASSIFIER_FILE)
     meta = {
         "version": BUNDLE_FORMAT_VERSION,
-        "classifier_kind": bundle.classifier_kind,
         "config": bundle.config.to_dict(),
         "config_hash": bundle.config.config_hash(),
     }
@@ -251,13 +226,11 @@ def load_bundle(model_dir: str | Path) -> DetectorBundle:
         raise ModelMissing(f"{meta_path}: not a JSON object")
     if meta.get("version") != BUNDLE_FORMAT_VERSION:
         raise ModelMissing(f"unsupported bundle version {meta.get('version')}")
-    for key in ("classifier_kind", "config"):
-        if key not in meta:
-            raise ModelMissing(f"{meta_path}: missing key {key!r}")
+    if "config" not in meta:
+        raise ModelMissing(f"{meta_path}: missing key 'config'")
     return DetectorBundle(
         embedding=load_model(model_dir / EMBEDDING_FILE),
         classifier=load_classifier(model_dir / CLASSIFIER_FILE),
-        classifier_kind=meta["classifier_kind"],
         config=config_from_dict(meta["config"], meta_path),
     )
 

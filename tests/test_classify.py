@@ -435,6 +435,15 @@ def test_dtree_empty_rejected():
         dtree_train([])
 
 
+@pytest.mark.parametrize("settings", [{"max_depth": 0}, {"max_depth": -3},
+                                      {"min_samples_leaf": 0}, {"min_samples_leaf": -2}])
+def test_dtree_settings_below_one_rejected(settings):
+    samples = [_sample([float(i)], "Normal" if i < 3 else "AttackSrc") for i in range(6)]
+    ((key, _),) = settings.items()
+    with pytest.raises(InvalidConfig, match=key):
+        dtree_train(samples, **settings)
+
+
 def test_dtree_min_samples_leaf_respected():
     samples = [_sample([float(i)], "Normal" if i < 6 else "AttackSrc", f"s{i}")
                for i in range(8)]
@@ -530,6 +539,44 @@ def test_classifier_round_trip(tmp_path, rng):
 
     with pytest.raises(ModelMissing):
         load_classifier(tmp_path / "missing.json")
+
+
+# classifier.json as written before scoring-only state was trimmed: the KNN
+# and tree hyperparameters carry a seed, and the tree its growth limits.
+_OLDER_KNN_DOC = {
+    "version": 1, "kind": "knn", "hyperparams": {"k": 3, "seed": 7},
+    "standardizer": {"mean": [1.0, 0.0], "std": [2.0, 1.0]},
+    "classes": ["Normal", "AttackSrc"],
+    "payload": {"x": [[0.0, 0.0], [0.5, 0.0], [0.0, 2.0], [3.0, 3.0]],
+                "y": ["Normal", "Normal", "AttackSrc", "AttackSrc"]},
+}
+_OLDER_DTREE_DOC = {
+    "version": 1, "kind": "dtree",
+    "hyperparams": {"max_depth": 16, "min_samples_leaf": 1, "seed": 7},
+    "classes": ["Normal", "AttackSrc"],
+    "payload": {"tree": {"counts": [3.0, 1.0], "dim": 1, "threshold": 0.5,
+                         "left": {"counts": [3.0, 0.0]},
+                         "right": {"counts": [0.0, 1.0]}}},
+}
+
+
+@pytest.mark.parametrize("doc, query, scores", [
+    # Standardized query (0, 0): distances 0, 0.5 and 2 to the first three rows.
+    (_OLDER_KNN_DOC, [1.0, 0.0], {"Normal": {"count": 2, "sum_distance": 0.5},
+                                  "AttackSrc": {"count": 1, "sum_distance": 2.0}}),
+    (_OLDER_DTREE_DOC, [0.0, 0.25], {"Normal": 1.0, "AttackSrc": 0.0}),
+    (_OLDER_DTREE_DOC, [0.0, 0.75], {"Normal": 0.0, "AttackSrc": 1.0}),
+], ids=["knn", "dtree-left", "dtree-right"])
+def test_classifier_file_of_the_older_format_loads(tmp_path, doc, query, scores):
+    older = tmp_path / "older.json"
+    older.write_text(json.dumps(doc))
+    model = load_classifier(older)
+    assert model.scores(np.array(query)) == scores
+    resaved = tmp_path / "resaved.json"
+    save_classifier(model, resaved)
+    assert json.loads(resaved.read_text())["hyperparams"] == (
+        {"k": 3} if doc["kind"] == "knn" else {})
+    assert load_classifier(resaved).scores(np.array(query)) == scores
 
 
 @pytest.mark.parametrize("content", [

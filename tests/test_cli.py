@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from bridgeguard import cli
 from bridgeguard.cli import main
 from bridgeguard.ingest import load_manifest
 
@@ -51,8 +52,9 @@ def test_train_wrote_bundle_and_metrics(workspace):
         assert (model_dir / name).exists()
     metrics = json.loads((model_dir / "metrics.json").read_text())
     assert "config_hash" in metrics and "config" in metrics
-    rows = metrics["metrics"]["three_class"]["per_class"]
+    rows = metrics["metrics"]["per_class"]
     assert set(rows) == {"Normal", "AttackSrc", "AttackTgt"}
+    assert metrics["metrics"]["binary"]["classes"] == ["Normal", "Attack"]
 
 
 def test_detect_labels_attack_trace(workspace, runner):
@@ -286,6 +288,22 @@ def test_bad_training_setting_is_one_error_line(workspace, runner, tmp_path, set
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert names in lines[0]
     assert not (tmp_path / "model").exists()
+
+
+def test_unknown_classifier_in_config_is_one_error_line_before_training(
+        workspace, runner, tmp_path, monkeypatch):
+    trained = []
+    monkeypatch.setattr(cli, "train_detector", lambda *args: trained.append(args))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"classifier": "svm"}))
+    manifest = workspace["corpus"] / "manifest.jsonl"
+    result = runner.invoke(main, ["train", "--manifest", str(manifest), "--model-dir",
+                                  str(tmp_path / "model"), "--config", str(config)])
+    assert result.exit_code == 1
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "classifier must be one of knn, dtree" in lines[0]
+    assert not trained and not (tmp_path / "model").exists()
 
 
 def test_version_and_help(runner):

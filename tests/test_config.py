@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bridgeguard.classify import CLASSIFIERS
 from bridgeguard.config import ENV_RPC_URL, RunConfig, config_from_dict, resolve_config
 from bridgeguard.errors import InvalidConfig
 
@@ -71,8 +72,8 @@ def test_int_for_float_and_null_for_optional_accepted(tmp_path, values):
 
 
 def test_int_for_float_hashes_like_the_float():
-    as_int = config_from_dict({"learning_rate": 1, "split_ratio": 1}, "a.json")
-    as_float = config_from_dict({"learning_rate": 1.0, "split_ratio": 1.0}, "b.json")
+    as_int = config_from_dict({"learning_rate": 1}, "a.json")
+    as_float = config_from_dict({"learning_rate": 1.0}, "b.json")
     assert type(as_int.learning_rate) is float
     assert as_int.config_hash() == as_float.config_hash()
     with pytest.raises(InvalidConfig, match="learning_rate must be float"):
@@ -88,6 +89,11 @@ def test_default_config_hash_is_stable():
     ("wl_iterations", 0), ("epochs", 0), ("epochs", -1), ("negative", -1),
     ("embedding_dim", 8), ("learning_rate", 0), ("learning_rate", -0.025),
     ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+    ("classifier", "svm"), ("classifier", ""), ("k", 0), ("k", -1),
+    ("max_depth", 0), ("max_depth", -3), ("min_samples_leaf", 0),
+    ("min_samples_leaf", -2), ("split_ratio", 0), ("split_ratio", 1),
+    ("split_ratio", 1.5), ("split_ratio", -0.5), ("split_ratio", float("nan")),
+    ("runs", 0), ("runs", -1),
 ])
 def test_value_out_of_range_rejected_naming_key(key, value):
     with pytest.raises(InvalidConfig, match=f"c.json: {key} must be "):
@@ -96,5 +102,12 @@ def test_value_out_of_range_rejected_naming_key(key, value):
 
 def test_range_edges_accepted():
     cfg = config_from_dict({"wl_iterations": 1, "epochs": 1, "negative": 0,
-                            "embedding_dim": 16, "learning_rate": 1e-9}, "c.json")
+                            "embedding_dim": 16, "learning_rate": 1e-9, "k": 1,
+                            "max_depth": 1, "min_samples_leaf": 1, "split_ratio": 1e-9,
+                            "runs": 1}, "c.json")
     assert (cfg.wl_iterations, cfg.epochs, cfg.negative) == (1, 1, 0)
+    assert (cfg.k, cfg.max_depth, cfg.min_samples_leaf, cfg.runs) == (1, 1, 1, 1)
+    assert config_from_dict({"split_ratio": 1 - 1e-9}, "c.json").split_ratio == 1 - 1e-9
+    assert config_from_dict({"max_depth": None}, "c.json").max_depth is None
+    for kind in CLASSIFIERS:
+        assert config_from_dict({"classifier": kind}, "c.json").classifier == kind

@@ -14,6 +14,8 @@ from bridgeguard.config import RunConfig
 from bridgeguard.errors import InvalidConfig, ModelMissing
 from bridgeguard.pipeline import (
     BUNDLE_FILE,
+    CLASSIFIER_FILE,
+    _mean_std,
     detect,
     feature_vector,
     load_bundle,
@@ -54,10 +56,41 @@ def test_train_detector_reports_both_views(small_corpus):
     records, labels = small_corpus
     cfg = RunConfig(seed=5, **FAST)
     bundle, metrics = train_detector(records, labels, cfg)
-    assert set(metrics) == {"three_class", "binary"}
-    assert metrics["three_class"]["classes"] == ["Normal", "AttackSrc", "AttackTgt"]
+    assert metrics["classes"] == ["Normal", "AttackSrc", "AttackTgt"]
     assert metrics["binary"]["classes"] == ["Normal", "Attack"]
-    assert bundle.classifier_kind == "knn"
+    assert bundle.config.classifier == "knn"
+
+
+@pytest.mark.parametrize("kind", ["knn", "dtree"])
+def test_train_detector_report_is_run_zero_of_the_protocol(small_corpus, kind):
+    records, labels = small_corpus
+    cfg = RunConfig(seed=9, classifier=kind, epochs=25, runs=1)
+    _, report = train_detector(records, labels, cfg)
+    protocol = repeated_pipeline_eval(records, labels, cfg, classifiers=(kind,))
+    # The aggregate holds floats where the run's report holds ints.
+    assert report == protocol[kind]["mean"]
+    assert isinstance(report["per_class"]["Normal"]["support"], int)
+
+
+def _report(accuracy: float, support: int, confusion: list) -> dict:
+    return {"classes": ["Normal", "AttackSrc"],
+            "per_class": {"Normal": {"f1": accuracy, "support": support}},
+            "confusion": confusion, "accuracy": accuracy,
+            "binary": {"classes": ["Normal", "Attack"], "macro_f1": 1.0 - accuracy}}
+
+
+def test_mean_std_is_elementwise_over_the_runs():
+    reports = [_report(0.5, 3, [[1, 2], [3, 4]]), _report(1.0, 5, [[3, 2], [1, 0]])]
+    assert _mean_std(reports) == {
+        "mean": {"classes": ["Normal", "AttackSrc"],
+                 "per_class": {"Normal": {"f1": 0.75, "support": 4.0}},
+                 "confusion": [[2.0, 2.0], [2.0, 2.0]], "accuracy": 0.75,
+                 "binary": {"classes": ["Normal", "Attack"], "macro_f1": 0.25}},
+        "std": {"classes": ["Normal", "AttackSrc"],
+                "per_class": {"Normal": {"f1": 0.25, "support": 1.0}},
+                "confusion": [[1.0, 0.0], [1.0, 2.0]], "accuracy": 0.25,
+                "binary": {"classes": ["Normal", "Attack"], "macro_f1": 0.25}},
+    }
 
 
 def test_bundle_round_trip_and_detection(small_corpus, tmp_path):
@@ -138,6 +171,13 @@ def test_repeated_pipeline_eval_normal_only_corpus(small_corpus):
     assert report["knn"]["std"]["per_class"]["Normal"]["recall"] == 0.0
 
 
+def test_unknown_classifier_kind_rejected_naming_it(small_corpus):
+    records, labels = small_corpus
+    with pytest.raises(InvalidConfig, match="unknown classifier 'svm'"):
+        repeated_pipeline_eval(records[:20], labels[:20], RunConfig(runs=1),
+                               classifiers=("knn", "svm"))
+
+
 def test_load_bundle_rejects_unknown_config_key(small_corpus, tmp_path):
     records, labels = small_corpus
     bundle, _ = train_detector(records[:40], labels[:40], RunConfig(seed=2, epochs=5))
@@ -155,7 +195,7 @@ def test_load_bundle_rejects_unknown_config_key(small_corpus, tmp_path):
             load_bundle(tmp_path / "model")
 
 
-@pytest.mark.parametrize("key", ["classifier_kind", "config"])
+@pytest.mark.parametrize("key", ["config"])
 def test_load_bundle_missing_key_rejected_naming_it(small_corpus, tmp_path, key):
     records, labels = small_corpus
     bundle, _ = train_detector(records[:40], labels[:40], RunConfig(seed=2, epochs=5))
@@ -166,6 +206,27 @@ def test_load_bundle_missing_key_rejected_naming_it(small_corpus, tmp_path, key)
     meta_path.write_text(json.dumps(meta))
     with pytest.raises(ModelMissing, match=f"bundle.json: missing key '{key}'"):
         load_bundle(tmp_path / "model")
+
+
+def test_load_bundle_reads_the_older_format(small_corpus, tmp_path):
+    # Older bundles also record the kind as `classifier_kind`, and their
+    # classifier.json carries hyperparameters that scoring never reads.
+    records, labels = small_corpus
+    cfg = RunConfig(seed=2, epochs=5, classifier="dtree")
+    bundle, _ = train_detector(records[:40], labels[:40], cfg)
+    save_bundle(bundle, tmp_path / "model")
+    meta_path = tmp_path / "model" / BUNDLE_FILE
+    meta = json.loads(meta_path.read_text())
+    assert set(meta) == {"version", "config", "config_hash"}
+    meta_path.write_text(json.dumps({**meta, "classifier_kind": "dtree"}))
+    classifier_path = tmp_path / "model" / CLASSIFIER_FILE
+    doc = json.loads(classifier_path.read_text())
+    doc["hyperparams"] = {"max_depth": 16, "min_samples_leaf": 1, "seed": 2}
+    classifier_path.write_text(json.dumps(doc))
+
+    loaded = load_bundle(tmp_path / "model")
+    assert loaded.config == cfg
+    assert detect(loaded, records) == detect(bundle, records)
 
 
 @pytest.mark.parametrize("kind, oracle_label, oracle_scores", [
