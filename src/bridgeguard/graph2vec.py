@@ -13,8 +13,39 @@ outputs:
   accumulated and applied at the epoch boundary, so no copy is needed).
 
 Together these guarantee that identical documents hold identical vectors at
-every step, which also licenses training each distinct content once and
-weighting its token gradient by multiplicity.
+every step, which also licenses training each distinct content once (a job)
+and weighting its token gradient by multiplicity.
+
+An epoch is a handful of array passes over all jobs, and gives bit for bit
+the vectors of the plain per-job loop (the tests keep that loop as their
+oracle). Job j owns rows `offsets[j]:offsets[j + 1]` of one int32 row array:
+its tokens, then its negatives, redrawn in place each epoch; one float64
+coefficient per row holds `sigmoid(w . d) - label`. Three things keep it
+exact:
+
+* Stacked products. Jobs with the same row count m form stacks of shape
+  (jobs, m, dim). `np.matmul` loops over a stack and calls, for each item,
+  the BLAS gemv that `w @ d` (and `w.T @ coef`) calls for that job alone,
+  with the same shape and strides, so each score and document gradient is
+  the per-job one. `einsum` sums in another order and is not equal.
+* Elementwise passes. The sigmoid, the label subtraction, `d -= lr * grad`
+  and the token-gradient value `(-lr * mult) * (coef * d)` are elementwise,
+  so batching them changes no result.
+* Accumulation in job order. `np.add.at` adds its values one by one, in
+  order, so calling it on consecutive job-order spans gives each token cell
+  the same additions in the same order as one call per job. Summing a span
+  first (`bincount`) and adding the sum would round differently.
+
+The row and coefficient arrays, 12 bytes a row, are the only state that
+grows with the corpus's rows. Every other temporary is bounded by
+`_CHUNK_ROWS` rows (or one longer document) times dim: a stack holds at
+most that many rows, and the accumulation runs span by span, each at most
+that long, through two reused chunk buffers.
+
+Logger `bridgeguard.graph2vec` reports, at DEBUG, each epoch's largest
+token and document vector entry and its wall time; they are computed only
+when DEBUG is on. Vectors are checked for finiteness after every epoch, so
+a diverging run stops at the first epoch that breaks them.
 
 Noise tokens are drawn by inversion: a uniform u in [0, 1) maps to the first
 token whose unigram^0.75 CDF value is >= u, which is `searchsorted(cdf, u)`.
@@ -59,6 +90,8 @@ still builds one `default_rng` per stream.
 from __future__ import annotations
 
 import json
+import logging
+import time
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -71,6 +104,8 @@ from .hashing import derive_seed, extend_seed, seed_prefix
 from .wl import WLDocument
 
 MODEL_FORMAT_VERSION = 2  # 2: string arrays, loaded without pickle
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -221,18 +256,13 @@ def _lr_schedule(params: TrainParams, epoch: int) -> float:
     return params.learning_rate * max(1.0 - epoch / params.epochs, 1e-4)
 
 
-def _dbow_step(d: np.ndarray, w: np.ndarray, n_pos: int, lr: float,
-               token_grad: bool = False) -> np.ndarray | None:
-    """One batched gradient step of document vector `d` against its token
-    rows `w`: `n_pos` positives (label 1), then negatives (label 0). Returns
-    the gradient of those rows when `token_grad` is set (training);
-    inference, which keeps the token matrix frozen, skips it."""
+def _dbow_step(d: np.ndarray, w: np.ndarray, n_pos: int, lr: float) -> None:
+    """One inference step of document vector `d` against its token rows `w`:
+    `n_pos` positives (label 1), then negatives (label 0). The token matrix
+    stays frozen, so no token gradient is formed."""
     coef = _sigmoid(w @ d)
     coef[:n_pos] -= 1.0  # minus the labels
-    grad_d = w.T @ coef
-    grad_w = coef[:, None] * d[None, :] if token_grad else None
-    d -= lr * grad_d
-    return grad_w
+    d -= lr * (w.T @ coef)
 
 
 def _negatives(noise: _NoiseSampler, streams: Iterable[np.random.Generator],
@@ -260,7 +290,39 @@ def _negatives(noise: _NoiseSampler, streams: Iterable[np.random.Generator],
         yield from drawn(block)
 
 
-# A diverging run overflows on the way; the finiteness check at the end
+# Rows per stacked product and per accumulation pass in training. Every
+# transient array of an epoch is bounded by it (or by one longer document);
+# only the row and coefficient arrays grow with the corpus.
+_CHUNK_ROWS = 2 ** 11
+
+
+def _stacks(n_pos: np.ndarray, negative: int) -> list[tuple[int, np.ndarray]]:
+    """The jobs of each row count, in job order, cut into stacks of at most
+    `_CHUNK_ROWS` rows (or one longer job): (positives per job, jobs).
+    Empty documents have no rows and no gradient, so they are left out."""
+    order = np.argsort(n_pos, kind="stable")
+    lengths, firsts = np.unique(n_pos[order], return_index=True)
+    stacks = []
+    for p, jobs in zip(lengths.tolist(), np.split(order, firsts[1:])):
+        if p:
+            per = max(1, _CHUNK_ROWS // (p * (1 + negative)))
+            stacks += [(p, jobs[i:i + per]) for i in range(0, jobs.size, per)]
+    return stacks
+
+
+def _spans(offsets: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """Consecutive job ranges of at most `_CHUNK_ROWS` rows (or one longer
+    job), covering all jobs in order: (first job, end job, first row, end
+    row). `offsets[j]` is job j's first row and `offsets[-1]` the row count."""
+    spans, a, n_jobs = [], 0, offsets.size - 1
+    while a < n_jobs:
+        b = max(a + 1, int(np.searchsorted(offsets, offsets[a] + _CHUNK_ROWS, "right")) - 1)
+        spans.append((a, b, int(offsets[a]), int(offsets[b])))
+        a = b
+    return spans
+
+
+# A diverging run overflows on the way; the per-epoch finiteness check
 # reports it as one TrainingDiverged, not a stream of RuntimeWarnings.
 @np.errstate(over="ignore", invalid="ignore")
 def train_graph2vec(corpus: list[WLDocument], dim: int = 16,
@@ -288,53 +350,98 @@ def train_graph2vec(corpus: list[WLDocument], dim: int = 16,
         -0.5 / dim, 0.5 / dim, (len(vocab), dim))
 
     # One training job per distinct content; duplicates share the trajectory.
-    jobs: list[dict] = []
-    by_hash: dict[str, dict] = {}
+    job_of: dict[str, int] = {}
+    docs: list[WLDocument] = []
+    mult: list[int] = []
+    doc_hashes, corpus_jobs = [], []
     for doc in corpus:
         h = doc.content_hash
-        job = by_hash.get(h)
-        if job is None:
-            job = {
-                "idx": np.array([vocab[t] for t in doc.tokens], dtype=np.int64),
-                "mult": 0,
-                "noise": seed_prefix(seed, "neg", h),  # + epoch: the noise seed
-            }
-            by_hash[h] = job
-            jobs.append(job)
-        job["mult"] += 1
-    starts = _seeded([derive_seed(seed, "doc", h) for h in by_hash])
-    for job, rng in zip(jobs, starts):
-        job["vec"] = _init_vector(rng, dim)
-    counts = [job["idx"].size * params.negative for job in jobs]
+        j = job_of.setdefault(h, len(docs))
+        if j == len(docs):
+            docs.append(doc)
+            mult.append(0)
+        mult[j] += 1
+        doc_hashes.append(h)
+        corpus_jobs.append(j)
+    hashes = list(job_of)
+    noise_seeds = [seed_prefix(seed, "neg", h) for h in hashes]  # + epoch: the seed
+    doc_vectors = np.empty((len(docs), dim))
+    for j, rng in enumerate(_seeded([derive_seed(seed, "doc", h) for h in hashes])):
+        doc_vectors[j] = _init_vector(rng, dim)
+
+    # Job j owns rows[offsets[j]:offsets[j + 1]]: its tokens, then its
+    # negatives, which each epoch redraws in place.
+    n_pos = np.array([len(doc) for doc in docs], dtype=np.int64)
+    sizes = n_pos * (1 + params.negative)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    rows = np.empty(offsets[-1], dtype=np.int32)
+    for doc, start, p in zip(docs, offsets.tolist(), n_pos.tolist()):
+        rows[start:start + p] = [vocab[t] for t in doc.tokens]
+    neg_starts = (offsets[:-1] + n_pos).tolist()
+    neg_ends = offsets[1:].tolist()
+    neg_counts = (n_pos * params.negative).tolist()
+    coefs = np.empty(rows.size)
+    grads = np.zeros_like(doc_vectors)  # an empty document's stays zero
+    stacks = _stacks(n_pos, params.negative)
+    spans = _spans(offsets)
+    mult = np.array(mult, dtype=np.float64)
+    # Chunk-sized buffers for the gathered token rows and the token
+    # gradient, reused: a fresh array of this size costs its page faults.
+    most = max(_CHUNK_ROWS, int(sizes.max()))
+    chunk = np.empty(most * dim)
+    cells = np.empty((most, dim), dtype=np.intp)
     columns = np.arange(dim)
+    debug = logger.isEnabledFor(logging.DEBUG)
 
-    # Documents read `token_vectors` as it stood at the epoch start: it
-    # changes only after the epoch's last job.
+    # Within an epoch every job reads its own document vector and the token
+    # matrix as it stood at the epoch start; both change only at its end.
     for epoch in range(params.epochs):
+        started = time.perf_counter() if debug else 0.0
         lr = _lr_schedule(params, epoch)
+        streams = _seeded([extend_seed(prefix, epoch) for prefix in noise_seeds])
+        for start, end, negs in zip(neg_starts, neg_ends,
+                                    _negatives(noise, streams, neg_counts)):
+            rows[start:end] = negs
+        for p, jobs in stacks:
+            at = offsets[jobs, None] + np.arange(p * (1 + params.negative))
+            w = chunk[:at.size * dim].reshape(*at.shape, dim)
+            token_vectors.take(rows[at], axis=0, out=w, mode="clip")
+            scores = np.matmul(w, doc_vectors[jobs, :, None])
+            coef = _sigmoid(scores[..., 0])
+            coef[:, :p] -= 1.0  # minus the labels
+            grads[jobs] = np.matmul(w.transpose(0, 2, 1), scores)[..., 0]
+            coefs[at] = coef
+        # Each token cell gets its additions in job order, row order, as the
+        # per-job step made them: add.at adds sequentially, span by span.
         accum = np.zeros_like(token_vectors)
-        streams = _seeded([extend_seed(job["noise"], epoch) for job in jobs])
-        for job, negs in zip(jobs, _negatives(noise, streams, counts)):
-            rows = np.concatenate([job["idx"], negs])
-            token_grad = _dbow_step(job["vec"], token_vectors[rows], job["idx"].size, lr,
-                                    token_grad=True)
-            # Adding the rows into the flat view makes the same additions in
-            # the same order as `np.add.at(accum, rows, ...)`, on numpy's
-            # faster one-dimensional path.
-            np.add.at(accum.reshape(-1), (rows[:, None] * dim + columns).reshape(-1),
-                      ((-lr * job["mult"]) * token_grad).reshape(-1))
+        scale = -lr * mult
+        for a, b, first, last in spans:
+            owner = np.repeat(np.arange(a, b), sizes[a:b])
+            values = doc_vectors.take(owner, axis=0, out=chunk[:owner.size * dim]
+                                      .reshape(-1, dim))
+            values *= coefs[first:last, None]
+            values *= scale[owner, None]
+            flat = np.multiply(rows[first:last, None], dim, out=cells[:owner.size])
+            flat += columns
+            np.add.at(accum.reshape(-1), flat.reshape(-1), values.reshape(-1))
         token_vectors += accum
+        doc_vectors -= lr * grads
 
-    graph_vectors = np.stack([by_hash[doc.content_hash]["vec"] for doc in corpus])
-    if not np.isfinite(graph_vectors).all() or not np.isfinite(token_vectors).all():
-        raise TrainingDiverged("embedding training diverged: a vector is not finite")
+        if not (np.isfinite(token_vectors).all() and np.isfinite(doc_vectors).all()):
+            raise TrainingDiverged("embedding training diverged: a vector is not finite "
+                                   f"after epoch {epoch + 1} of {params.epochs}")
+        if debug:
+            logger.debug("epoch %d/%d: max |token| %.6g, max |doc| %.6g, %.1f ms",
+                         epoch + 1, params.epochs, np.abs(token_vectors).max(),
+                         np.abs(doc_vectors).max(), (time.perf_counter() - started) * 1e3)
+
     return EmbeddingModel(
         dim=dim,
         vocab=vocab,
         token_vectors=token_vectors,
-        graph_vectors=graph_vectors,
+        graph_vectors=doc_vectors[corpus_jobs],
         token_counts=token_counts,
-        doc_hashes=[doc.content_hash for doc in corpus],
+        doc_hashes=doc_hashes,
         params=params,
         seed=seed,
     )

@@ -21,6 +21,7 @@ from bridgeguard.ingest import (
     save_trace_file,
     validate_record,
 )
+from bridgeguard.rpc import RpcClient
 from bridgeguard.xteg import XTEG, build_xteg
 from conftest import random_trace_doc
 
@@ -217,6 +218,50 @@ def test_any_document_gives_a_graph_or_a_typed_error(seed, data):
     container[key] = data.draw(_JUNK)
     try:
         graph = build_xteg(record_from_document(doc))
+    except BridgeGuardError:
+        return
+    assert isinstance(graph, XTEG)
+
+
+class _FakeNode:
+    """A requests-compatible session answering each JSON-RPC method with the
+    body stored for it."""
+
+    def __init__(self, bodies):
+        self.bodies = bodies
+
+    def post(self, url, json=None, timeout=None):
+        body = self.bodies[json["method"]]
+
+        class Reply:
+            status_code = 200
+
+            def json(self):
+                return body
+
+        return Reply()
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), data=st.data())
+def test_any_rpc_reply_gives_a_record_or_a_typed_error(seed, data):
+    # Valid chain id, receipt and trace replies with one value, anywhere in
+    # them (a whole reply body included), replaced by any JSON.
+    doc = random_trace_doc(np.random.default_rng(seed), max_frames=4)
+    replies = {
+        "eth_chainId": {"jsonrpc": "2.0", "id": 1, "result": "0x1"},
+        "eth_getTransactionReceipt": {"jsonrpc": "2.0", "id": 2, "result": {
+            "blockNumber": "0x10", "logs": doc["logs"]}},
+        "debug_traceTransaction": {"jsonrpc": "2.0", "id": 3, "result": doc["trace"]},
+    }
+    tx = "0x" + "11" * 32
+    intact = RpcClient("http://node.invalid", session=_FakeNode(json.loads(json.dumps(replies))))
+    assert len(build_xteg(intact.fetch_tx_record(tx)).vertices) >= 2
+    container, key = data.draw(st.sampled_from(list(_slots(replies))))
+    container[key] = data.draw(_JUNK)
+    client = RpcClient("http://node.invalid", session=_FakeNode(replies))
+    try:
+        graph = build_xteg(client.fetch_tx_record(tx))
     except BridgeGuardError:
         return
     assert isinstance(graph, XTEG)
