@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -22,12 +22,13 @@ from .errors import CorpusTooSmall
 from .ingest import TxRecord
 from .pipeline import STAGES, DetectorBundle, detect
 
-# Original BridgeGuard benchmark, milliseconds per stage (total 15.212 -> ~65 TPS).
-REFERENCE_STAGE_MS = {
-    "xteg_construction": 0.253,
-    "global_mining": 0.332,
-    "local_mining": 14.6,
-    "classification": 0.027,
+# Each stage's table title and its time in the original BridgeGuard
+# benchmark, milliseconds (total 15.212 -> ~65 TPS).
+STAGE_TABLE = {
+    "xteg_construction": ("xTEG construction", 0.253),
+    "global_mining": ("Global graph mining", 0.332),
+    "local_mining": ("Local graph mining", 14.6),
+    "classification": ("Attack detection classifier", 0.027),
 }
 REFERENCE_TOTAL_MS = 15.212
 REFERENCE_TPS = 65.0
@@ -46,27 +47,17 @@ class BenchReport:
     config_hash: str
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "stage_ms": {stage: self.stage_ms[stage] for stage in STAGES},
-            "stage_p50_ms": {stage: self.stage_p50_ms[stage] for stage in STAGES},
-            "stage_p95_ms": {stage: self.stage_p95_ms[stage] for stage in STAGES},
-            "stage_p99_ms": {stage: self.stage_p99_ms[stage] for stage in STAGES},
-            "total_ms": self.total_ms,
-            "tps": self.tps,
-            "median_total_ms": self.median_total_ms,
-            "reference_stage_ms": dict(REFERENCE_STAGE_MS),
-            "reference_total_ms": REFERENCE_TOTAL_MS,
-            "reference_tps": REFERENCE_TPS,
-            "config_hash": self.config_hash,
-        }
+        return dict(asdict(self), reference_total_ms=REFERENCE_TOTAL_MS,
+                    reference_tps=REFERENCE_TPS,
+                    reference_stage_ms={stage: STAGE_TABLE[stage][1] for stage in STAGES})
 
 
 def run_bench(records: list[TxRecord], bundle: DetectorBundle,
               min_corpus: int = 100) -> BenchReport:
     if len(records) < min_corpus:
         raise CorpusTooSmall(f"bench needs >= {min_corpus} transactions, got {len(records)}")
-    spent = dict.fromkeys(STAGES, 0)  # ns per stage over the corpus
+    column = {name: j for j, name in enumerate(STAGES)}
+    per_tx_ns = np.zeros((len(records), len(STAGES)), dtype=np.int64)
 
     @contextmanager
     def stage(name: str):
@@ -74,24 +65,22 @@ def run_bench(records: list[TxRecord], bundle: DetectorBundle,
         try:
             yield
         finally:
-            spent[name] += time.perf_counter_ns() - t0
+            per_tx_ns[row, column[name]] += time.perf_counter_ns() - t0
 
-    per_tx = np.zeros((len(records), len(STAGES)))  # ms per transaction and stage
-    for row, record in zip(per_tx, records):
-        before = [spent[name] for name in STAGES]
+    for row, record in enumerate(records):  # `stage` adds to this row
         detect(bundle, [record], stage=stage)
-        row[:] = [(spent[name] - b) / 1e6 for name, b in zip(STAGES, before)]
 
-    n = len(records)
-    stage_ms = {name: spent[name] / 1e6 / n for name in STAGES}
+    per_tx = per_tx_ns / 1e6  # ms per transaction and stage
+    by_stage = lambda values: dict(zip(STAGES, values.tolist()))
+    stage_ms = by_stage(per_tx.mean(axis=0))
     total_ms = sum(stage_ms.values())
     p50, p95, p99 = np.percentile(per_tx, [50, 95, 99], axis=0)
     return BenchReport(
-        n=n,
+        n=len(records),
         stage_ms=stage_ms,
-        stage_p50_ms=dict(zip(STAGES, p50.tolist())),
-        stage_p95_ms=dict(zip(STAGES, p95.tolist())),
-        stage_p99_ms=dict(zip(STAGES, p99.tolist())),
+        stage_p50_ms=by_stage(p50),
+        stage_p95_ms=by_stage(p95),
+        stage_p99_ms=by_stage(p99),
         total_ms=total_ms,
         tps=1000.0 / total_ms if total_ms > 0 else float("inf"),
         median_total_ms=float(np.median(per_tx.sum(axis=1))),
@@ -104,16 +93,11 @@ def format_bench_table(report: BenchReport) -> str:
         ("Step", "Avg. time (ms)", "p50 (ms)", "p95 (ms)", "p99 (ms)", "Reference (ms)"),
         ("-" * 34, "-" * 14, "-" * 8, "-" * 8, "-" * 8, "-" * 14),
     ]
-    names = {
-        "xteg_construction": "xTEG construction",
-        "global_mining": "Global graph mining",
-        "local_mining": "Local graph mining",
-        "classification": "Attack detection classifier",
-    }
     for stage in STAGES:
-        rows.append((names[stage], f"{report.stage_ms[stage]:.3f}",
+        title, reference_ms = STAGE_TABLE[stage]
+        rows.append((title, f"{report.stage_ms[stage]:.3f}",
                      f"{report.stage_p50_ms[stage]:.3f}", f"{report.stage_p95_ms[stage]:.3f}",
-                     f"{report.stage_p99_ms[stage]:.3f}", f"{REFERENCE_STAGE_MS[stage]:.3f}"))
+                     f"{report.stage_p99_ms[stage]:.3f}", f"{reference_ms:.3f}"))
     rows.append(("Total", f"{report.total_ms:.3f}", "-", "-", "-", f"{REFERENCE_TOTAL_MS:.3f}"))
     rows.append(("TPS", f"{report.tps:.1f}", "-", "-", "-", f"{REFERENCE_TPS:.1f}"))
     rows.append(("Median per-tx latency", f"{report.median_total_ms:.3f}", "-", "-", "-", "-"))

@@ -28,7 +28,6 @@ scan, bit for bit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,7 +47,7 @@ from .errors import (
 )
 from .features import GLOBAL_DIM, GlobalFeature
 from .hashing import derive_seed
-from .ingest import LABELS, read_json
+from .ingest import LABELS, read_json, write_json
 from .motifs import LocalFeature
 
 LOCAL_DIM = 16
@@ -98,23 +97,30 @@ def _as_matrix(samples: list[LabeledSample]) -> tuple[np.ndarray, list[str]]:
     return np.stack([_values(s.features) for s in samples]), [s.label for s in samples]
 
 
+def _class_rank(label: str) -> tuple[int, str]:
+    """The fixed class order: LABELS in their order, then other labels by name."""
+    return (LABELS.index(label) if label in LABELS else len(LABELS), label)
+
+
 def _label_order(labels: set[str]) -> list[str]:
-    return [c for c in LABELS if c in labels] + sorted(labels - set(LABELS))
+    return sorted(labels, key=_class_rank)
 
 
 # --- dataset splitting ----------------------------------------------------
 
 
-def split_dataset(samples: list[LabeledSample], ratio: float = 0.7, seed: int = 0):
-    """Disjoint, exhaustive (train, test); per-class proportions within ±1."""
+def split_indices(labels: list[str], ratio: float = 0.7,
+                  seed: int = 0) -> tuple[list[int], list[int]]:
+    """Disjoint, exhaustive (train, test) positions into `labels`; per-class
+    proportions within ±1."""
     if not 0.0 < ratio < 1.0:
         raise InvalidConfig(f"split ratio must be in (0, 1), got {ratio}")
-    if not samples:
+    if not labels:
         raise ClassTooSmall("no samples to split")
 
     groups: dict[str, list[int]] = {}
-    for i, sample in enumerate(samples):
-        groups.setdefault(sample.label, []).append(i)
+    for i, label in enumerate(labels):
+        groups.setdefault(label, []).append(i)
 
     train_idx: list[int] = []
     test_idx: list[int] = []
@@ -134,6 +140,12 @@ def split_dataset(samples: list[LabeledSample], ratio: float = 0.7, seed: int = 
     mix = np.random.default_rng(derive_seed(seed, "mix"))
     mix.shuffle(train_idx)
     mix.shuffle(test_idx)
+    return train_idx, test_idx
+
+
+def split_dataset(samples: list[LabeledSample], ratio: float = 0.7, seed: int = 0):
+    """The samples at `split_indices` of their labels, as (train, test)."""
+    train_idx, test_idx = split_indices([s.label for s in samples], ratio, seed)
     return [samples[i] for i in train_idx], [samples[i] for i in test_idx]
 
 
@@ -236,8 +248,7 @@ class KNNModel:
         summed distance, then fixed class order."""
         def rank(label: str):
             entry = stats[label]
-            order = LABELS.index(label) if label in LABELS else len(LABELS)
-            return (-entry["count"], entry["sum_distance"], order, label)
+            return (-entry["count"], entry["sum_distance"], _class_rank(label))
         present = [c for c in self.classes if stats[c]["count"] > 0]
         return min(present, key=rank)
 
@@ -294,10 +305,7 @@ class DecisionTreeModel:
 
     def label(self, dist: dict[str, float]) -> str:
         """Most probable leaf class; ties break on fixed class order."""
-        def rank(label: str):
-            order = LABELS.index(label) if label in LABELS else len(LABELS)
-            return (-dist[label], order, label)
-        return min(self.classes, key=rank)
+        return min(self.classes, key=lambda label: (-dist[label], _class_rank(label)))
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -550,8 +558,7 @@ def save_classifier(model: KNNModel | DecisionTreeModel, path: str | Path) -> No
             "classes": model.classes,
             "payload": {"tree": _tree_to_dict(model.root)},
         }
-    with open(path, "w") as f:
-        json.dump(doc, f)
+    write_json(path, doc)
 
 
 def load_classifier(path: str | Path) -> KNNModel | DecisionTreeModel:

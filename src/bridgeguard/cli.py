@@ -21,9 +21,10 @@ from .errors import BridgeGuardError
 from .ingest import (
     TxRecord,
     flatten_frames,
-    load_manifest,
+    load_corpus,
     load_trace_file,
-    save_trace_file,
+    record_to_document,
+    write_json,
 )
 from .pipeline import (
     detect,
@@ -54,25 +55,6 @@ def _emit(payload: dict, fmt: str, table: str) -> None:
     click.echo(json.dumps(payload, sort_keys=True, indent=1) if fmt == "json" else table)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        json.dump(payload, f, sort_keys=True, indent=1)
-        f.write("\n")
-
-
-def _load_corpus(manifest_file) -> tuple[list[TxRecord], list[str]]:
-    manifest_path = Path(manifest_file)
-    records, labels = [], []
-    for entry in load_manifest(manifest_path).entries:
-        source = Path(entry.source)
-        if not source.is_absolute():
-            source = manifest_path.parent / source
-        records.append(load_trace_file(source, chain_id=entry.chain_id))
-        labels.append(entry.label)
-    return records, labels
-
-
 def _each_input(inputs, cfg: RunConfig, work) -> list[tuple[str, str]]:
     """Load each input (a file path, or a 0x hash over RPC) and pass its record
     to `work`; a failure in either ends only that input and is returned."""
@@ -101,7 +83,7 @@ def _report(rows: list[dict], failures: list[tuple[str, str]], config_hash: str,
     payload = {"rows": rows, "failures": [list(f) for f in failures],
                "config_hash": config_hash}
     if out_file:
-        _write_json(Path(out_file), payload)
+        write_json(out_file, payload)
     _emit(payload, fmt, table)
     for item, message in failures:
         click.echo(f"failed: {item}: {message}", err=True)
@@ -128,14 +110,12 @@ def main() -> None:
 def ingest(inputs, config_file, rpc_url, cache_dir, out_dir, dump_graph, fmt):
     """Normalize traces from files or tx hashes; optionally dump graphs."""
     cfg = resolve_config(config_file, rpc_url=rpc_url, cache_dir=cache_dir)
-    if out_dir:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
     rows = []
 
     def summarize(record: TxRecord) -> None:
         graph = build_xteg(record)
         if out_dir:
-            save_trace_file(record, Path(out_dir) / f"{record.tx_hash}.json")
+            write_json(Path(out_dir) / f"{record.tx_hash}.json", record_to_document(record))
         rows.append({
             "tx_hash": record.tx_hash,
             "chain_id": record.chain_id,
@@ -192,12 +172,12 @@ def synth(out_dir, n_normal, attack_rate, src_tgt_ratio, noise_prob,
 def train(manifest_file, model_dir, config_file, classifier, seed, fmt):
     """Split, featurize, fit a detector; write the model bundle + metrics."""
     cfg = resolve_config(config_file, classifier=classifier, seed=seed)
-    records, labels = _load_corpus(manifest_file)
+    records, labels = load_corpus(manifest_file)
     bundle, metrics = train_detector(records, labels, cfg)
     save_bundle(bundle, model_dir)
     payload = {"metrics": metrics, "config": cfg.to_dict(),
                "config_hash": cfg.config_hash(), "model_dir": str(model_dir)}
-    _write_json(Path(model_dir) / "metrics.json", payload)
+    write_json(Path(model_dir) / "metrics.json", payload)
     _emit(payload, fmt, _metrics_table(metrics) + f"\nmodel bundle -> {model_dir}")
 
 
@@ -226,14 +206,14 @@ def evaluate(manifest_file, config_file, classifiers, runs, seed, out_file, fmt)
     """Repeated split/train/eval protocol; mean and std of all metrics."""
     cfg = resolve_config(config_file, runs=runs, seed=seed)
     kinds = tuple(classifiers) or (cfg.classifier,)
-    records, labels = _load_corpus(manifest_file)
+    records, labels = load_corpus(manifest_file)
     report = repeated_pipeline_eval(records, labels, cfg, classifiers=kinds)
     payload = {"report": report, "config": cfg.to_dict(),
                "config_hash": cfg.config_hash()}
     if out_file:
-        _write_json(Path(out_file), payload)
+        write_json(out_file, payload)
     tables = []
-    for kind in kinds:
+    for kind in dict.fromkeys(kinds):
         mean = report[kind]["mean"]
         tables.append(f"[{kind}] mean over {report['runs']} runs\n"
                       + _metrics_table(mean))
@@ -267,20 +247,20 @@ def detect_cmd(inputs, model_dir, config_file, rpc_url, cache_dir, out_file, fmt
 @main.command()
 @click.option("--manifest", "manifest_file", type=click.Path(exists=True), required=True)
 @click.option("--model-dir", type=click.Path(exists=True), required=True)
-@click.option("--limit", type=int, default=None, help="Bench only the first N transactions.")
+@click.option("--limit", type=click.IntRange(min=1), default=None,
+              help="Bench only the first N transactions.")
 @click.option("--out", "out_file", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
 @_guarded
 def bench(manifest_file, model_dir, limit, out_file, fmt):
     """Per-stage timing and TPS over a corpus (single worker)."""
     bundle = load_bundle(model_dir)
-    records, _ = _load_corpus(manifest_file)
-    if limit:
-        records = records[:limit]
+    records, _ = load_corpus(manifest_file)
+    records = records[:limit]
     report = run_bench(records, bundle)
     payload = report.to_dict()
     if out_file:
-        _write_json(Path(out_file), payload)
+        write_json(out_file, payload)
     _emit(payload, fmt, format_bench_table(report))
 
 

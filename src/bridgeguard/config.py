@@ -6,17 +6,17 @@ artifact so results are attributable to exact settings.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import os
+import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
 
 from .classify import CLASSIFIERS
 from .errors import InvalidConfig
-from .features import EMBED_DIM
+from .features import DEPOSIT, EMBED_DIM, WITHDRAWAL
+from .hashing import json_hash64
 from .ingest import read_json
 
 ENV_RPC_URL = "BRIDGEGUARD_RPC_URL"
@@ -46,14 +46,15 @@ class RunConfig:
         return asdict(self)
 
     def config_hash(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.blake2b(canonical.encode(), digest_size=8).hexdigest()
+        return json_hash64(self.to_dict())
 
 
 # Field name -> the types its value may have (`int | None` -> (int, NoneType)).
 _FIELD_TYPES = {name: get_args(hint) or (hint,)
                 for name, hint in get_type_hints(RunConfig).items()}
 
+
+_is_topic0 = re.compile(r"0x[0-9a-f]{64}").fullmatch
 
 # Field name -> (whether a value of the right type is in range, that range).
 _RANGES = {
@@ -68,6 +69,11 @@ _RANGES = {
     "min_samples_leaf": (lambda v: v >= 1, ">= 1"),
     "split_ratio": (lambda v: 0 < v < 1, "in (0, 1)"),
     "runs": (lambda v: v >= 1, ">= 1"),
+    "signatures": (lambda v: v is None or all(
+        isinstance(topic, str) and _is_topic0(topic) and direction in (DEPOSIT, WITHDRAWAL)
+        for topic, direction in v.items()),
+        f"null or a map of topic0 (0x and 64 lowercase hex digits, as ingest "
+        f"normalizes it) to {DEPOSIT!r} or {WITHDRAWAL!r}"),
 }
 
 

@@ -32,7 +32,7 @@ class TraceUnsupported(BridgeGuardError):
 
 
 class DisconnectedGraph(BridgeGuardError):
-    """Built graph failed the weak-connectivity consistency check."""
+    """Built graph has fewer than 2 vertices."""
 
 
 # --- features ----------------------------------------------------------

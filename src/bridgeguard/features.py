@@ -34,8 +34,9 @@ FLAG_DEPOSIT = 1.0
 FLAG_WITHDRAWAL = 0.0
 FLAG_UNKNOWN = 0.5
 
-# Bridge event signatures recognized out of the box; a config file can
-# extend or replace the topic0 -> class mapping.
+# Bridge event signatures recognized out of the box. A config's
+# `signatures` map replaces the topic0 -> class mapping whole; an empty or
+# absent map keeps these defaults.
 LOCK_EVENT = "Lock(address,uint256)"
 DEPOSIT_EVENT = "Deposit(address,uint256,uint256)"
 UNLOCK_EVENT = "Unlock(address,uint256)"

@@ -10,6 +10,7 @@ to cross-validate against hashlib.
 from __future__ import annotations
 
 import hashlib
+import json
 
 _MASK64 = (1 << 64) - 1
 
@@ -101,6 +102,12 @@ def event_topic(signature: str) -> str:
 def stable_hash64(text: str) -> str:
     """Platform-stable 64-bit hash of a label string, as 16 hex chars."""
     return hashlib.blake2b(text.encode("utf-8"), digest_size=8).hexdigest()
+
+
+def json_hash64(payload: object) -> str:
+    """`stable_hash64` of the canonical JSON of `payload`: sorted keys, no
+    whitespace. Equal settings hash equally wherever they are written."""
+    return stable_hash64(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
 def seed_prefix(seed: int, *parts: object) -> hashlib.blake2b:

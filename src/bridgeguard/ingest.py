@@ -273,10 +273,18 @@ def record_to_document(record: TxRecord) -> dict:
     }
 
 
-def save_trace_file(record: TxRecord, path: str | Path) -> None:
-    with open(path, "w") as f:
-        json.dump(record_to_document(record), f, indent=1, sort_keys=True)
-        f.write("\n")
+def write_json(path: str | Path, payload: object) -> None:
+    """Write `payload` as JSON with sorted keys, one-space indent and a final
+    newline, creating the parent directory. Every JSON file the toolkit
+    writes goes through here."""
+    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    try:
+        f = open(path, "w")
+    except FileNotFoundError:  # only then: a mkdir per file slows corpus writes
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        f = open(path, "w")
+    with f:
+        f.write(text)
 
 
 # --- frame utilities -------------------------------------------------------
@@ -343,6 +351,15 @@ def load_manifest(path: str | Path) -> DatasetManifest:
                 raise InvalidConfig(f"{path}:{lineno}: {exc}") from exc
             entries.append(ManifestEntry(source=source, label=label, chain_id=chain_id))
     return DatasetManifest(entries=entries)
+
+
+def load_corpus(manifest_path: str | Path) -> tuple[list[TxRecord], list[str]]:
+    """The records and labels a manifest lists, in its order. A relative
+    source resolves against the manifest's directory."""
+    root = Path(manifest_path).parent
+    entries = load_manifest(manifest_path).entries
+    return ([load_trace_file(root / entry.source, chain_id=entry.chain_id)
+             for entry in entries], [entry.label for entry in entries])
 
 
 def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:

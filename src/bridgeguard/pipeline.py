@@ -8,7 +8,6 @@ resolved configuration.
 
 from __future__ import annotations
 
-import json
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,7 +25,7 @@ from .classify import (
     knn_train,
     load_classifier,
     save_classifier,
-    split_dataset,
+    split_indices,
 )
 from .config import RunConfig, config_from_dict
 from .errors import InvalidConfig, ModelMissing
@@ -39,7 +38,7 @@ from .graph2vec import (
     save_model,
     train_graph2vec,
 )
-from .ingest import LABELS, TxRecord, read_json
+from .ingest import LABELS, TxRecord, read_json, write_json
 from .motifs import LocalFeature, local_feature
 from .wl import WLDocument, wl_document
 from .xteg import build_xteg
@@ -117,27 +116,25 @@ def _protocol_run(preps: list[PreparedTx], labels: list[str], cfg: RunConfig,
     for kind in kinds:
         if kind not in CLASSIFIERS:
             raise InvalidConfig(f"unknown classifier {kind!r}; one of {', '.join(CLASSIFIERS)}")
-    shells = [LabeledSample(tx_hash=str(i), features=None, label=lab)
-              for i, lab in enumerate(labels)]
-    train_shells, test_shells = split_dataset(shells, ratio=cfg.split_ratio, seed=seed)
+    train_idx, test_idx = split_indices(labels, ratio=cfg.split_ratio, seed=seed)
     params = TrainParams(epochs=cfg.epochs, learning_rate=cfg.learning_rate,
                          negative=cfg.negative, wl_iterations=cfg.wl_iterations)
-    model = train_graph2vec([preps[int(s.tx_hash)].doc for s in train_shells],
+    model = train_graph2vec([preps[i].doc for i in train_idx],
                             dim=cfg.embedding_dim, params=params, seed=seed)
     # infer_embedding depends only on (model, content hash), and contents repeat.
     embeddings: dict[str, np.ndarray] = {}
 
-    def sample(shell: LabeledSample) -> LabeledSample:
-        prep = preps[int(shell.tx_hash)]
+    def sample(i: int) -> LabeledSample:
+        prep = preps[i]
         doc = prep.doc
         if doc.content_hash not in embeddings:
             embeddings[doc.content_hash] = infer_embedding(model, doc)
         return LabeledSample(prep.record.tx_hash,
-                             _assemble(prep, embeddings[doc.content_hash]), shell.label)
+                             _assemble(prep, embeddings[doc.content_hash]), labels[i])
 
-    train = [sample(s) for s in train_shells]
-    test = [sample(s) for s in test_shells]
-    truth = [s.label for s in test]
+    train = [sample(i) for i in train_idx]
+    test = [sample(i) for i in test_idx]
+    truth = [labels[i] for i in test_idx]
     fitted = {}
     for kind in kinds:
         if kind == "knn":
@@ -170,6 +167,7 @@ def repeated_pipeline_eval(records: list[TxRecord], labels: list[str],
     each classifier kind's reports."""
     if cfg.runs < 1:
         raise InvalidConfig("runs must be >= 1")
+    classifiers = tuple(dict.fromkeys(classifiers))  # each kind is fitted once
     preps = [prepare(r, cfg) for r in records]
     reports: dict[str, list[dict]] = {kind: [] for kind in classifiers}
     for run in range(cfg.runs):
@@ -205,14 +203,11 @@ def save_bundle(bundle: DetectorBundle, out_dir: str | Path) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     save_model(bundle.embedding, out_dir / EMBEDDING_FILE)
     save_classifier(bundle.classifier, out_dir / CLASSIFIER_FILE)
-    meta = {
+    write_json(out_dir / BUNDLE_FILE, {
         "version": BUNDLE_FORMAT_VERSION,
         "config": bundle.config.to_dict(),
         "config_hash": bundle.config.config_hash(),
-    }
-    with open(out_dir / BUNDLE_FILE, "w") as f:
-        json.dump(meta, f, indent=1, sort_keys=True)
-        f.write("\n")
+    })
     return out_dir
 
 

@@ -7,14 +7,13 @@ replay offline.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
 import requests
 
 from .errors import RpcUnavailable, TraceUnsupported, TxNotFound
-from .ingest import TxRecord, read_json, record_from_document
+from .ingest import TxRecord, read_json, record_from_document, write_json
 
 _METHOD_NOT_FOUND = -32601
 
@@ -112,11 +111,9 @@ class RpcClient:
         record = record_from_document(doc)
 
         if cache_path is not None:  # written beside, then renamed: never partial
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
             tmp = cache_path.with_name(f"{cache_path.name}.{os.getpid()}.tmp")
             try:
-                with open(tmp, "w") as f:
-                    json.dump(doc, f)
+                write_json(tmp, doc)
                 os.replace(tmp, cache_path)
             finally:
                 tmp.unlink(missing_ok=True)

@@ -16,7 +16,6 @@ contract addresses stay fixed per corpus, mirroring real deployments.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,14 +23,15 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .features import DEPOSIT_EVENT, LOCK_EVENT, UNLOCK_EVENT, WITHDRAWAL_EVENT
-from .hashing import derive_seed, event_topic, selector
+from .hashing import derive_seed, event_topic, json_hash64, selector
 from .ingest import (
     DatasetManifest,
     ManifestEntry,
     TxRecord,
     record_from_document,
+    record_to_document,
     save_manifest,
-    save_trace_file,
+    write_json,
 )
 
 NOISE_OFF = (0.0, 0)
@@ -266,8 +266,7 @@ def gen_dataset(cfg: GenConfig) -> tuple[list[SynthTx], DatasetManifest]:
 
 
 def gen_config_hash(cfg: GenConfig) -> str:
-    canonical = json.dumps(_sidecar(cfg), sort_keys=True, separators=(",", ":"))
-    return hashlib.blake2b(canonical.encode(), digest_size=8).hexdigest()
+    return json_hash64(_sidecar(cfg))
 
 
 def _sidecar(cfg: GenConfig) -> dict:
@@ -286,10 +285,9 @@ def write_corpus(samples: list[SynthTx], manifest: DatasetManifest,
     out_dir = Path(out_dir)
     (out_dir / "traces").mkdir(parents=True, exist_ok=True)
     for tx in samples:
-        save_trace_file(tx.record, out_dir / "traces" / f"{tx.record.tx_hash}.json")
+        write_json(out_dir / "traces" / f"{tx.record.tx_hash}.json",
+                   record_to_document(tx.record))
     save_manifest(manifest, out_dir / "manifest.jsonl")
-    sidecar = dict(_sidecar(cfg), config_hash=gen_config_hash(cfg))
-    with open(out_dir / "gen_config.json", "w") as f:
-        json.dump(sidecar, f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json(out_dir / "gen_config.json",
+               dict(_sidecar(cfg), config_hash=gen_config_hash(cfg)))
     return out_dir / "manifest.jsonl"

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 
 from bridgeguard.classify import (
     FEATURE_DIM,
+    DecisionTreeModel,
     FeatureVector,
     KNNModel,
     LabeledSample,
     Standardizer,
+    TreeNode,
     _admit_sqrt_ties,
+    _label_order,
     collapse_attack,
     concat_features,
     dtree_predict,
@@ -25,6 +28,7 @@ from bridgeguard.classify import (
     load_classifier,
     save_classifier,
     split_dataset,
+    split_indices,
 )
 from bridgeguard.errors import (
     ClassTooSmall,
@@ -112,6 +116,24 @@ def test_split_deterministic_given_seed():
     assert [s.tx_hash for s in t1[1]] == [s.tx_hash for s in t2[1]]
     t3 = split_dataset(samples, seed=10)
     assert [s.tx_hash for s in t1[0]] != [s.tx_hash for s in t3[0]]
+
+
+def test_split_dataset_takes_the_samples_at_split_indices(rng):
+    samples = _blobs(rng)
+    labels = [s.label for s in samples]
+    train_idx, test_idx = split_indices(labels, ratio=0.6, seed=4)
+    train, test = split_dataset(samples, ratio=0.6, seed=4)
+    assert [s.tx_hash for s in train] == [samples[i].tx_hash for i in train_idx]
+    assert [s.tx_hash for s in test] == [samples[i].tx_hash for i in test_idx]
+    assert sorted(train_idx + test_idx) == list(range(len(samples)))
+
+
+def test_class_order_puts_labels_first_then_other_names_for_splits_and_tree_ties():
+    assert _label_order({"Zeta", "AttackTgt", "Alpha", "Normal"}) == [
+        "Normal", "AttackTgt", "Alpha", "Zeta"]
+    tree = DecisionTreeModel(root=TreeNode(counts=np.array([1.0, 1.0, 1.0])),
+                             classes=["Other", "AttackTgt", "Normal"])
+    assert tree.label(tree.scores([0.0] * FEATURE_DIM)) == "Normal"
 
 
 def test_split_rejects_degenerate_ratio_and_empty():

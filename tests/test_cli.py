@@ -218,6 +218,26 @@ def test_bench_reports_stages_and_tps(workspace, runner, tmp_path):
             < header.index("p99 (ms)"))
 
 
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_bench_limit_below_one_is_a_usage_error(workspace, runner, limit):
+    result = runner.invoke(main, [
+        "bench", "--manifest", str(workspace["corpus"] / "manifest.jsonl"),
+        "--model-dir", str(workspace["model"]), "--limit", limit,
+    ])
+    assert result.exit_code == 2  # click's usage error, before any trace is read
+    assert "--limit" in result.output and "x>=1" in result.output
+
+
+def test_evaluate_repeated_classifier_is_printed_once(workspace, runner):
+    result = runner.invoke(main, [
+        "evaluate", "--manifest", str(workspace["corpus"] / "manifest.jsonl"),
+        "--config", str(workspace["config"]), "--runs", "1",
+        "--classifier", "knn", "--classifier", "knn",
+    ])
+    assert result.exit_code == 0, result.output
+    assert result.output.count("[knn] mean over 1 runs") == 1
+
+
 def test_bench_too_small_corpus_fails(workspace, runner, tmp_path):
     corpus, model_dir = workspace["corpus"], workspace["model"]
     manifest = load_manifest(corpus / "manifest.jsonl")

@@ -5,6 +5,7 @@ import pytest
 from bridgeguard.classify import CLASSIFIERS
 from bridgeguard.config import ENV_RPC_URL, RunConfig, config_from_dict, resolve_config
 from bridgeguard.errors import InvalidConfig
+from bridgeguard.features import DEFAULT_SIGNATURES
 
 
 def test_defaults():
@@ -94,6 +95,10 @@ def test_default_config_hash_is_stable():
     ("min_samples_leaf", -2), ("split_ratio", 0), ("split_ratio", 1),
     ("split_ratio", 1.5), ("split_ratio", -0.5), ("split_ratio", float("nan")),
     ("runs", 0), ("runs", -1),
+    # topic0 must be in ingest's normalized form, or it never matches a log.
+    ("signatures", {"0x" + "AB" * 32: "deposit"}), ("signatures", {"x": "Deposit"}),
+    ("signatures", {"0x" + "ab" * 31: "deposit"}), ("signatures", {"0x" + "ab" * 32: "Deposit"}),
+    ("signatures", {"ab" * 33: "withdrawal"}), ("signatures", {"0x" + "ab" * 32: None}),
 ])
 def test_value_out_of_range_rejected_naming_key(key, value):
     with pytest.raises(InvalidConfig, match=f"c.json: {key} must be "):
@@ -111,3 +116,5 @@ def test_range_edges_accepted():
     assert config_from_dict({"max_depth": None}, "c.json").max_depth is None
     for kind in CLASSIFIERS:
         assert config_from_dict({"classifier": kind}, "c.json").classifier == kind
+    for signatures in ({}, {"0x" + "ab" * 32: "withdrawal"}, dict(DEFAULT_SIGNATURES)):
+        assert config_from_dict({"signatures": signatures}, "c.json").signatures == signatures

@@ -13,13 +13,15 @@ from bridgeguard.ingest import (
     ManifestEntry,
     _norm_hex,
     flatten_frames,
+    load_corpus,
     load_manifest,
     load_trace_file,
     read_json,
     record_from_document,
+    record_to_document,
     save_manifest,
-    save_trace_file,
     validate_record,
+    write_json,
 )
 from bridgeguard.rpc import RpcClient
 from bridgeguard.xteg import XTEG, build_xteg
@@ -112,7 +114,7 @@ def test_round_trip_through_disk_format(tmp_path_factory, seed):
     rng = np.random.default_rng(seed)
     record = record_from_document(random_trace_doc(rng, max_frames=60))
     path = tmp_path_factory.mktemp("rt") / "tx.json"
-    save_trace_file(record, path)
+    write_json(path, record_to_document(record))
     assert load_trace_file(path) == record
 
 
@@ -309,3 +311,31 @@ def test_manifest_round_trip_and_validation(tmp_path):
     with pytest.raises(InvalidConfig):
         load_manifest(path)
     assert set(LABELS) == {"Normal", "AttackSrc", "AttackTgt"}
+
+
+def test_write_json_is_the_one_file_policy(tmp_path):
+    path = tmp_path / "new" / "dir" / "out.json"
+    payload = {"b": [1, 2.5], "a": {"z": None, "y": "0x01"}}
+    write_json(path, payload)  # creates the parent directories
+    assert path.read_text() == json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    write_json(path, [])  # overwrites
+    assert path.read_text() == "[]\n"
+
+
+def test_load_corpus_resolves_relative_sources_against_the_manifest(tmp_path):
+    docs = [_doc({"type": "CALL", "from": A, "to": callee, "input": "0x"})
+            for callee in (B, C)]
+    (tmp_path / "corpus" / "traces").mkdir(parents=True)
+    relative = tmp_path / "corpus" / "traces" / "one.json"
+    absolute = tmp_path / "elsewhere.json"
+    relative.write_text(json.dumps(docs[0]))
+    absolute.write_text(json.dumps(docs[1]))
+    manifest = tmp_path / "corpus" / "manifest.jsonl"
+    save_manifest(DatasetManifest([
+        ManifestEntry(source="traces/one.json", label="Normal", chain_id=1),
+        ManifestEntry(source=str(absolute), label="AttackTgt", chain_id=56)]), manifest)
+    records, labels = load_corpus(manifest)
+    assert labels == ["Normal", "AttackTgt"]
+    assert records == [record_from_document(docs[0], chain_id=1),
+                       record_from_document(docs[1], chain_id=56)]
+    assert [r.chain_id for r in records] == [1, 56]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from bridgeguard import pipeline
 from bridgeguard.bench import STAGES, run_bench
 from bridgeguard.classify import (
     dtree_leaf_distribution,
@@ -131,6 +132,21 @@ def test_repeated_pipeline_eval_deterministic_json(small_corpus):
         per_class = r1[kind]["mean"]["per_class"]
         assert set(per_class) == {"Normal", "AttackSrc", "AttackTgt"}
         assert set(r1[kind]["std"]["per_class"]) == set(per_class)
+
+
+def test_repeated_pipeline_eval_fits_a_repeated_kind_once(small_corpus, monkeypatch):
+    records, labels = small_corpus
+    cfg = RunConfig(seed=3, **FAST)
+    once = repeated_pipeline_eval(records, labels, cfg, classifiers=("knn", "dtree"))
+    fits = []
+    dtree_train = pipeline.dtree_train
+    monkeypatch.setattr(pipeline, "dtree_train",
+                        lambda *a, **kw: fits.append(1) or dtree_train(*a, **kw))
+    twice = repeated_pipeline_eval(records, labels, cfg,
+                                   classifiers=("dtree", "knn", "dtree", "knn"))
+    assert twice == once
+    assert list(twice) == ["runs", "config_hash", "dtree", "knn"]  # first-seen order
+    assert len(fits) == cfg.runs
 
 
 def test_repeated_pipeline_eval_dtree_deterministic(small_corpus):

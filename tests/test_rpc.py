@@ -4,6 +4,7 @@ import pytest
 
 from bridgeguard.errors import RpcUnavailable, TraceUnsupported, TxNotFound
 from bridgeguard.ingest import record_from_document
+from bridgeguard import rpc
 from bridgeguard.rpc import RpcClient
 
 A = "0x" + "aa" * 20
@@ -188,12 +189,13 @@ def test_unparseable_chain_id_raises_rpc_unavailable(result):
 
 
 def test_interrupted_cache_write_leaves_no_entry(tmp_path, monkeypatch):
-    def dump_half(doc, f):
-        f.write(json.dumps(doc)[:20])
+    def write_half(path, doc):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(doc)[:20])
         raise OSError("disk full")
 
     client = RpcClient("http://node", cache_dir=tmp_path, session=FakeNode())
-    monkeypatch.setattr(json, "dump", dump_half)
+    monkeypatch.setattr(rpc, "write_json", write_half)
     with pytest.raises(OSError, match="disk full"):
         client.fetch_tx_record(TX)
     monkeypatch.undo()
@@ -208,3 +210,10 @@ def test_truncated_cache_entry_raises_rpc_unavailable_naming_it(tmp_path):
     offline = RpcClient("http://node", cache_dir=tmp_path, session=FakeNode(known=False))
     with pytest.raises(RpcUnavailable, match=f"{entry.name}: invalid JSON"):
         offline.fetch_tx_record(TX)
+
+
+def test_cache_entry_is_written_by_the_one_json_writer(tmp_path):
+    RpcClient("http://node", cache_dir=tmp_path, session=FakeNode()).fetch_tx_record(TX)
+    (entry,) = [path for path in tmp_path.rglob("*") if path.is_file()]
+    text = entry.read_text()
+    assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"

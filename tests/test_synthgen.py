@@ -1,15 +1,22 @@
+import hashlib
 import json
 
 import pytest
 
 from bridgeguard.errors import InvalidConfig
 from bridgeguard.features import DEPOSIT, DEFAULT_SIGNATURES
-from bridgeguard.ingest import load_manifest, load_trace_file, validate_record
+from bridgeguard.ingest import (
+    load_manifest,
+    load_trace_file,
+    record_from_document,
+    validate_record,
+)
 from bridgeguard.motifs import local_feature
 from bridgeguard.synthgen import (
     GenConfig,
     gen_attack_src,
     gen_attack_tgt,
+    gen_config_hash,
     gen_dataset,
     gen_normal_deposit,
     gen_normal_withdrawal,
@@ -151,6 +158,27 @@ def test_write_corpus_round_trips(tmp_path):
         assert record == tx.record
     sidecar = json.loads((tmp_path / "gen_config.json").read_text())
     assert sidecar["seed"] == 3 and sidecar["n_normal"] == 20
+
+
+def test_written_bytes_are_pinned(tmp_path):
+    # Trace files are the benchmark's inputs; their bytes, the sidecar's, the
+    # manifest's and the derived hashes stay as they are.
+    cfg = GenConfig(n_normal=8, attack_rate=0.25, seed=11)
+    samples, manifest = gen_dataset(cfg)
+    write_corpus(samples, manifest, tmp_path, cfg)
+    traces = sorted((tmp_path / "traces").iterdir())
+    assert len(traces) == 10
+    digest = hashlib.sha256(b"".join(path.read_bytes() for path in traces)).hexdigest()
+    assert digest == "2ec694cbae55f71e03cb1676475a6d6f6a72eb280629df431fa197d3d4eea766"
+    assert hashlib.sha256((tmp_path / "gen_config.json").read_bytes()).hexdigest() == (
+        "890a463935e2b9f758f0dc2c4de585478982d86089232a530a44539566562885")
+    assert hashlib.sha256((tmp_path / "manifest.jsonl").read_bytes()).hexdigest() == (
+        "26f2fdf34f2c60114eec075bdd75b809379d92bb27b4474ced162245662e13cb")
+    assert gen_config_hash(cfg) == "7e22d8a2a2977b9f"
+    doc = {"trace": {"type": "CALL", "from": "0x" + "ab" * 20, "to": "0x" + "cd" * 20,
+                     "input": "0x", "value": "0x0"}, "logs": []}
+    assert record_from_document(doc).tx_hash == (
+        "0x8c65e7fd8876ac1e377c32012a3808cce3ba7284204e001596064be47067b3e9")
 
 
 def test_invalid_configs_rejected():
