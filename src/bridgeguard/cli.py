@@ -21,6 +21,7 @@ from .errors import BridgeGuardError
 from .ingest import (
     TxRecord,
     flatten_frames,
+    json_text,
     load_corpus,
     load_trace_file,
     record_to_document,
@@ -52,7 +53,7 @@ def _guarded(command):
 
 
 def _emit(payload: dict, fmt: str, table: str) -> None:
-    click.echo(json.dumps(payload, sort_keys=True, indent=1) if fmt == "json" else table)
+    click.echo(json_text(payload) if fmt == "json" else table)
 
 
 def _each_input(inputs, cfg: RunConfig, work) -> list[tuple[str, str]]:

@@ -85,6 +85,18 @@ def _type_ok(value: object, allowed: tuple[type, ...]) -> bool:
     return isinstance(value, allowed)
 
 
+def field_error(key: str, value: object) -> str | None:
+    """Why `value` is not a valid setting of RunConfig field `key` (not of
+    its type, or outside its `_RANGES` range), or None when it is."""
+    allowed = _FIELD_TYPES[key]
+    if not _type_ok(value, allowed):
+        expected = " | ".join("null" if t is type(None) else t.__name__ for t in allowed)
+        return f"{key} must be {expected}, got {type(value).__name__} {value!r}"
+    if key in _RANGES and not _RANGES[key][0](value):
+        return f"{key} must be {_RANGES[key][1]}, got {value!r}"
+    return None
+
+
 def config_from_dict(values: dict, source: str | Path) -> RunConfig:
     """A RunConfig from stored or user-given settings; a key that is not a
     RunConfig field, or a value not of its field's type or outside its
@@ -96,13 +108,9 @@ def config_from_dict(values: dict, source: str | Path) -> RunConfig:
     if unknown:
         raise InvalidConfig(f"{source}: unknown keys {sorted(unknown)}")
     for key, value in values.items():
-        allowed = _FIELD_TYPES[key]
-        if not _type_ok(value, allowed):
-            expected = " | ".join("null" if t is type(None) else t.__name__ for t in allowed)
-            raise InvalidConfig(f"{source}: {key} must be {expected}, "
-                                f"got {type(value).__name__} {value!r}")
-        if key in _RANGES and not _RANGES[key][0](value):
-            raise InvalidConfig(f"{source}: {key} must be {_RANGES[key][1]}, got {value!r}")
+        problem = field_error(key, value)
+        if problem:
+            raise InvalidConfig(f"{source}: {problem}")
     return RunConfig(**{key: float(value) if float in _FIELD_TYPES[key] else value
                         for key, value in values.items()})
 

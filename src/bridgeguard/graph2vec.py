@@ -63,7 +63,7 @@ Every noise stream (a distinct document's epoch in training, an epoch of an
 inference miss) and every start vector draws from `np.random.default_rng(s)`
 for a seed s derived from the content hash. Building that generator costs a
 SeedSequence and a PCG64, about 25 us, for a few hundred uniforms, so
-`_seeded` reproduces it without building one per seed. `default_rng(s)` is
+`_Streams` reproduces it without building one per seed. `default_rng(s)` is
 `Generator(PCG64(SeedSequence(s)))`:
 
 * SeedSequence splits s into little-endian 32-bit words (one or two for a
@@ -77,14 +77,35 @@ SeedSequence and a PCG64, about 25 us, for a few hundred uniforms, so
 * PCG64 seeds itself (`pcg64_srandom_r`) with inc = 2 initseq + 1 and
   state = (inc + initstate) M + inc mod 2^128, M its multiplier.
 
-So one vectorized uint32 pass computes (state, inc) for all of a call's
-seeds, and one PCG64 set to each in turn gives the bits, and through the same
-`Generator` the doubles, that `default_rng(s)` gives. This rests on NumPy's
-stream guarantee for bit generators (NEP 19, "Compatibility policy" of
-`numpy.random`): for a given seed, SeedSequence and PCG64 produce the same
-bits in every release. The tests compare `_seeded` with `default_rng` on
-seeds across the whole 64-bit range, and the plain algorithm of the tests
-still builds one `default_rng` per stream.
+So one vectorized uint32 pass (`_pcg64_states`) computes (state, inc) for
+all of a call's seeds, and one PCG64 set to each in turn gives the bits, and
+through the same `Generator` the doubles, that `default_rng(s)` gives. This
+rests on NumPy's stream guarantee for bit generators (NEP 19, "Compatibility
+policy" of `numpy.random`): for a given seed, SeedSequence and PCG64 produce
+the same bits in every release. The tests compare filled rows with
+`default_rng(s).random(n)` on seeds across the whole 64-bit range, and the
+plain algorithm of the tests still builds one `default_rng` per stream.
+
+The noise of a call is filled and drawn block by block. `_Streams.fill` sets
+the PCG64 to each stream's state in turn and lets `Generator.random(out=...)`
+write that stream's uniforms straight into its slice of one reused buffer:
+a row per epoch of an inference miss, a span per job in training. A block
+holds at most `_DRAW_BLOCK` uniforms (or one larger stream), and the sampler
+draws at most `_DRAW_BLOCK` of them per call. A draw depends only on its own
+uniform, so where the blocks are cut changes no token.
+
+An inference miss runs its epochs through buffers made once per miss: the
+token rows (positives first, then the negatives that one `take` overwrites
+each epoch), the row scores and the gradient. Each epoch is the plain step
+`d -= lr * (w.T @ (sigmoid(w @ d) - labels))` as the same operations on the
+same values, written in place: `np.matmul(..., out=...)` calls the gemv that
+`@` calls for the same shapes and strides; the sigmoid and the label
+subtraction are elementwise; and `lr * g`, then `d - (lr * g)`, are the two
+elementwise passes of the plain step, in its order. No sign-folding or other
+algebraic rewrite is made. Such rewrites are equal in exact arithmetic but
+not in floating point: storing -d and adding `lr * g` gives -0.0 wherever d
+becomes an exact zero (x - x is +0.0), and a regrouped product rounds
+differently.
 """
 
 from __future__ import annotations
@@ -93,14 +114,15 @@ import json
 import logging
 import time
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
+from .config import field_error
 from .errors import EmptyCorpus, ModelVersionMismatch, TrainingDiverged
-from .hashing import derive_seed, extend_seed, seed_prefix
+from .hashing import derive_seed, extend_seed, extend_seeds, seed_prefix
 from .wl import WLDocument
 
 MODEL_FORMAT_VERSION = 2  # 2: string arrays, loaded without pickle
@@ -128,9 +150,11 @@ class _NoiseSampler:
         self.buckets = 2 ** ((cdf.size - 1).bit_length() + 2)
         self.guide = np.searchsorted(self.cdf, np.arange(self.buckets) / self.buckets)
 
-    def draw(self, u: np.ndarray) -> np.ndarray:
-        """The token index of each uniform in [0, 1): `searchsorted(cdf, u)`."""
-        idx = self.guide[(u * self.buckets).astype(np.intp)]
+    def draw(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The token index of each uniform in [0, 1): `searchsorted(cdf, u)`,
+        written to `out` (intp, u's size) when given."""
+        # u * buckets < buckets, so "clip" only skips a buffered bounds check.
+        idx = self.guide.take((u * self.buckets).astype(np.intp), out=out, mode="clip")
         behind = np.flatnonzero(self.cdf[idx] < u)
         while behind.size:
             idx[behind] += 1
@@ -235,59 +259,42 @@ def _pcg64_states(seeds: list[int]) -> list[tuple[int, int]]:
     return states
 
 
-def _seeded(seeds: list[int]) -> Iterator[np.random.Generator]:
-    """For each seed in turn, a generator in the state
-    `np.random.default_rng(seed)` starts in. It is one generator, owned by
-    this call and re-seeded at each step: draw from it before the next."""
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    settings = bit_generator.state  # no buffered 32-bit half, as when fresh
-    for state, inc in _pcg64_states(seeds):
-        settings["state"] = {"state": state, "inc": inc}
-        bit_generator.state = settings
-        yield rng
+class _Streams:
+    """One PCG64, re-seeded in turn to the state `np.random.default_rng(seed)`
+    starts in, from its `_pcg64_states` entry (see the module docstring)."""
+
+    def __init__(self) -> None:
+        self._bits = np.random.PCG64(0)
+        self._settings = self._bits.state  # no buffered 32-bit half, as when fresh
+        self._rng = np.random.Generator(self._bits)
+
+    def at(self, state: tuple[int, int]) -> np.random.Generator:
+        """The generator, set to `state`; draw from it before the next call."""
+        self._settings["state"] = {"state": state[0], "inc": state[1]}
+        self._bits.state = self._settings
+        return self._rng
+
+    def fill(self, states: Iterable[tuple[int, int]], outs: Iterable[np.ndarray]) -> None:
+        """Fill each contiguous float64 array of `outs` in place with the first
+        uniforms of the stream of the matching state: its size many, as
+        `default_rng(seed).random(size)` draws them."""
+        bits, settings, rng = self._bits, self._settings, self._rng
+        # `at`, inlined: this loop runs once per stream.
+        for (state, inc), out in zip(states, outs, strict=True):
+            settings["state"] = {"state": state, "inc": inc}
+            bits.state = settings
+            rng.random(out=out)
 
 
 def _init_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rng.uniform(-0.5 / dim, 0.5 / dim, dim)
 
 
-def _lr_schedule(params: TrainParams, epoch: int) -> float:
-    return params.learning_rate * max(1.0 - epoch / params.epochs, 1e-4)
-
-
-def _dbow_step(d: np.ndarray, w: np.ndarray, n_pos: int, lr: float) -> None:
-    """One inference step of document vector `d` against its token rows `w`:
-    `n_pos` positives (label 1), then negatives (label 0). The token matrix
-    stays frozen, so no token gradient is formed."""
-    coef = _sigmoid(w @ d)
-    coef[:n_pos] -= 1.0  # minus the labels
-    d -= lr * (w.T @ coef)
-
-
-def _negatives(noise: _NoiseSampler, streams: Iterable[np.random.Generator],
-               counts: Iterable[int]) -> Iterator[np.ndarray]:
-    """The negatives of each request, in order: `counts[i]` noise tokens
-    drawn from the uniforms of `streams[i]`.
-
-    A request's uniforms come from its own (hash, epoch) stream, so they do
-    not depend on what else is drawn; the sampler runs on blocks of up to
-    `_DRAW_BLOCK` of them (or one larger request)."""
-    def drawn(block: list[np.ndarray]) -> list[np.ndarray]:
-        negatives = noise.draw(np.concatenate(block))
-        ends = np.cumsum([u.size for u in block]).tolist()
-        return [negatives[start:end] for start, end in zip([0] + ends, ends)]
-
-    block: list[np.ndarray] = []
-    size = 0
-    for rng, n in zip(streams, counts):
-        if block and size + n > _DRAW_BLOCK:
-            yield from drawn(block)
-            block, size = [], 0
-        block.append(rng.random(n))
-        size += n
-    if block:
-        yield from drawn(block)
+def _lr_schedule(params: TrainParams) -> list[float]:
+    """Each epoch's learning rate, `learning_rate * max(1 - epoch / epochs,
+    1e-4)`: elementwise, so each value is the scalar formula's."""
+    decay = np.maximum(1.0 - np.arange(params.epochs) / params.epochs, 1e-4)
+    return (params.learning_rate * decay).tolist()
 
 
 # Rows per stacked product and per accumulation pass in training. Every
@@ -310,13 +317,15 @@ def _stacks(n_pos: np.ndarray, negative: int) -> list[tuple[int, np.ndarray]]:
     return stacks
 
 
-def _spans(offsets: np.ndarray) -> list[tuple[int, int, int, int]]:
-    """Consecutive job ranges of at most `_CHUNK_ROWS` rows (or one longer
-    job), covering all jobs in order: (first job, end job, first row, end
-    row). `offsets[j]` is job j's first row and `offsets[-1]` the row count."""
+def _spans(offsets: np.ndarray, limit: int | None = None) -> list[tuple[int, int, int, int]]:
+    """Consecutive job ranges of at most `limit` (default `_CHUNK_ROWS`) rows
+    (or one longer job), covering all jobs in order: (first job, end job,
+    first row, end row). `offsets[j]` is job j's first row and `offsets[-1]`
+    the row count."""
+    limit = _CHUNK_ROWS if limit is None else limit
     spans, a, n_jobs = [], 0, offsets.size - 1
     while a < n_jobs:
-        b = max(a + 1, int(np.searchsorted(offsets, offsets[a] + _CHUNK_ROWS, "right")) - 1)
+        b = max(a + 1, int(np.searchsorted(offsets, offsets[a] + limit, "right")) - 1)
         spans.append((a, b, int(offsets[a]), int(offsets[b])))
         a = b
     return spans
@@ -365,9 +374,10 @@ def train_graph2vec(corpus: list[WLDocument], dim: int = 16,
         corpus_jobs.append(j)
     hashes = list(job_of)
     noise_seeds = [seed_prefix(seed, "neg", h) for h in hashes]  # + epoch: the seed
+    streams = _Streams()
     doc_vectors = np.empty((len(docs), dim))
-    for j, rng in enumerate(_seeded([derive_seed(seed, "doc", h) for h in hashes])):
-        doc_vectors[j] = _init_vector(rng, dim)
+    for j, state in enumerate(_pcg64_states([derive_seed(seed, "doc", h) for h in hashes])):
+        doc_vectors[j] = _init_vector(streams.at(state), dim)
 
     # Job j owns rows[offsets[j]:offsets[j + 1]]: its tokens, then its
     # negatives, which each epoch redraws in place.
@@ -377,9 +387,18 @@ def train_graph2vec(corpus: list[WLDocument], dim: int = 16,
     rows = np.empty(offsets[-1], dtype=np.int32)
     for doc, start, p in zip(docs, offsets.tolist(), n_pos.tolist()):
         rows[start:start + p] = [vocab[t] for t in doc.tokens]
-    neg_starts = (offsets[:-1] + n_pos).tolist()
-    neg_ends = offsets[1:].tolist()
-    neg_counts = (n_pos * params.negative).tolist()
+    # An epoch's uniforms, job after job, are cut into blocks of at most
+    # `_DRAW_BLOCK` (or one larger job), each filled and drawn in reused
+    # buffers. Job j's uniforms start at `neg_offsets[j]`; uniform i of the
+    # epoch lands in row `i + shift[j]`.
+    neg_counts = n_pos * params.negative
+    neg_offsets = np.concatenate([[0], np.cumsum(neg_counts)])
+    shift = offsets[:-1] + n_pos - neg_offsets[:-1]
+    blocks = [(a, b, first, last, (neg_offsets[a:b + 1] - first).tolist())
+              for a, b, first, last in _spans(neg_offsets, _DRAW_BLOCK)]
+    draw_size = max(_DRAW_BLOCK, int(neg_counts.max()))
+    uniforms, negatives = np.empty(draw_size), np.empty(draw_size, dtype=np.intp)
+    ramp = np.arange(draw_size)
     coefs = np.empty(rows.size)
     grads = np.zeros_like(doc_vectors)  # an empty document's stays zero
     stacks = _stacks(n_pos, params.negative)
@@ -395,13 +414,15 @@ def train_graph2vec(corpus: list[WLDocument], dim: int = 16,
 
     # Within an epoch every job reads its own document vector and the token
     # matrix as it stood at the epoch start; both change only at its end.
-    for epoch in range(params.epochs):
+    for epoch, lr in enumerate(_lr_schedule(params)):
         started = time.perf_counter() if debug else 0.0
-        lr = _lr_schedule(params, epoch)
-        streams = _seeded([extend_seed(prefix, epoch) for prefix in noise_seeds])
-        for start, end, negs in zip(neg_starts, neg_ends,
-                                    _negatives(noise, streams, neg_counts)):
-            rows[start:end] = negs
+        states = _pcg64_states([extend_seed(prefix, epoch) for prefix in noise_seeds])
+        for a, b, first, last, cuts in blocks:
+            u = uniforms[:last - first]
+            streams.fill(states[a:b], (u[i:j] for i, j in zip(cuts, cuts[1:])))
+            at = np.repeat(shift[a:b] + first, neg_counts[a:b])
+            at += ramp[:u.size]
+            rows[at] = noise.draw(u, out=negatives[:u.size])
         for p, jobs in stacks:
             at = offsets[jobs, None] + np.arange(p * (1 + params.negative))
             w = chunk[:at.size * dim].reshape(*at.shape, dim)
@@ -462,19 +483,40 @@ def infer_embedding(model: EmbeddingModel, doc: WLDocument) -> np.ndarray:
     h = doc.content_hash
     idx = np.array([model.vocab[t] for t in doc.tokens if t in model.vocab],
                    dtype=np.int64)
-    n_neg = len(doc.tokens) * params.negative
-    noise = seed_prefix(model.seed, "inferneg", h)  # + epoch: the noise seed
-    streams = _seeded([derive_seed(model.seed, "infer", h)]
-                      + [extend_seed(noise, epoch) for epoch in range(params.epochs)])
-    d = _init_vector(next(streams), model.dim)
-    # The positive rows stay put; each epoch overwrites only the negatives.
-    rows = np.empty((idx.size + n_neg, model.dim))
-    np.take(model.token_vectors, idx, axis=0, out=rows[:idx.size])
-    negatives = _negatives(model._noise, streams, [n_neg] * params.epochs)
-    for epoch, negs in enumerate(negatives):
-        # The indices are in range; "clip" only skips a buffered bounds check.
-        model.token_vectors.take(negs, axis=0, out=rows[idx.size:], mode="clip")
-        _dbow_step(d, rows, idx.size, _lr_schedule(params, epoch))
+    n_pos, n_neg = idx.size, len(doc.tokens) * params.negative
+    noise_seeds = extend_seeds(seed_prefix(model.seed, "inferneg", h), range(params.epochs))
+    init_state, *noise_states = _pcg64_states([derive_seed(model.seed, "infer", h)] + noise_seeds)
+    streams = _Streams()
+    d = _init_vector(streams.at(init_state), model.dim)
+    lrs = _lr_schedule(params)
+
+    # Every buffer of the epoch step is allocated once. The positive rows
+    # stay put; each epoch overwrites only the negatives.
+    rows = np.empty((n_pos + n_neg, model.dim))
+    np.take(model.token_vectors, idx, axis=0, out=rows[:n_pos])
+    negative_rows, rows_t = rows[n_pos:], rows.T
+    x = np.empty(n_pos + n_neg)
+    positives = x[:n_pos]
+    grad = np.empty(model.dim)
+    # A block of epochs fills one uniform row per epoch.
+    per_block = max(1, _DRAW_BLOCK // n_neg) if n_neg else params.epochs
+    uniforms = np.empty((min(per_block, params.epochs), n_neg))
+    negatives = np.empty(uniforms.shape, dtype=np.intp)
+    for first in range(0, params.epochs, per_block):
+        u, negs = uniforms[:params.epochs - first], negatives[:params.epochs - first]
+        streams.fill(noise_states[first:first + len(u)], u)
+        flat_u, flat_negs = u.reshape(-1), negs.reshape(-1)
+        for i in range(0, flat_u.size, _DRAW_BLOCK):
+            model._noise.draw(flat_u[i:i + _DRAW_BLOCK], out=flat_negs[i:i + _DRAW_BLOCK])
+        for epoch_negs, lr in zip(negs, lrs[first:]):
+            # d -= lr * (w.T @ (sigmoid(w @ d) - labels)), in place.
+            model.token_vectors.take(epoch_negs, axis=0, out=negative_rows, mode="clip")
+            np.matmul(rows, d, out=x)
+            _sigmoid(x)
+            np.subtract(positives, 1.0, out=positives)  # minus the labels
+            np.matmul(rows_t, x, out=grad)
+            np.multiply(grad, lr, out=grad)
+            np.subtract(d, grad, out=d)
     return d
 
 
@@ -511,6 +553,11 @@ def load_model(path: str | Path) -> EmbeddingModel:
                 raise ModelVersionMismatch(f"{path}: model format is not {MODEL_FORMAT_VERSION}")
             if not isinstance(header["dim"], int):
                 raise ModelVersionMismatch(f"{path}: dim {header['dim']!r} is not an integer")
+            params = TrainParams(**header["params"])
+            for key, value in asdict(params).items():
+                problem = field_error(key, value)  # TrainParams fields are RunConfig's
+                if problem:
+                    raise ModelVersionMismatch(f"{path}: params.{problem}")
             return EmbeddingModel(
                 dim=header["dim"],
                 vocab={token: i for i, token in enumerate(data["tokens"].tolist())},
@@ -518,7 +565,7 @@ def load_model(path: str | Path) -> EmbeddingModel:
                 graph_vectors=data["graph_vectors"],
                 token_counts=data["token_counts"],
                 doc_hashes=data["doc_hashes"].tolist(),
-                params=TrainParams(**header["params"]),
+                params=params,
                 seed=int(header["seed"]),
             )
     except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from typing import Iterable
 
 _MASK64 = (1 << 64) - 1
 
@@ -129,6 +130,17 @@ def extend_seed(prefix: hashlib.blake2b, *parts: object) -> int:
     h = prefix.copy()
     _absorb(h, parts)
     return int.from_bytes(h.digest(), "big")
+
+
+def extend_seeds(prefix: hashlib.blake2b, parts: Iterable[object]) -> list[int]:
+    """`[extend_seed(prefix, part) for part in parts]`, with one prefix copy
+    and one update per part: the bytes `_absorb` would add, in one piece."""
+    seeds = []
+    for part in parts:
+        h = prefix.copy()
+        h.update(b"\x1f" + str(part).encode("utf-8"))
+        seeds.append(int.from_bytes(h.digest(), "big"))
+    return seeds
 
 
 def _absorb(h: hashlib.blake2b, parts: tuple) -> None:

@@ -273,11 +273,16 @@ def record_to_document(record: TxRecord) -> dict:
     }
 
 
+def json_text(payload: object) -> str:
+    """`payload` as the toolkit's JSON text: sorted keys, one-space indent,
+    no final newline. Files (`write_json`) and `--format json` output use it."""
+    return json.dumps(payload, indent=1, sort_keys=True)
+
+
 def write_json(path: str | Path, payload: object) -> None:
-    """Write `payload` as JSON with sorted keys, one-space indent and a final
-    newline, creating the parent directory. Every JSON file the toolkit
-    writes goes through here."""
-    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    """Write `payload` as `json_text` and a final newline, creating the
+    parent directory. Every JSON file the toolkit writes goes through here."""
+    text = json_text(payload) + "\n"
     try:
         f = open(path, "w")
     except FileNotFoundError:  # only then: a mkdir per file slows corpus writes

@@ -5,7 +5,7 @@ from click.testing import CliRunner
 
 from bridgeguard import cli
 from bridgeguard.cli import main
-from bridgeguard.ingest import load_manifest
+from bridgeguard.ingest import json_text, load_manifest
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +177,8 @@ def test_ingest_summarizes_and_dumps(workspace, runner):
     result = runner.invoke(main, ["ingest", str(source), "--format", "json"])
     rows = json.loads(result.output)["rows"]
     assert rows[0]["frames"] >= 1
+    # --format json prints the text the JSON files hold: one format, one home.
+    assert result.output == json_text(json.loads(result.output)) + "\n"
 
 
 def test_ingest_partial_failure(runner, workspace, tmp_path):

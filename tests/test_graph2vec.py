@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import tracemalloc
@@ -19,7 +20,8 @@ from bridgeguard.errors import (
 from bridgeguard.graph2vec import (
     TrainParams,
     _NoiseSampler,
-    _seeded,
+    _pcg64_states,
+    _Streams,
     infer_embedding,
     load_model,
     save_model,
@@ -200,16 +202,27 @@ def test_object_arrays_are_never_unpickled(tmp_path, version):
     assert _UNPICKLED == []
 
 
-@pytest.mark.parametrize("field, value", [
-    ("params", []),
-    ("params", {"epochs": 1, "window": 3}),
-    ("dim", [16]),
-    ("dim", "16"),
-    ("dim", 16.5),
-    ("seed", []),
+@pytest.mark.parametrize("field, value, named", [
+    ("params", [], None),
+    ("params", {"epochs": 1, "window": 3}, "window"),
+    ("dim", [16], "dim"),
+    ("dim", "16", "dim"),
+    ("dim", 16.5, "dim"),
+    ("seed", [], None),
+    # Training params load only inside RunConfig's ranges; out of them, every
+    # miss would raise an untyped error or give NaN vectors.
+    ("params", {"negative": -1}, "params.negative"),
+    ("params", {"epochs": "100"}, "params.epochs"),
+    ("params", {"epochs": 1.5}, "params.epochs"),
+    ("params", {"epochs": 0}, "params.epochs"),
+    ("params", {"epochs": True}, "params.epochs"),
+    ("params", {"learning_rate": float("nan")}, "params.learning_rate"),
+    ("params", {"learning_rate": 0}, "params.learning_rate"),
+    ("params", {"wl_iterations": 0}, "params.wl_iterations"),
 ], ids=["params-list", "params-unknown-key", "dim-list", "dim-string", "dim-float",
-        "seed-list"])
-def test_header_field_of_the_wrong_type_rejected_naming_it(tmp_path, field, value):
+        "seed-list", "negative-below-0", "epochs-string", "epochs-float", "epochs-0",
+        "epochs-bool", "learning-rate-nan", "learning-rate-0", "wl-iterations-0"])
+def test_header_field_of_the_wrong_type_rejected_naming_it(tmp_path, field, value, named):
     path = tmp_path / "embedding.npz"
     save_model(train_graph2vec([_doc("a", "b")], params=FAST, seed=4), path)
     with np.load(path) as data:
@@ -218,8 +231,9 @@ def test_header_field_of_the_wrong_type_rejected_naming_it(tmp_path, field, valu
     header[field] = value
     arrays["header"] = json.dumps(header)
     np.savez(path, **arrays)
-    with pytest.raises(ModelVersionMismatch, match="embedding.npz"):
+    with pytest.raises(ModelVersionMismatch, match="embedding.npz") as caught:
         load_model(path)
+    assert named is None or named in str(caught.value)
 
 
 @pytest.mark.parametrize("content", [b"not a model", b"", b"PK\x03\x04truncated"],
@@ -305,10 +319,16 @@ _EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
 @example(seeds=_EDGE_SEEDS, n=0)
 @example(seeds=_EDGE_SEEDS, n=150)
 def test_seeded_streams_equal_default_rng(seeds, n):
-    for seed, rng in zip(seeds, _seeded(seeds), strict=True):
+    states = _pcg64_states(seeds)
+    rows = np.full((len(seeds), n), np.nan)
+    streams = _Streams()
+    streams.fill(states, rows)
+    for seed, state, row in zip(seeds, states, rows, strict=True):
+        oracle = np.random.default_rng(seed)
+        assert np.array_equal(row, oracle.random(n))
+        rng = streams.at(state)
         oracle = np.random.default_rng(seed)
         assert rng.bit_generator.state == oracle.bit_generator.state
-        assert np.array_equal(rng.random(n), oracle.random(n))
         assert np.array_equal(rng.uniform(-0.5 / 16, 0.5 / 16, 16),
                               oracle.uniform(-0.5 / 16, 0.5 / 16, 16))
 
@@ -422,6 +442,53 @@ def test_training_and_inference_match_the_plain_algorithm(rng, with_empty):
     assert (model.lookup(probes[3]) is not None) == with_empty
     for probe in probes:
         assert np.array_equal(infer_embedding(model, probe), _plain_infer(model, probe))
+
+
+# --- inference misses against the plain algorithm ------------------------
+#
+# A miss fills the uniforms of a block of epochs, one row per epoch, and
+# draws them in pieces of at most `_DRAW_BLOCK`. The probes below hold 4 and
+# 40 tokens, so with 3 negatives an epoch has 12 or 120 uniforms: a block
+# size of 1 or 5 splits every epoch, 24 puts two epochs of the short probe in
+# a block (7 epochs leave a block of one), and 2^14 puts every epoch in one.
+
+
+def _inference_model(epochs, negative):
+    corpus = [_doc("a1", "a2", "a3"), _doc("a1", "b1", "b2"), _doc("b1", "b2", "b2"),
+              _doc(*[f"t{i % 9}" for i in range(30)])]
+    return train_graph2vec(corpus, dim=8, params=TrainParams(epochs=epochs, negative=negative),
+                           seed=21)
+
+
+_INFERENCE_PROBES = {
+    "miss": _doc("a1", "a2", "b1", "novel"),
+    "all-out-of-vocabulary": _doc("oov-1", "oov-2", "oov-2", "oov-3"),
+    "no-tokens": WLDocument(tokens=()),
+    "long": _doc(*[f"t{i % 12}" for i in range(40)]),
+}
+
+
+@pytest.mark.parametrize("draw_block", [1, 5, 24, 2 ** 14])
+@pytest.mark.parametrize("epochs", [1, 7])
+@pytest.mark.parametrize("negative", [0, 3])
+def test_inference_blocks_match_the_plain_algorithm(draw_block, epochs, negative):
+    model = _inference_model(epochs, negative)
+    with mock.patch.object(graph2vec, "_DRAW_BLOCK", draw_block):
+        for name, probe in _INFERENCE_PROBES.items():
+            assert model.lookup(probe) is None, name
+            assert np.array_equal(infer_embedding(model, probe), _plain_infer(model, probe)), name
+
+
+def test_inference_matches_the_plain_algorithm_on_saturating_token_vectors():
+    # Token vectors near 1e39, as a diverged training run leaves them (ROADMAP
+    # item 1): every score hits the +-35 clip and d grows far past 1.
+    model = _inference_model(12, 3)
+    huge = dataclasses.replace(model, token_vectors=model.token_vectors * 1e39)
+    for name, probe in _INFERENCE_PROBES.items():
+        vector = infer_embedding(huge, probe)
+        assert np.array_equal(vector, _plain_infer(huge, probe)), name
+    scores = np.abs(huge.token_vectors @ infer_embedding(huge, _INFERENCE_PROBES["miss"]))
+    assert scores.min() > 35.0
 
 
 # --- the batched epoch layout against the plain algorithm -----------------
@@ -580,3 +647,29 @@ def test_training_memory_grows_by_a_bounded_amount_per_row():
     rows = [len(docs[:n]) * 20 * (1 + params.negative) for n in (500, 2000)]
     small, large = (_training_bytes(docs[:n], params) for n in (500, 2000))
     assert large - small <= _BYTES_PER_ROW * (rows[1] - rows[0])
+
+
+# A miss holds its token rows and their scores, rows x (dim + 1) float64
+# values, for all epochs. Its noise buffers (uniforms and negatives) and the
+# sampler's temporaries are bounded by the draw block, not the epoch count:
+# measured 2.3 x `_DRAW_BLOCK` float64 values for the probe below. Noise for
+# all 100 epochs at once would add 100 x 10000 x 8 bytes.
+_DRAW_BLOCK_VALUES = 4
+
+
+def test_inference_memory_is_its_rows_and_a_draw_block():
+    rng = np.random.default_rng(3)
+    docs = [_doc(*(f"v{t}" for t in rng.integers(0, 50, 20))) for _ in range(30)]
+    params = TrainParams(epochs=100, negative=5)
+    model = train_graph2vec(docs, dim=16, params=params, seed=3)
+    probe = _doc(*(f"v{i % 60}" for i in range(2000)))  # 10000 negatives an epoch
+    rows = 2000 * (1 + params.negative)
+    assert rows - 2000 <= graph2vec._DRAW_BLOCK
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        infer_embedding(model, probe)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= rows * (16 + 1) * 8 + _DRAW_BLOCK_VALUES * graph2vec._DRAW_BLOCK * 8

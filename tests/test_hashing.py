@@ -8,6 +8,7 @@ from bridgeguard.hashing import (
     derive_seed,
     event_topic,
     extend_seed,
+    extend_seeds,
     keccak256,
     seed_prefix,
     selector,
@@ -69,3 +70,12 @@ def test_prefix_copied_seed_equals_derive_seed(seed, parts, more):
     assert extend_seed(prefix, *more) == derive_seed(seed, *parts, *more)
     assert extend_seed(prefix, *more) == derive_seed(seed, *parts, *more)  # prefix kept
     assert extend_seed(prefix) == derive_seed(seed, *parts)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1), parts=_PARTS,
+       more=st.lists(st.one_of(st.text(), st.integers()), max_size=12))
+def test_extend_seeds_equals_extend_seed_per_part(seed, parts, more):
+    prefix = seed_prefix(seed, *parts)
+    assert extend_seeds(prefix, more) == [extend_seed(prefix, part) for part in more]
+    assert extend_seeds(prefix, range(5)) == [derive_seed(seed, *parts, e) for e in range(5)]
+    assert extend_seeds(prefix, []) == []
