@@ -40,7 +40,8 @@ The row and coefficient arrays, 12 bytes a row, are the only state that
 grows with the corpus's rows. Every other temporary is bounded by
 `_CHUNK_ROWS` rows (or one longer document) times dim: a stack holds at
 most that many rows, and the accumulation runs span by span, each at most
-that long, through two reused chunk buffers.
+that long, through two reused chunk buffers. The noise buffers hold
+`_DRAW_BLOCK` uniforms (or one longer document's negatives).
 
 Logger `bridgeguard.graph2vec` reports, at DEBUG, each epoch's largest
 token and document vector entry and its wall time; they are computed only
