@@ -7,23 +7,33 @@ the 0/0 -> 0 convention. The 37-dim layout is [global(21), local(16)].
 
 KNN neighbours are the k smallest distances
 `sqrt(((x - z) ** 2).sum(axis=1))` between the standardized query z and the
-training rows x; equal distances rank by training-row index. A query finds
-them exactly in two steps:
+training rows x; equal distances rank by training-row index. Training rows
+that are bitwise equal have bitwise equal distances to every query, so the
+model groups them once, at construction, and searches the distinct rows
+only. A query finds its neighbours exactly in three steps:
 
-1. One BLAS matvec gives each row's squared distance by the Gram identity
-   `|x|^2 - 2x.z + |z|^2`. In d dims, its rounding error and that of the
-   reference expression are each at most gamma (|x|+|z|)^2, with
+1. One BLAS matvec gives each distinct row's squared distance by the Gram
+   identity `|x|^2 - 2x.z + |z|^2`. In d dims, its rounding error and that
+   of the reference expression are each at most gamma (|x|+|z|)^2, with
    gamma = (d+3)u / (1 - (d+3)u) and u the unit roundoff (Higham, Accuracy and
    Stability of Numerical Algorithms, ch. 3). The Gram value plus or minus
    four times that bound therefore brackets the reference squared sum.
-2. A row is a candidate when its lower end is at most the k-th smallest
-   upper end times (1 + 4u). The slack admits squared sums that `sqrt`
-   rounds to the same distance, since `sqrt` is not injective. Only the
-   candidates get the reference expression, and a stable sort of them, in
-   ascending row order, keeps the tie rule.
+2. A distinct row is a candidate when its lower end is at most the
+   min(k, distinct rows)-th smallest upper end times (1 + 4u). The slack
+   admits squared sums that `sqrt` rounds to the same distance, since `sqrt`
+   is not injective. Each distinct row stands for at least one training row,
+   so that bound is never below the k-th smallest upper end over all rows:
+   grouping can only admit more rows.
+3. Only the candidates get the reference expression. Each expands to its
+   member rows, and the members are ordered by (distance, row index), the
+   full scan's tie rule.
 
 The neighbours, their distances and so every label are those of a full
-scan, bit for bit.
+scan, bit for bit. Queries bitwise equal to a training row (after
+standardization) are common: a graph2vec trained-vector hit whose graph
+statistics, direction flag and census match a training transaction's is
+one. Construction therefore runs the search once per distinct row and keeps
+the answers, so such a query costs one dict lookup.
 """
 
 from __future__ import annotations
@@ -183,16 +193,24 @@ def _admit_sqrt_ties(t: float) -> float:
 
 @dataclass
 class KNNModel:
-    """`x` must not be modified in place: its row norms are cached."""
+    """`x` must not be modified in place: its distinct rows and their
+    neighbours are fixed at construction."""
     k: int
     standardizer: Standardizer
     x: np.ndarray  # standardized training matrix
     y: list[str]
     classes: list[str]
+    _distinct: np.ndarray = field(init=False, repr=False, compare=False)
+    _members: np.ndarray = field(init=False, repr=False, compare=False)
+    _starts: np.ndarray = field(init=False, repr=False, compare=False)
+    _counts: np.ndarray = field(init=False, repr=False, compare=False)
     _sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
     _norms: np.ndarray = field(init=False, repr=False, compare=False)
     _err_scale: float = field(init=False, repr=False, compare=False)
     _err_floor: float = field(init=False, repr=False, compare=False)
+    _row_index: dict[bytes, int] = field(init=False, repr=False, compare=False)
+    _fixed_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _fixed_dist: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         x, mean, std = self.x, self.standardizer.mean, self.standardizer.std
@@ -211,34 +229,66 @@ class KNNModel:
             raise InvalidConfig(f"k must be an integer >= 1, got {self.k!r}")
         if self.k > rows:
             raise KTooLarge(f"k={self.k} exceeds training size {rows}")
-        self._sq_norms = np.einsum("ij,ij->i", x, x)
+        # Group rows by their bits: members of a group are equal, so every
+        # distance to them is equal. Groups are numbered in order of first
+        # occurrence; group g's rows, ascending, are
+        # members[starts[g]:starts[g] + counts[g]].
+        self._row_index = {}
+        group = np.array([self._row_index.setdefault(row.tobytes(), len(self._row_index))
+                          for row in np.asarray(x, dtype=np.float64)], dtype=np.intp)
+        self._counts = np.bincount(group)
+        self._members = np.argsort(group, kind="stable")
+        self._starts = np.cumsum(self._counts) - self._counts
+        self._distinct = np.asarray(x[self._members[self._starts]], dtype=np.float64)
+        self._sq_norms = np.einsum("ij,ij->i", self._distinct, self._distinct)
         self._norms = np.sqrt(self._sq_norms)
         gamma = (dims + 3) * _UNIT_ROUNDOFF / (1 - (dims + 3) * _UNIT_ROUNDOFF)
         self._err_scale = _GRAM_SAFETY * gamma
         # Each of the 4d products in the two expressions loses at most half
         # a subnormal to underflow.
         self._err_floor = 4.0 * (dims + 1) * float(np.finfo(np.float64).smallest_subnormal)
+        # The neighbours of each distinct row, for queries equal to it.
+        self._fixed_rows = np.empty((len(self._distinct), self.k), dtype=np.intp)
+        self._fixed_dist = np.empty((len(self._distinct), self.k))
+        for g, row in enumerate(self._distinct):
+            self._fixed_rows[g], self._fixed_dist[g] = self._search(row)
 
     def neighbors(self, features) -> tuple[np.ndarray, np.ndarray]:
         """Training-row indices of the k nearest, nearest first (equal
         distances by row index), and their distances."""
         z = self.standardizer.transform(_values(features))
+        g = self._row_index.get(z.tobytes())
+        if g is not None:
+            return self._fixed_rows[g].copy(), self._fixed_dist[g].copy()
+        return self._search(z)
+
+    def _search(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`neighbors` of the standardized query z, by the distinct-row
+        search of the module docstring."""
         z_sq = z @ z
-        gram = self.x @ z
+        gram = self._distinct @ z
         gram *= -2.0
         gram += self._sq_norms
         gram += z_sq
         err = self._norms + np.sqrt(z_sq)
         err *= err  # squared before scaling, so an overflow reads as inf
         err *= self._err_scale
-        kth = np.partition(gram + err, self.k - 1)[self.k - 1]
+        nth = min(self.k, gram.size) - 1
+        kth = np.partition(gram + err, nth)[nth]
         gram -= err
         # NaN bounds (an overflow, a non-finite query) admit their rows.
         limit = _admit_sqrt_ties(kth + self._err_floor) + self._err_floor
         cand = np.flatnonzero(~(gram > limit))
-        dist = np.sqrt(((self.x[cand] - z) ** 2).sum(axis=1))
-        order = np.argsort(dist, kind="stable")[:self.k]
-        return cand[order], dist[order]
+        dist = np.sqrt(((self._distinct[cand] - z) ** 2).sum(axis=1))
+        # Each candidate's member rows, with its distance.
+        counts = self._counts[cand]
+        ends = np.cumsum(counts)
+        at = np.repeat(self._starts[cand] - (ends - counts), counts)
+        at += np.arange(at.size)
+        rows = self._members[at]
+        dist = np.repeat(dist, counts)
+        order = np.lexsort((rows, dist))[:self.k]
+        return rows[order], dist[order]
 
     def scores(self, features) -> dict[str, dict[str, float]]:
         return knn_neighbor_stats(self, features)

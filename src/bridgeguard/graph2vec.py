@@ -485,8 +485,10 @@ def infer_embedding(model: EmbeddingModel, doc: WLDocument) -> np.ndarray:
     idx = np.array([model.vocab[t] for t in doc.tokens if t in model.vocab],
                    dtype=np.int64)
     n_pos, n_neg = idx.size, len(doc.tokens) * params.negative
-    noise_seeds = extend_seeds(seed_prefix(model.seed, "inferneg", h), range(params.epochs))
-    init_state, *noise_states = _pcg64_states([derive_seed(model.seed, "infer", h)] + noise_seeds)
+    seeds = [derive_seed(model.seed, "infer", h)]
+    if n_neg:  # without negatives the epochs draw nothing
+        seeds += extend_seeds(seed_prefix(model.seed, "inferneg", h), range(params.epochs))
+    init_state, *noise_states = _pcg64_states(seeds)
     streams = _Streams()
     d = _init_vector(streams.at(init_state), model.dim)
     lrs = _lr_schedule(params)
@@ -505,10 +507,11 @@ def infer_embedding(model: EmbeddingModel, doc: WLDocument) -> np.ndarray:
     negatives = np.empty(uniforms.shape, dtype=np.intp)
     for first in range(0, params.epochs, per_block):
         u, negs = uniforms[:params.epochs - first], negatives[:params.epochs - first]
-        streams.fill(noise_states[first:first + len(u)], u)
-        flat_u, flat_negs = u.reshape(-1), negs.reshape(-1)
-        for i in range(0, flat_u.size, _DRAW_BLOCK):
-            model._noise.draw(flat_u[i:i + _DRAW_BLOCK], out=flat_negs[i:i + _DRAW_BLOCK])
+        if n_neg:
+            streams.fill(noise_states[first:first + len(u)], u)
+            flat_u, flat_negs = u.reshape(-1), negs.reshape(-1)
+            for i in range(0, flat_u.size, _DRAW_BLOCK):
+                model._noise.draw(flat_u[i:i + _DRAW_BLOCK], out=flat_negs[i:i + _DRAW_BLOCK])
         for epoch_negs, lr in zip(negs, lrs[first:]):
             # d -= lr * (w.T @ (sigmoid(w @ d) - labels)), in place.
             model.token_vectors.take(epoch_negs, axis=0, out=negative_rows, mode="clip")

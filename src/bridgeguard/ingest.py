@@ -6,6 +6,11 @@ The canonical on-disk format is one transaction per JSON file with keys
 metadata keys ``tx_hash``, ``chain_id``, ``block_number``, ``sender`` are
 honored when present and derived deterministically otherwise. The RPC path
 produces the same document shape, so both share this parser.
+
+The parser walks the call tree with an explicit stack, not by recursion, and
+accepts frames down to the EVM's call-depth limit, `MAX_CALL_DEPTH` = 1024
+(the root frame is depth 0); a deeper frame raises MalformedTrace. JSON
+decoding still recurses, so a file can fail to decode before that depth.
 """
 
 from __future__ import annotations
@@ -77,6 +82,11 @@ class DatasetManifest:
 
 # ASCII only: `\d` would admit other scripts' digits, and `$` a trailing newline.
 _is_hex_body = re.compile(r"[0-9a-f]*").fullmatch
+# Whole values `_norm_hex` accepts as they are, up to case: the parser's fast
+# path. Anything else goes to `_norm_hex`, which gives the same value or error.
+_is_address = re.compile(r"0x[0-9a-fA-F]{40}").fullmatch
+_is_word = re.compile(r"0x[0-9a-fA-F]{64}").fullmatch
+_is_hex = re.compile(r"0x[0-9a-fA-F]*").fullmatch
 
 
 def _norm_hex(value: object, name: str, nbytes: int | None = None) -> str:
@@ -91,6 +101,8 @@ def _norm_hex(value: object, name: str, nbytes: int | None = None) -> str:
 
 
 def _norm_address(value: object, name: str) -> str:
+    if type(value) is str and _is_address(value):
+        return value.lower()
     return _norm_hex(value, name, nbytes=20)
 
 
@@ -109,42 +121,59 @@ def _norm_quantity(value: object, name: str) -> int:
 
 # --- trace document parsing ----------------------------------------------
 
+MAX_CALL_DEPTH = 1024  # the EVM's call-depth limit; the root frame is depth 0
 
-def _parse_frame(node: object, depth: int, counter: list[int]) -> CallFrame:
-    if not isinstance(node, dict):
-        raise MalformedTrace(f"frame at depth {depth} is not an object")
-    kind = node.get("type")
-    if not isinstance(kind, str) or kind.upper() not in FRAME_KINDS:
-        raise MalformedTrace(f"unknown frame type {kind!r} at depth {depth}")
-    kind = kind.upper()
 
-    caller = _norm_address(node.get("from"), "from")
-    # CREATE* report the created address in `to`; SELFDESTRUCT the refund
-    # beneficiary, which some tracers omit entirely.
-    to = node.get("to")
-    callee = ZERO_ADDRESS if to in (None, "") else _norm_address(to, "to")
+def _parse_calls(trace: object) -> CallFrame:
+    """The call tree under `trace`, walked in pre-order with an explicit
+    stack: frames are checked, numbered and raise their first error in the
+    order a recursive descent would visit them."""
+    root = None
+    order = 0
+    stack: list[tuple[object, int, CallFrame | None]] = [(trace, 0, None)]
+    while stack:
+        node, depth, parent = stack.pop()
+        if depth > MAX_CALL_DEPTH:
+            raise MalformedTrace(f"call tree nests too deep to parse (a frame at depth "
+                                 f"{depth}, deeper than {MAX_CALL_DEPTH})")
+        if not isinstance(node, dict):
+            raise MalformedTrace(f"frame at depth {depth} is not an object")
+        kind = node.get("type")
+        if not isinstance(kind, str) or kind.upper() not in FRAME_KINDS:
+            raise MalformedTrace(f"unknown frame type {kind!r} at depth {depth}")
 
-    raw_input = node.get("input", "0x")
-    input_hex = _norm_hex(raw_input, "input") if raw_input is not None else "0x"
-    sel = input_hex[2:10] if len(input_hex) >= 10 else None
+        caller = _norm_address(node.get("from"), "from")
+        # CREATE* report the created address in `to`; SELFDESTRUCT the refund
+        # beneficiary, which some tracers omit entirely.
+        to = node.get("to")
+        callee = ZERO_ADDRESS if to in (None, "") else _norm_address(to, "to")
 
-    order = counter[0]
-    counter[0] += 1
-    frame = CallFrame(
-        frame_kind=kind,
-        caller=caller,
-        callee=callee,
-        selector=sel,
-        value=_norm_quantity(node.get("value"), "value"),
-        depth=depth,
-        order=order,
-        reverted=bool(node.get("error") or node.get("revertReason")),
-    )
-    calls = node.get("calls") or []
-    if not isinstance(calls, list):
-        raise MalformedTrace("`calls` must be a list")
-    frame.children = [_parse_frame(child, depth + 1, counter) for child in calls]
-    return frame
+        raw_input = node.get("input", "0x")
+        if type(raw_input) is str and _is_hex(raw_input):
+            input_hex = raw_input.lower()
+        else:
+            input_hex = _norm_hex(raw_input, "input") if raw_input is not None else "0x"
+        value = node.get("value")
+        frame = CallFrame(
+            frame_kind=kind.upper(),
+            caller=caller,
+            callee=callee,
+            selector=input_hex[2:10] if len(input_hex) >= 10 else None,
+            value=value if type(value) is int else _norm_quantity(value, "value"),
+            depth=depth,
+            order=order,
+            reverted=bool(node.get("error") or node.get("revertReason")),
+        )
+        order += 1
+        if parent is None:
+            root = frame
+        else:
+            parent.children.append(frame)
+        calls = node.get("calls") or []
+        if not isinstance(calls, list):
+            raise MalformedTrace("`calls` must be a list")
+        stack.extend((child, depth + 1, frame) for child in reversed(calls))
+    return root
 
 
 def _parse_log(entry: object, position: int) -> LogEntry:
@@ -153,14 +182,23 @@ def _parse_log(entry: object, position: int) -> LogEntry:
     topics = entry.get("topics", [])
     if not isinstance(topics, list):
         raise MalformedTrace(f"log #{position}: topics must be a list")
-    norm_topics = [_norm_hex(t, "topic", nbytes=32) for t in topics]
+    norm_topics = [t.lower() if type(t) is str and _is_word(t)
+                   else _norm_hex(t, "topic", nbytes=32) for t in topics]
+    emitter = _norm_address(entry.get("address"), "log address")
     data = entry.get("data", "0x")
+    if type(data) is str and _is_hex(data):
+        data = data.lower()
+    else:
+        data = _norm_hex(data, "log data") if data is not None else "0x"
+    log_index = entry.get("logIndex", position)
+    if type(log_index) is not int:
+        log_index = _norm_quantity(log_index, "logIndex")
     return LogEntry(
-        emitter=_norm_address(entry.get("address"), "log address"),
+        emitter=emitter,
         topic0=norm_topics[0] if norm_topics else None,
         topics_rest=norm_topics[1:],
-        data=_norm_hex(data, "log data") if data is not None else "0x",
-        log_index=_norm_quantity(entry.get("logIndex", position), "logIndex"),
+        data=data,
+        log_index=log_index,
     )
 
 
@@ -173,9 +211,10 @@ def _derived_tx_hash(doc: dict) -> str:
 
 
 def record_from_document(doc: object, chain_id: int | None = None) -> TxRecord:
-    """Parse one trace document (the file/RPC wire shape) into a TxRecord. A
-    call tree nested deeper than the parser's recursion allows raises
-    MalformedTrace."""
+    """Parse one trace document (the file/RPC wire shape) into a TxRecord.
+    A frame deeper than MAX_CALL_DEPTH raises MalformedTrace, and so does a
+    document without `tx_hash` whose derived hash's JSON nests deeper than
+    the encoder recurses."""
     try:
         return _record_from_document(doc, chain_id)
     except RecursionError as exc:
@@ -188,8 +227,7 @@ def _record_from_document(doc: object, chain_id: int | None) -> TxRecord:
     trace = doc.get("trace")
     if trace is None or trace == {}:
         raise EmptyTrace("document has no root frame")
-    counter = [0]
-    root = _parse_frame(trace, 0, counter)
+    root = _parse_calls(trace)
 
     raw_logs = doc.get("logs") or []
     if not isinstance(raw_logs, list):
@@ -239,19 +277,30 @@ def load_trace_file(path: str | Path, chain_id: int | None = None) -> TxRecord:
 # --- serialization (round-trip format) ------------------------------------
 
 
-def _frame_to_node(frame: CallFrame) -> dict:
-    node: dict = {
-        "type": frame.frame_kind,
-        "from": frame.caller,
-        "to": frame.callee,
-        "input": "0x" + frame.selector if frame.selector else "0x",
-        "value": hex(frame.value),
-    }
-    if frame.reverted:
-        node["error"] = "execution reverted"
-    if frame.children:
-        node["calls"] = [_frame_to_node(child) for child in frame.children]
-    return node
+def _frame_to_node(root: CallFrame) -> dict:
+    """The wire-shape tree of `root`, built in pre-order with an explicit
+    stack, so any depth the parser accepts converts back."""
+    out: dict = {}
+    stack: list[tuple[CallFrame, list | None]] = [(root, None)]
+    while stack:
+        frame, siblings = stack.pop()
+        node: dict = {
+            "type": frame.frame_kind,
+            "from": frame.caller,
+            "to": frame.callee,
+            "input": "0x" + frame.selector if frame.selector else "0x",
+            "value": hex(frame.value),
+        }
+        if frame.reverted:
+            node["error"] = "execution reverted"
+        if siblings is None:
+            out = node
+        else:
+            siblings.append(node)
+        if frame.children:
+            node["calls"] = calls = []
+            stack.extend((child, calls) for child in reversed(frame.children))
+    return out
 
 
 def record_to_document(record: TxRecord) -> dict:

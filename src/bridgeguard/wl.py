@@ -11,6 +11,7 @@ the graph's document: exactly |V| * (k + 1) tokens.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .hashing import stable_hash64
 from .xteg import XTEG
@@ -23,7 +24,7 @@ class WLDocument:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    @property
+    @cached_property  # stored in the instance dict: not a field, not compared
     def content_hash(self) -> str:
         return stable_hash64("\x1e".join(self.tokens))
 

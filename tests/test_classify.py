@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -274,21 +275,38 @@ def _raw_knn(x, k) -> KNNModel:
                     y=y, classes=[c for c in LABELS if c in y])
 
 
-def _assert_matches_full_scan(model: KNNModel, query) -> None:
-    # The plain scan: every distance, then a stable sort of all of them.
-    q = np.asarray(query, dtype=np.float64)
-    z = (q - model.standardizer.mean) / model.standardizer.std
+def _full_scan(model: KNNModel, query):
+    """The plain scan over every training row: neighbours, distances and
+    per-class stats."""
+    z = (np.asarray(query, dtype=np.float64) - model.standardizer.mean) / model.standardizer.std
     dist = np.sqrt(((model.x - z) ** 2).sum(axis=1))
     nearest = np.argsort(dist, kind="stable")[:model.k]
-    expected = {c: {"count": 0, "sum_distance": 0.0} for c in model.classes}
+    stats = {c: {"count": 0, "sum_distance": 0.0} for c in model.classes}
     for i in nearest:
-        expected[model.y[i]]["count"] += 1
-        expected[model.y[i]]["sum_distance"] += float(dist[i])
+        stats[model.y[i]]["count"] += 1
+        stats[model.y[i]]["sum_distance"] += float(dist[i])
+    return nearest, dist[nearest], stats
 
-    indices, distances = model.neighbors(q)
+
+def _same_stats(a, b) -> bool:
+    """Equal per-class stats, a NaN summed distance equal to a NaN."""
+    return a.keys() == b.keys() and all(
+        a[c]["count"] == b[c]["count"]
+        and np.array_equal(a[c]["sum_distance"], b[c]["sum_distance"], equal_nan=True)
+        for c in a)
+
+
+def _assert_matches_full_scan(model: KNNModel, query) -> None:
+    q = np.asarray(query, dtype=np.float64)
+    nearest, dist, expected = _full_scan(model, q)
+    with np.errstate(all="ignore"):  # a non-finite query, squares that overflow
+        indices, distances = model.neighbors(q)
+        stats = knn_neighbor_stats(model, q)
+        label = knn_predict(model, q)
     assert np.array_equal(indices, nearest)
-    assert np.array_equal(distances, dist[nearest])
-    assert knn_neighbor_stats(model, q) == expected
+    assert np.array_equal(distances, dist, equal_nan=True)
+    assert _same_stats(stats, expected)
+    assert label == model.label(expected)
 
 
 _GRID = st.integers(min_value=-3, max_value=3)
@@ -341,6 +359,60 @@ _SHIFTED = np.random.default_rng(3).integers(-3, 4, (13, 3)) + 2.0 ** 27
         "gram-cancellation"])
 def test_knn_neighbors_equal_the_full_scan_on_edge_cases(x, query, k):
     _assert_matches_full_scan(_raw_knn(x, k), query)
+
+
+@st.composite
+def _duplicated_knn_case(draw):
+    """A few distinct grid rows, each repeated, some zeros negated, labels
+    drawn per row (so equal rows can disagree), k up to every row, and a
+    query that is a training row, its -0.0 twin, a grid point or non-finite."""
+    dims = draw(st.integers(min_value=1, max_value=3))
+    cell = st.lists(_GRID, min_size=dims, max_size=dims)
+    distinct = np.array(draw(st.lists(cell, min_size=1, max_size=6)), dtype=np.float64)
+    n = draw(st.integers(min_value=1, max_value=20))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))
+    x = distinct[picks]
+    flips = np.array(draw(st.lists(st.booleans(), min_size=x.size, max_size=x.size)))
+    x = np.where(flips.reshape(x.shape) & (x == 0.0), -0.0, x)
+    scale = 2.0 ** draw(st.sampled_from([-1074, -540, 0, 500]))
+    x *= scale
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["row", "negated-zeros", "grid", "nan", "inf"]))
+    if kind in ("row", "negated-zeros"):
+        q = x[draw(st.integers(0, n - 1))].copy()
+        if kind == "negated-zeros":
+            q = np.where(q == 0.0, -q, q)
+    else:
+        q = np.array(draw(cell), dtype=np.float64) * scale
+        if kind != "grid":
+            q[draw(st.integers(0, dims - 1))] = np.nan if kind == "nan" else -np.inf
+    return x, labels, q, draw(st.integers(min_value=1, max_value=n))
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_duplicated_knn_case())
+def test_knn_over_distinct_rows_equals_the_full_scan(case):
+    x, labels, q, k = case
+    dims = x.shape[1]
+    model = KNNModel(k=k, standardizer=Standardizer(np.zeros(dims), np.ones(dims)), x=x,
+                     y=labels, classes=_label_order(set(labels)))
+    _assert_matches_full_scan(model, q)
+
+
+def test_knn_answers_training_rows_from_the_neighbours_fixed_at_fit(rng):
+    samples = _blobs(rng, n_per_class=15, dim=3)
+    samples += samples[:10]  # duplicates, some of them of one another
+    model = knn_train(samples, k=4)
+    assert len(model._distinct) == 30
+    with mock.patch.object(model, "_search", side_effect=AssertionError("searched")):
+        for s in samples:
+            indices, distances = model.neighbors(s.features)
+            nearest, dist, _ = _full_scan(model, s.features)
+            assert np.array_equal(indices, nearest) and np.array_equal(distances, dist)
+            indices[:] = -1  # the caller owns the arrays it is given
+            distances[:] = np.nan
+            again = model.neighbors(s.features)
+            assert np.array_equal(again[0], nearest) and np.array_equal(again[1], dist)
 
 
 @settings(max_examples=400, deadline=None)

@@ -479,6 +479,22 @@ def test_inference_blocks_match_the_plain_algorithm(draw_block, epochs, negative
             assert np.array_equal(infer_embedding(model, probe), _plain_infer(model, probe)), name
 
 
+@pytest.mark.parametrize("negative, probe", [(0, "miss"), (0, "long"), (3, "no-tokens")])
+def test_inference_without_negatives_seeds_only_the_start_vector(negative, probe):
+    model = _inference_model(7, negative)
+    doc = _INFERENCE_PROBES[probe]
+    seen = []
+
+    def recording(seeds):
+        seen.append(list(seeds))
+        return _pcg64_states(seeds)
+
+    with mock.patch.object(graph2vec, "_pcg64_states", recording):
+        vector = infer_embedding(model, doc)
+    assert seen == [[derive_seed(model.seed, "infer", doc.content_hash)]]
+    assert np.array_equal(vector, _plain_infer(model, doc))
+
+
 def test_inference_matches_the_plain_algorithm_on_saturating_token_vectors():
     # Token vectors near 1e39, as a diverged training run leaves them (ROADMAP
     # item 1): every score hits the +-35 clip and d grows far past 1.

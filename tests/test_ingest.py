@@ -8,10 +8,18 @@ from hypothesis import strategies as st
 from bridgeguard.errors import BridgeGuardError, EmptyTrace, InvalidConfig, MalformedTrace
 from bridgeguard.hashing import keccak256
 from bridgeguard.ingest import (
+    FRAME_KINDS,
     LABELS,
+    MAX_CALL_DEPTH,
+    ZERO_ADDRESS,
+    CallFrame,
     DatasetManifest,
+    LogEntry,
     ManifestEntry,
+    TxRecord,
+    _derived_tx_hash,
     _norm_hex,
+    _norm_quantity,
     flatten_frames,
     load_corpus,
     load_manifest,
@@ -171,7 +179,7 @@ def test_undecodable_file_raises_the_given_error_naming_the_path(tmp_path, conte
 
 
 def test_call_tree_too_deep_to_parse_raises_malformed_trace():
-    # A 2000-frame chain, built in memory: deeper than the parser recurses.
+    # A 2000-frame chain, built in memory: deeper than MAX_CALL_DEPTH.
     root = node = {"type": "CALL", "from": A, "to": B, "input": "0x"}
     for depth in range(1, 2000):
         child = {"type": "CALL", "from": node["to"], "to": (B, C)[depth % 2], "input": "0x"}
@@ -339,3 +347,258 @@ def test_load_corpus_resolves_relative_sources_against_the_manifest(tmp_path):
     assert records == [record_from_document(docs[0], chain_id=1),
                        record_from_document(docs[1], chain_id=56)]
     assert [r.chain_id for r in records] == [1, 56]
+
+
+# --- the iterative parser against the recursive one ------------------------
+#
+# The recursive descent the parser replaced, kept as its oracle: each hex
+# field through `_norm_hex`, each quantity through `_norm_quantity`.
+
+
+def _oracle_frame(node, depth, counter):
+    if not isinstance(node, dict):
+        raise MalformedTrace(f"frame at depth {depth} is not an object")
+    kind = node.get("type")
+    if not isinstance(kind, str) or kind.upper() not in FRAME_KINDS:
+        raise MalformedTrace(f"unknown frame type {kind!r} at depth {depth}")
+    caller = _norm_hex(node.get("from"), "from", nbytes=20)
+    to = node.get("to")
+    callee = ZERO_ADDRESS if to in (None, "") else _norm_hex(to, "to", nbytes=20)
+    raw_input = node.get("input", "0x")
+    input_hex = _norm_hex(raw_input, "input") if raw_input is not None else "0x"
+    order = counter[0]
+    counter[0] += 1
+    frame = CallFrame(
+        frame_kind=kind.upper(), caller=caller, callee=callee,
+        selector=input_hex[2:10] if len(input_hex) >= 10 else None,
+        value=_norm_quantity(node.get("value"), "value"), depth=depth, order=order,
+        reverted=bool(node.get("error") or node.get("revertReason")))
+    calls = node.get("calls") or []
+    if not isinstance(calls, list):
+        raise MalformedTrace("`calls` must be a list")
+    frame.children = [_oracle_frame(child, depth + 1, counter) for child in calls]
+    return frame
+
+
+def _oracle_log(entry, position):
+    if not isinstance(entry, dict):
+        raise MalformedTrace(f"log #{position} is not an object")
+    topics = entry.get("topics", [])
+    if not isinstance(topics, list):
+        raise MalformedTrace(f"log #{position}: topics must be a list")
+    norm_topics = [_norm_hex(t, "topic", nbytes=32) for t in topics]
+    data = entry.get("data", "0x")
+    return LogEntry(
+        emitter=_norm_hex(entry.get("address"), "log address", nbytes=20),
+        topic0=norm_topics[0] if norm_topics else None,
+        topics_rest=norm_topics[1:],
+        data=_norm_hex(data, "log data") if data is not None else "0x",
+        log_index=_norm_quantity(entry.get("logIndex", position), "logIndex"),
+    )
+
+
+def _oracle_record(doc):
+    if not isinstance(doc, dict):
+        raise MalformedTrace("document is not a JSON object")
+    trace = doc.get("trace")
+    if trace is None or trace == {}:
+        raise EmptyTrace("document has no root frame")
+    root = _oracle_frame(trace, 0, [0])
+    raw_logs = doc.get("logs") or []
+    if not isinstance(raw_logs, list):
+        raise MalformedTrace("`logs` must be a list")
+    logs = [_oracle_log(entry, i) for i, entry in enumerate(raw_logs)]
+    seen = set()
+    for log in logs:
+        if log.log_index in seen:
+            raise MalformedTrace(f"duplicate logIndex {log.log_index}")
+        seen.add(log.log_index)
+    logs.sort(key=lambda log: log.log_index)
+    sender = doc.get("sender")
+    sender = _norm_hex(sender, "sender", nbytes=20) if sender is not None else root.caller
+    if sender != root.caller:
+        raise MalformedTrace("sender does not match root frame caller")
+    tx_hash = doc.get("tx_hash")
+    tx_hash = _norm_hex(tx_hash, "tx_hash", nbytes=32) if tx_hash else _derived_tx_hash(doc)
+    return TxRecord(tx_hash=tx_hash,
+                    chain_id=_norm_quantity(doc.get("chain_id", 0), "chain_id"),
+                    root_frame=root, logs=logs,
+                    block_number=_norm_quantity(doc.get("block_number"), "block_number"),
+                    sender=sender)
+
+
+def _oracle_frame_to_node(frame):
+    node = {"type": frame.frame_kind, "from": frame.caller, "to": frame.callee,
+            "input": "0x" + frame.selector if frame.selector else "0x",
+            "value": hex(frame.value)}
+    if frame.reverted:
+        node["error"] = "execution reverted"
+    if frame.children:
+        node["calls"] = [_oracle_frame_to_node(child) for child in frame.children]
+    return node
+
+
+def _outcome(parse, doc):
+    try:
+        return parse(doc)
+    except BridgeGuardError as exc:
+        return type(exc), str(exc)
+
+
+_HEX_KEYS = {"from", "to", "input", "address", "data", "sender", "tx_hash"}
+_QUANTITY_KEYS = {"value", "logIndex", "chain_id", "block_number"}
+# Characters that look like hex digits, or lower-case to ASCII, and are not.
+_LOOKALIKES = ["\uff10", "\uff41", "\u212a", "\u0660", "\u0130", "\u0391", "g", " "]
+
+
+@st.composite
+def _hex_variant(draw, value):
+    """`value` in mixed case, then maybe with a look-alike character, a
+    changed prefix or length, or replaced by a non-string."""
+    body = value[2:]
+    mask = draw(st.integers(min_value=0, max_value=2 ** len(body) - 1))
+    body = "".join(c.upper() if mask >> i & 1 else c for i, c in enumerate(body))
+    how = draw(st.sampled_from(["case", "case", "lookalike", "prefix", "short", "other"]))
+    if how == "lookalike":
+        at = draw(st.integers(min_value=0, max_value=len(body)))
+        body = body[:at] + draw(st.sampled_from(_LOOKALIKES)) + body[at + 1:]
+    elif how == "prefix":
+        return draw(st.sampled_from(["0X", "", "x", "00"])) + body
+    elif how == "short":
+        body = body[:-1]
+    elif how == "other":
+        return draw(st.sampled_from([None, "", 7, True, 1.5, [], {}]))
+    return "0x" + body
+
+
+_QUANTITY = st.sampled_from([True, False, 0, 3, -1, 2 ** 70, "0x1F", "0X1F", "0xzz",
+                             "12", "", 1.5, None, []])
+_FRAME_TYPE = st.sampled_from(["call", "Call", "STATICCALL", "create2", "JUMP", "", 3])
+
+
+def _typed_slots(doc):
+    """(container, key, kind) of every hex, quantity and frame-type value."""
+    slots = []
+    for container, key in _slots(doc):
+        value = container[key]
+        if key in _HEX_KEYS or (isinstance(container, list) and isinstance(value, str)):
+            slots.append((container, key, "hex"))
+        elif key in _QUANTITY_KEYS:
+            slots.append((container, key, "quantity"))
+        elif key == "type":
+            slots.append((container, key, "type"))
+    return slots
+
+
+def _assert_parses_like_the_oracle(doc):
+    expected = _outcome(_oracle_record, doc)
+    assert _outcome(record_from_document, doc) == expected
+    if isinstance(expected, TxRecord):
+        assert record_to_document(expected)["trace"] == _oracle_frame_to_node(
+            expected.root_frame)
+
+
+def _small_document():
+    trace = {"type": "CALL", "from": A, "to": B, "input": "0xa9059cbb" + "00" * 4,
+             "value": "0x10", "calls": [
+                 {"type": "DELEGATECALL", "from": B, "to": C, "input": "0x", "value": 0},
+                 {"type": "CREATE", "from": B, "to": A, "input": "0x60", "value": "5"}]}
+    logs = [{"address": B, "topics": ["0x" + "12" * 32, "0x" + "ef" * 32],
+             "data": "0x00ff", "logIndex": 1},
+            {"address": C, "topics": [], "data": "0x", "logIndex": "0x0"}]
+    return _doc(trace, logs, sender=A, tx_hash="0x" + "ab" * 32, block_number="0x10",
+                chain_id=1)
+
+
+_BAD = {"hex": "0x0g", "quantity": "0xzz", "type": "JUMP"}
+
+
+def test_first_error_of_any_two_bad_values_is_the_recursive_parsers():
+    n = len(_typed_slots(_small_document()))
+    for i in range(n):
+        for j in range(i, n):
+            doc = _small_document()
+            slots = _typed_slots(doc)
+            for container, key, kind in (slots[i], slots[j]):
+                container[key] = _BAD[kind]
+            _assert_parses_like_the_oracle(doc)
+
+
+_TRICKY = {
+    "hex": ["0x" + "Ab" * 20, "0x" + "aB" * 32, "0X" + "ab" * 20, "0x" + "ab" * 19 + "\uff41b",
+            "0x" + "ab" * 19 + "\u212a0", "0x" + "\u0660" * 40, "0x\u0130", "0xAB\n",
+            "0x" + "ab" * 20 + "\n", "0x", None, "", 5, True],
+    "quantity": [True, False, 0, 2 ** 70, -3, "0x1F", "0X1F", "12", "\uff11", 1.5, None],
+    "type": ["call", "Call", "selfdestruct", "JUMP", "", None, 3],
+}
+
+
+def test_every_field_parses_tricky_values_like_the_recursive_parser():
+    n = len(_typed_slots(_small_document()))
+    for i in range(n):
+        kind = _typed_slots(_small_document())[i][2]
+        for value in _TRICKY[kind]:
+            doc = _small_document()
+            container, key, _ = _typed_slots(doc)[i]
+            container[key] = value
+            _assert_parses_like_the_oracle(doc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), data=st.data())
+def test_iterative_parser_equals_the_recursive_one(seed, data):
+    doc = random_trace_doc(np.random.default_rng(seed), max_frames=12)
+    if data.draw(st.booleans()):
+        doc.update(sender=doc["trace"]["from"], tx_hash="0x" + "ab" * 32,
+                   block_number="0x10")
+    slots = _typed_slots(doc)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+        container, key, kind = data.draw(st.sampled_from(slots))
+        value = container[key]
+        if kind == "hex" and isinstance(value, str) and value.startswith("0x"):
+            container[key] = data.draw(_hex_variant(value))
+        elif kind == "quantity":
+            container[key] = data.draw(_QUANTITY)
+        elif kind == "type":
+            container[key] = data.draw(_FRAME_TYPE)
+    _assert_parses_like_the_oracle(doc)
+
+
+def _chain_document(deepest: int) -> dict:
+    """A one-frame-per-depth call chain down to depth `deepest`, with a
+    tx_hash, so no hash is derived from its (deep) JSON."""
+    root = node = {"type": "CALL", "from": A, "to": B, "input": "0xa9059cbb00",
+                   "value": "0x1"}
+    for depth in range(1, deepest + 1):
+        child = {"type": "CALL", "from": node["to"], "to": (B, C)[depth % 2],
+                 "input": "0x", "value": depth}
+        if depth % 7 == 0:
+            child["error"] = "execution reverted"
+        node["calls"] = [child]
+        node = child
+    return _doc(root, tx_hash="0x" + "cd" * 32)
+
+
+def _frame_fields(record):
+    """Every frame's fields but its children, in pre-order: `CallFrame ==`
+    recurses, so deep records are compared through this."""
+    return [(f.frame_kind, f.caller, f.callee, f.selector, f.value, f.depth, f.order,
+             f.reverted, len(f.children)) for f in flatten_frames(record)]
+
+
+def test_frames_down_to_the_evm_call_depth_limit_parse():
+    record = record_from_document(_chain_document(MAX_CALL_DEPTH))
+    frames = flatten_frames(record)
+    assert MAX_CALL_DEPTH == 1024
+    assert [f.depth for f in frames] == list(range(MAX_CALL_DEPTH + 1))
+    validate_record(record)
+    with pytest.raises(MalformedTrace, match="call tree nests too deep to parse"):
+        record_from_document(_chain_document(MAX_CALL_DEPTH + 1))
+
+
+def test_deepest_accepted_record_writes_back():
+    record = record_from_document(_chain_document(MAX_CALL_DEPTH))
+    again = record_from_document(record_to_document(record))
+    assert _frame_fields(again) == _frame_fields(record)
+    assert (again.tx_hash, again.logs, again.sender) == (record.tx_hash, record.logs,
+                                                         record.sender)

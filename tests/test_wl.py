@@ -1,7 +1,12 @@
+import pickle
+from unittest import mock
+
 import pytest
 
 from bridgeguard.ingest import record_from_document
-from bridgeguard.wl import wl_document
+from bridgeguard import wl
+from bridgeguard.hashing import stable_hash64
+from bridgeguard.wl import WLDocument, wl_document
 from bridgeguard.xteg import XTEG, Vertex, XtegEdge, build_xteg
 from conftest import random_trace_doc
 
@@ -87,3 +92,27 @@ def test_content_hash_tracks_multiset(rng):
     assert doc.content_hash == same.content_hash
     other = wl_document(_chain_graph([(0, 1), (0, 2)], 3))
     assert doc.content_hash != other.content_hash
+
+
+def test_content_hash_is_computed_once_per_document():
+    doc = WLDocument(tokens=("0:a", "0:b", "1:c"))
+    with mock.patch.object(wl, "stable_hash64", wraps=stable_hash64) as hashed:
+        first = doc.content_hash
+        assert doc.content_hash is first
+        assert hashed.call_count == 1
+    assert first == stable_hash64("\x1e".join(doc.tokens))  # the value is unchanged
+
+
+def test_cached_content_hash_leaves_equality_hashing_and_pickling_alone():
+    doc = WLDocument(tokens=("0:a", "0:b"))
+    fresh = WLDocument(tokens=("0:a", "0:b"))
+    _ = doc.content_hash  # cached on one side only
+    assert doc == fresh and hash(doc) == hash(fresh)
+    assert len({doc, fresh}) == 1
+    assert doc != WLDocument(tokens=("0:a",))
+    for original in (doc, fresh):
+        copy = pickle.loads(pickle.dumps(original))
+        assert copy == original and hash(copy) == hash(original)
+        assert copy.content_hash == fresh.content_hash
+    with pytest.raises(AttributeError):  # still frozen
+        doc.tokens = ()
