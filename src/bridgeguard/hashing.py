@@ -1,10 +1,19 @@
-"""Hashing primitives: keccak-256, stable 64-bit label hashes, seed derivation.
+"""Hashing primitives: keccak-256, stable 64-bit label hashes, canonical JSON,
+seed derivation.
 
 keccak-256 (the pre-SHA3 padding variant used by EVM chains) is not available
 from hashlib or any package on the local mirror, so the sponge is implemented
 here. The permutation and sponge are shared with SHA3; only the domain
 suffix byte differs (0x01 for keccak, 0x06 for SHA3), which the tests exploit
 to cross-validate against hashlib.
+
+`canonical_json` is the one JSON text that is hashed: the config hash
+(`json_hash64`) and a trace document's derived tx hash both take it.
+
+Every RNG seed is `derive_seed(seed, *parts)`: blake2b-64 of the base seed
+and its context parts. `derive_seeds(seed, parts, lasts)` gives the seeds of
+many contexts that differ only in their last part, such as one per epoch,
+hashing the shared prefix once; it returns exactly `derive_seed`'s values.
 """
 
 from __future__ import annotations
@@ -105,53 +114,42 @@ def stable_hash64(text: str) -> str:
     return hashlib.blake2b(text.encode("utf-8"), digest_size=8).hexdigest()
 
 
+def canonical_json(payload: object) -> str:
+    """The canonical JSON text of `payload`: sorted keys, no whitespace.
+    Content hashes are taken of this text, so equal payloads hash equally
+    wherever they are written."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def json_hash64(payload: object) -> str:
-    """`stable_hash64` of the canonical JSON of `payload`: sorted keys, no
-    whitespace. Equal settings hash equally wherever they are written."""
-    return stable_hash64(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    """`stable_hash64` of `canonical_json(payload)`."""
+    return stable_hash64(canonical_json(payload))
 
 
-def seed_prefix(seed: int, *parts: object) -> hashlib.blake2b:
-    """The hash state `derive_seed(seed, *parts, ...)` reaches after `parts`.
-
-    `extend_seed(seed_prefix(seed, *parts), *more)` equals
-    `derive_seed(seed, *parts, *more)`: it hashes the same bytes, and a caller
-    deriving many seeds under one prefix hashes the prefix once.
-    """
-    h = hashlib.blake2b(digest_size=8)
-    h.update(str(int(seed)).encode("ascii"))
-    _absorb(h, parts)
-    return h
-
-
-def extend_seed(prefix: hashlib.blake2b, *parts: object) -> int:
-    """The seed derived from a `seed_prefix` state and further context parts;
-    the prefix itself is left as it was."""
-    h = prefix.copy()
-    _absorb(h, parts)
-    return int.from_bytes(h.digest(), "big")
-
-
-def extend_seeds(prefix: hashlib.blake2b, parts: Iterable[object]) -> list[int]:
-    """`[extend_seed(prefix, part) for part in parts]`, with one prefix copy
-    and one update per part: the bytes `_absorb` would add, in one piece."""
-    seeds = []
-    for part in parts:
-        h = prefix.copy()
-        h.update(b"\x1f" + str(part).encode("utf-8"))
-        seeds.append(int.from_bytes(h.digest(), "big"))
-    return seeds
-
-
-def _absorb(h: hashlib.blake2b, parts: tuple) -> None:
-    for part in parts:
-        h.update(b"\x1f")
-        h.update(str(part).encode("utf-8"))
+def _seed_bytes(seed: int, parts: Iterable[object]) -> bytes:
+    """What a seed derivation hashes: the base seed in decimal, then each
+    context part as `str`, each part after a 0x1f separator, UTF-8."""
+    return "\x1f".join([str(int(seed)), *map(str, parts)]).encode("utf-8")
 
 
 def derive_seed(seed: int, *parts: object) -> int:
-    """Derive an independent 64-bit RNG seed from a base seed and context.
+    """Derive an independent 64-bit RNG seed from a base seed and context:
+    the 8-byte blake2b digest of `_seed_bytes`, read big-endian.
 
     Context parts are stringified, so content hashes and indices both work.
     """
-    return int.from_bytes(seed_prefix(seed, *parts).digest(), "big")
+    h = hashlib.blake2b(_seed_bytes(seed, parts), digest_size=8)
+    return int.from_bytes(h.digest(), "big")
+
+
+def derive_seeds(seed: int, parts: Iterable[object], lasts: Iterable[object]) -> list[int]:
+    """`[derive_seed(seed, *parts, last) for last in lasts]`, hashing the
+    seed and `parts` once: each seed copies that hash state and adds its
+    `last` as `_seed_bytes` adds a part."""
+    prefix = hashlib.blake2b(_seed_bytes(seed, parts), digest_size=8)
+    seeds = []
+    for last in lasts:
+        h = prefix.copy()
+        h.update(b"\x1f" + str(last).encode("utf-8"))
+        seeds.append(int.from_bytes(h.digest(), "big"))
+    return seeds

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import BridgeGuardError, EmptyTrace, InvalidConfig, MalformedTrace
+from .hashing import canonical_json
 
 FRAME_KINDS = frozenset({
     "CALL", "STATICCALL", "DELEGATECALL", "CALLCODE",
@@ -80,43 +81,45 @@ class DatasetManifest:
 # --- hex normalization ---------------------------------------------------
 
 
-# ASCII only: `\d` would admit other scripts' digits, and `$` a trailing newline.
-_is_hex_body = re.compile(r"[0-9a-f]*").fullmatch
-# Whole values `_norm_hex` accepts as they are, up to case: the parser's fast
-# path. Anything else goes to `_norm_hex`, which gives the same value or error.
-_is_address = re.compile(r"0x[0-9a-fA-F]{40}").fullmatch
-_is_word = re.compile(r"0x[0-9a-fA-F]{64}").fullmatch
-_is_hex = re.compile(r"0x[0-9a-fA-F]*").fullmatch
+# The whole hex values `_norm_hex` accepts, by byte count (None: any). ASCII
+# only: `\d` would admit other scripts' digits, and `$` a trailing newline.
+_HEX_VALUE = {
+    None: re.compile(r"0x[0-9a-fA-F]*").fullmatch,
+    20: re.compile(r"0x[0-9a-fA-F]{40}").fullmatch,
+    32: re.compile(r"0x[0-9a-fA-F]{64}").fullmatch,
+}
+# The quantity strings `_norm_quantity` accepts: hex digits after 0x, or decimal.
+_is_quantity_text = re.compile(r"0x[0-9a-fA-F]+|[0-9]+").fullmatch
 
 
 def _norm_hex(value: object, name: str, nbytes: int | None = None) -> str:
+    """`value`, a 0x-prefixed hex string of `nbytes` bytes (any length when
+    None), in lower case. Anything else raises MalformedTrace naming `name`
+    and what is wrong."""
+    if type(value) is str and _HEX_VALUE[nbytes](value):
+        return value.lower()
     if not isinstance(value, str) or not value.startswith("0x"):
         raise MalformedTrace(f"{name}: expected 0x-prefixed hex string, got {value!r}")
     body = value[2:].lower()
-    if not _is_hex_body(body):
+    if not _HEX_VALUE[None]("0x" + body):
         raise MalformedTrace(f"{name}: non-hex characters in {value!r}")
     if nbytes is not None and len(body) != 2 * nbytes:
         raise MalformedTrace(f"{name}: expected {nbytes} bytes, got {value!r}")
     return "0x" + body
 
 
-def _norm_address(value: object, name: str) -> str:
-    if type(value) is str and _is_address(value):
-        return value.lower()
-    return _norm_hex(value, name, nbytes=20)
-
-
 def _norm_quantity(value: object, name: str) -> int:
+    """`value` as a non-negative int: None (0), an int that is not a bool,
+    or an ASCII string of hex digits after 0x or of decimal digits.
+    Anything else raises MalformedTrace naming `name`."""
+    if type(value) is int and value >= 0:
+        return value
     if value is None:
         return 0
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value, 16) if value.startswith("0x") else int(value)
-        except ValueError:
-            pass
-    raise MalformedTrace(f"{name}: expected integer or hex quantity, got {value!r}")
+    if isinstance(value, str) and _is_quantity_text(value):
+        return int(value, 16) if value.startswith("0x") else int(value)
+    raise MalformedTrace(f"{name}: expected a non-negative integer or a hex or decimal "
+                         f"quantity, got {value!r}")
 
 
 # --- trace document parsing ----------------------------------------------
@@ -142,24 +145,20 @@ def _parse_calls(trace: object) -> CallFrame:
         if not isinstance(kind, str) or kind.upper() not in FRAME_KINDS:
             raise MalformedTrace(f"unknown frame type {kind!r} at depth {depth}")
 
-        caller = _norm_address(node.get("from"), "from")
+        caller = _norm_hex(node.get("from"), "from", 20)
         # CREATE* report the created address in `to`; SELFDESTRUCT the refund
         # beneficiary, which some tracers omit entirely.
         to = node.get("to")
-        callee = ZERO_ADDRESS if to in (None, "") else _norm_address(to, "to")
+        callee = ZERO_ADDRESS if to in (None, "") else _norm_hex(to, "to", 20)
 
         raw_input = node.get("input", "0x")
-        if type(raw_input) is str and _is_hex(raw_input):
-            input_hex = raw_input.lower()
-        else:
-            input_hex = _norm_hex(raw_input, "input") if raw_input is not None else "0x"
-        value = node.get("value")
+        input_hex = _norm_hex(raw_input, "input") if raw_input is not None else "0x"
         frame = CallFrame(
             frame_kind=kind.upper(),
             caller=caller,
             callee=callee,
             selector=input_hex[2:10] if len(input_hex) >= 10 else None,
-            value=value if type(value) is int else _norm_quantity(value, "value"),
+            value=_norm_quantity(node.get("value"), "value"),
             depth=depth,
             order=order,
             reverted=bool(node.get("error") or node.get("revertReason")),
@@ -182,31 +181,19 @@ def _parse_log(entry: object, position: int) -> LogEntry:
     topics = entry.get("topics", [])
     if not isinstance(topics, list):
         raise MalformedTrace(f"log #{position}: topics must be a list")
-    norm_topics = [t.lower() if type(t) is str and _is_word(t)
-                   else _norm_hex(t, "topic", nbytes=32) for t in topics]
-    emitter = _norm_address(entry.get("address"), "log address")
+    norm_topics = [_norm_hex(t, "topic", 32) for t in topics]
     data = entry.get("data", "0x")
-    if type(data) is str and _is_hex(data):
-        data = data.lower()
-    else:
-        data = _norm_hex(data, "log data") if data is not None else "0x"
-    log_index = entry.get("logIndex", position)
-    if type(log_index) is not int:
-        log_index = _norm_quantity(log_index, "logIndex")
     return LogEntry(
-        emitter=emitter,
+        emitter=_norm_hex(entry.get("address"), "log address", 20),
         topic0=norm_topics[0] if norm_topics else None,
         topics_rest=norm_topics[1:],
-        data=data,
-        log_index=log_index,
+        data=_norm_hex(data, "log data") if data is not None else "0x",
+        log_index=_norm_quantity(entry.get("logIndex", position), "logIndex"),
     )
 
 
 def _derived_tx_hash(doc: dict) -> str:
-    canonical = json.dumps(
-        {"trace": doc.get("trace"), "logs": doc.get("logs", [])},
-        sort_keys=True, separators=(",", ":"),
-    )
+    canonical = canonical_json({"trace": doc.get("trace"), "logs": doc.get("logs", [])})
     return "0x" + hashlib.blake2b(canonical.encode(), digest_size=32).hexdigest()
 
 
@@ -241,12 +228,12 @@ def _record_from_document(doc: object, chain_id: int | None) -> TxRecord:
     logs.sort(key=lambda log: log.log_index)
 
     sender = doc.get("sender")
-    sender = _norm_address(sender, "sender") if sender is not None else root.caller
+    sender = _norm_hex(sender, "sender", 20) if sender is not None else root.caller
     if sender != root.caller:
         raise MalformedTrace("sender does not match root frame caller")
 
     tx_hash = doc.get("tx_hash")
-    tx_hash = _norm_hex(tx_hash, "tx_hash", nbytes=32) if tx_hash else _derived_tx_hash(doc)
+    tx_hash = _norm_hex(tx_hash, "tx_hash", 32) if tx_hash else _derived_tx_hash(doc)
 
     return TxRecord(
         tx_hash=tx_hash,

@@ -78,13 +78,10 @@ class SynthTx:
     template_id: str
 
 
-def _addr(*parts: object) -> str:
-    h = hashlib.blake2b("|".join(str(p) for p in parts).encode(), digest_size=20)
-    return "0x" + h.hexdigest()
-
-
-def _tx_hash(*parts: object) -> str:
-    h = hashlib.blake2b("|".join(str(p) for p in parts).encode(), digest_size=32)
+def _hex_id(nbytes: int, *parts: object) -> str:
+    """A 0x-prefixed id of `nbytes` bytes (20: an address, 32: a tx hash):
+    the blake2b digest of that size of the parts joined by "|"."""
+    h = hashlib.blake2b("|".join(str(p) for p in parts).encode(), digest_size=nbytes)
     return "0x" + h.hexdigest()
 
 
@@ -98,15 +95,15 @@ class BridgeEnv:
 
     @classmethod
     def from_seed(cls, seed: int) -> "BridgeEnv":
-        oracles = [("STATICCALL", _addr(seed, "oracle", i),
+        oracles = [("STATICCALL", _hex_id(20, seed, "oracle", i),
                     "0x" + selector("latestAnswer()")) for i in range(3)]
-        collectors = [("CALL", _addr(seed, "collector", i),
+        collectors = [("CALL", _hex_id(20, seed, "collector", i),
                        "0x" + selector("collectFee(address)")) for i in range(2)]
-        registry = [("STATICCALL", _addr(seed, "registry"), "0x")]
+        registry = [("STATICCALL", _hex_id(20, seed, "registry"), "0x")]
         return cls(
-            router=_addr(seed, "router"),
-            token=_addr(seed, "token"),
-            vault=_addr(seed, "vault"),
+            router=_hex_id(20, seed, "router"),
+            token=_hex_id(20, seed, "token"),
+            vault=_hex_id(20, seed, "vault"),
             noise_pool=tuple(oracles + collectors + registry),
         )
 
@@ -154,7 +151,7 @@ def _finish(trace: dict, logs: list[dict], label: str, template_id: str,
     rng = np.random.default_rng(derive_seed(seed, "noise"))
     _apply_noise(trace, rng, noise, env)
     doc = {
-        "tx_hash": _tx_hash(seed, "tx"),
+        "tx_hash": _hex_id(32, seed, "tx"),
         "chain_id": chain_id,
         "block_number": int(rng.integers(15_000_000, 20_000_000)),
         "sender": trace["from"],
@@ -169,7 +166,7 @@ def gen_normal_deposit(seed: int, noise: tuple[float, int] = NOISE_OFF,
     """Source-chain deposit: full lock chain plus Lock and Deposit events."""
     env = env or BridgeEnv.from_seed(derive_seed(seed, "env"))
     rng = np.random.default_rng(derive_seed(seed, "amounts"))
-    user = _addr(seed, "eoa")
+    user = _hex_id(20, seed, "eoa")
     amount = int(rng.integers(1, 10**9)) * 10**9
     vault_leg = _node("CALL", env.token, env.vault, "0x", amount)
     token_leg = _node("CALL", env.router, env.token,
@@ -187,8 +184,8 @@ def gen_normal_withdrawal(seed: int, noise: tuple[float, int] = NOISE_OFF,
     """Target-chain withdrawal: release chain plus Unlock and Withdrawal events."""
     env = env or BridgeEnv.from_seed(derive_seed(seed, "env"))
     rng = np.random.default_rng(derive_seed(seed, "amounts"))
-    relayer = _addr(seed, "eoa")
-    recipient = _addr(seed, "recipient")
+    relayer = _hex_id(20, seed, "eoa")
+    recipient = _hex_id(20, seed, "recipient")
     amount = int(rng.integers(1, 10**9)) * 10**9
     payout = _node("CALL", env.token, recipient, "0x", amount)
     token_leg = _node("CALL", env.router, env.token,
@@ -206,7 +203,7 @@ def gen_attack_src(seed: int, noise: tuple[float, int] = NOISE_OFF,
     """Source-chain attack: deposit event without the token-transfer subcall."""
     env = env or BridgeEnv.from_seed(derive_seed(seed, "env"))
     rng = np.random.default_rng(derive_seed(seed, "amounts"))
-    attacker = _addr(seed, "eoa")
+    attacker = _hex_id(20, seed, "eoa")
     amount = int(rng.integers(1, 10**9)) * 10**9
     trace = _node("CALL", attacker, env.router, _calldata(SEL_DEPOSIT, 1, amount))
     logs = [_log(env.router, TOPIC_DEPOSIT, 0, amount)]
@@ -219,8 +216,8 @@ def gen_attack_tgt(seed: int, noise: tuple[float, int] = NOISE_OFF,
     """Target-chain attack: contract creation, forced mint, self-destruct."""
     env = env or BridgeEnv.from_seed(derive_seed(seed, "env"))
     rng = np.random.default_rng(derive_seed(seed, "amounts"))
-    attacker = _addr(seed, "eoa")
-    attack_contract = _addr(seed, "attack-contract")
+    attacker = _hex_id(20, seed, "eoa")
+    attack_contract = _hex_id(20, seed, "attack-contract")
     amount = int(rng.integers(1, 10**9)) * 10**9
     mint_leg = _node("CALL", env.router, env.token, _calldata(SEL_MINT, 1, amount))
     router_leg = _node("CALL", attack_contract, env.router,

@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 
 from bridgeguard.hashing import (
     derive_seed,
+    derive_seeds,
     event_topic,
-    extend_seed,
-    extend_seeds,
     keccak256,
-    seed_prefix,
     selector,
     sha3_256,
     stable_hash64,
@@ -61,21 +59,21 @@ def test_derive_seed_separates_contexts():
 _PARTS = st.lists(st.one_of(st.text(), st.integers()), max_size=3)
 
 
-@given(seed=st.integers(min_value=0, max_value=2**64 - 1), parts=_PARTS, more=_PARTS)
-def test_prefix_copied_seed_equals_derive_seed(seed, parts, more):
-    context = b"".join(b"\x1f" + str(part).encode("utf-8") for part in parts + more)
-    one_pass = hashlib.blake2b(str(seed).encode("ascii") + context, digest_size=8)
-    prefix = seed_prefix(seed, *parts)
-    assert extend_seed(prefix, *more) == int.from_bytes(one_pass.digest(), "big")
-    assert extend_seed(prefix, *more) == derive_seed(seed, *parts, *more)
-    assert extend_seed(prefix, *more) == derive_seed(seed, *parts, *more)  # prefix kept
-    assert extend_seed(prefix) == derive_seed(seed, *parts)
+def _one_pass(seed, parts):
+    """The seed of the documented bytes, hashed in one pass: the base seed in
+    decimal, then each part after a 0x1f separator."""
+    context = b"".join(b"\x1f" + str(part).encode("utf-8") for part in parts)
+    digest = hashlib.blake2b(str(seed).encode("ascii") + context, digest_size=8).digest()
+    return int.from_bytes(digest, "big")
 
 
 @given(seed=st.integers(min_value=0, max_value=2**64 - 1), parts=_PARTS,
-       more=st.lists(st.one_of(st.text(), st.integers()), max_size=12))
-def test_extend_seeds_equals_extend_seed_per_part(seed, parts, more):
-    prefix = seed_prefix(seed, *parts)
-    assert extend_seeds(prefix, more) == [extend_seed(prefix, part) for part in more]
-    assert extend_seeds(prefix, range(5)) == [derive_seed(seed, *parts, e) for e in range(5)]
-    assert extend_seeds(prefix, []) == []
+       lasts=st.lists(st.one_of(st.text(), st.integers()), max_size=12))
+def test_derive_seeds_equals_derive_seed_per_last(seed, parts, lasts):
+    assert derive_seed(seed, *parts) == _one_pass(seed, parts)
+    assert derive_seeds(seed, parts, lasts) == [derive_seed(seed, *parts, last)
+                                                for last in lasts]
+    assert derive_seeds(seed, parts, lasts) == [_one_pass(seed, parts + [last])
+                                                for last in lasts]
+    assert derive_seeds(seed, [], lasts) == [derive_seed(seed, last) for last in lasts]
+    assert derive_seeds(seed, parts, []) == []

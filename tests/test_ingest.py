@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -602,3 +603,96 @@ def test_deepest_accepted_record_writes_back():
     assert _frame_fields(again) == _frame_fields(record)
     assert (again.tx_hash, again.logs, again.sender) == (record.tx_hash, record.logs,
                                                          record.sender)
+
+
+# --- the hex and quantity rules, on their own ---------------------------------
+
+
+def _slow_norm_hex(value, name, nbytes):
+    """The rule `_norm_hex` shortcuts with one whole-value match, written out
+    check by check."""
+    if not isinstance(value, str) or not value.startswith("0x"):
+        raise MalformedTrace(f"{name}: expected 0x-prefixed hex string, got {value!r}")
+    body = value[2:].lower()
+    if any(c not in "0123456789abcdef" for c in body):
+        raise MalformedTrace(f"{name}: non-hex characters in {value!r}")
+    if nbytes is not None and len(body) != 2 * nbytes:
+        raise MalformedTrace(f"{name}: expected {nbytes} bytes, got {value!r}")
+    return "0x" + body
+
+
+def _hex_outcome(norm, value, nbytes):
+    try:
+        return norm(value, "field", nbytes)
+    except BridgeGuardError as exc:
+        return type(exc), str(exc)
+
+
+# Values of 20 and 32 bytes, one byte either side of each, and other lengths.
+_HEX_SEEDS = ["0x" + "ab" * n for n in (19, 20, 21, 31, 32, 33)] + ["0xa9059cbb00", "0x"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=st.one_of(st.sampled_from(_TRICKY["hex"]),
+                       st.sampled_from(_HEX_SEEDS).flatmap(_hex_variant)),
+       nbytes=st.sampled_from([None, 20, 32]))
+def test_hex_shortcut_equals_the_slow_rule(value, nbytes):
+    assert (_hex_outcome(_norm_hex, value, nbytes)
+            == _hex_outcome(_slow_norm_hex, value, nbytes))
+
+
+_ACCEPTED_QUANTITIES = {None: 0, 0: 0, 7: 7, 2 ** 70: 2 ** 70, "0x1F": 31, "0x1f": 31,
+                        "0x0": 0, "12": 12, "0": 0, "007": 7}
+_REJECTED_QUANTITIES = [True, False, -5, -1, 1.5, "\uff11", "\u0663", "0x\uff11F",
+                        "1_000", " 12 ", "+5", "-5", "-0x5", "0X1F", "0x", "", "12\n", []]
+
+
+def _quantity_slots(doc):
+    return [(container, key) for container, key, kind in _typed_slots(doc)
+            if kind == "quantity"]
+
+
+def _quantity_document():
+    """One frame, one log, and every quantity field set."""
+    return _doc({"type": "CALL", "from": A, "to": B, "input": "0x", "value": 1},
+                [{"address": B, "topics": [], "data": "0x", "logIndex": 2}],
+                chain_id=1, block_number=3)
+
+
+def test_quantities_accept_exactly_non_negative_ints_and_ascii_digit_strings():
+    for value, number in _ACCEPTED_QUANTITIES.items():
+        assert _norm_quantity(value, "value") == number
+    for i in range(len(_quantity_slots(_quantity_document()))):
+        for value in _ACCEPTED_QUANTITIES:
+            doc = _quantity_document()
+            container, key = _quantity_slots(doc)[i]
+            container[key] = value
+            record = record_from_document(doc)
+            assert record_from_document(record_to_document(record)) == record
+        for value in _REJECTED_QUANTITIES:
+            doc = _quantity_document()
+            container, key = _quantity_slots(doc)[i]
+            container[key] = value
+            with pytest.raises(MalformedTrace, match=f"^{key}: .*{re.escape(repr(value))}$"):
+                record_from_document(doc)
+
+
+def test_manifest_chain_id_accepts_only_quantities(tmp_path):
+    path = tmp_path / "manifest.jsonl"
+    for value, number in _ACCEPTED_QUANTITIES.items():
+        path.write_text(json.dumps({"source": "a.json", "label": "Normal", "chain_id": value}))
+        assert load_manifest(path).entries[0].chain_id == number
+    for value in _REJECTED_QUANTITIES:
+        path.write_text(json.dumps({"source": "a.json", "label": "Normal", "chain_id": value}))
+        with pytest.raises(InvalidConfig, match="chain_id"):
+            load_manifest(path)
+
+
+def test_derived_tx_hash_is_pinned_and_independent_of_key_order():
+    trace = {"type": "CALL", "from": A, "to": B, "input": "0x", "value": 5}
+    logs = [{"address": B, "topics": [], "data": "0x", "logIndex": 0}]
+    pinned = "0xb2bdd8d93d704f70884edcdc4cc1b6f7f7cf6bcc37183757fd218bc9956278a9"
+    assert record_from_document(_doc(trace, logs)).tx_hash == pinned
+    reordered = {"logs": [dict(reversed(logs[0].items()))],
+                 "trace": dict(reversed(trace.items()))}
+    assert record_from_document(reordered).tx_hash == pinned
