@@ -67,13 +67,22 @@ def _one_pass(seed, parts):
     return int.from_bytes(digest, "big")
 
 
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1), parts=_PARTS, more=_PARTS)
+def test_prefix_copied_seed_equals_derive_seed(seed, parts, more):
+    # derive_seeds hashes the prefix once and copies it per last part.
+    assert derive_seed(seed, *parts, *more) == _one_pass(seed, parts + more)
+    assert derive_seeds(seed, parts, more) == [_one_pass(seed, parts + [last])
+                                               for last in more]
+    assert derive_seeds(seed, parts, more) == [derive_seed(seed, *parts, last)
+                                               for last in more]  # prefix kept
+
+
 @given(seed=st.integers(min_value=0, max_value=2**64 - 1), parts=_PARTS,
-       lasts=st.lists(st.one_of(st.text(), st.integers()), max_size=12))
-def test_derive_seeds_equals_derive_seed_per_last(seed, parts, lasts):
-    assert derive_seed(seed, *parts) == _one_pass(seed, parts)
-    assert derive_seeds(seed, parts, lasts) == [derive_seed(seed, *parts, last)
-                                                for last in lasts]
-    assert derive_seeds(seed, parts, lasts) == [_one_pass(seed, parts + [last])
-                                                for last in lasts]
-    assert derive_seeds(seed, [], lasts) == [derive_seed(seed, last) for last in lasts]
+       more=st.lists(st.one_of(st.text(), st.integers()), max_size=12))
+def test_extend_seeds_equals_extend_seed_per_part(seed, parts, more):
+    assert derive_seeds(seed, parts, more) == [derive_seed(seed, *parts, last)
+                                               for last in more]
+    assert derive_seeds(seed, parts, range(5)) == [derive_seed(seed, *parts, e)
+                                                   for e in range(5)]
+    assert derive_seeds(seed, [], more) == [derive_seed(seed, last) for last in more]
     assert derive_seeds(seed, parts, []) == []
