@@ -37,9 +37,7 @@ exact:
   first (`bincount`) and adding the sum would round differently.
 
 The row and coefficient arrays, 12 bytes a row, are the only state that
-grows with the corpus's rows. Each job also keeps a row of its epochs' noise
-seeds, 8 bytes times epochs (0.8 MB for 1005 jobs of 100 epochs), derived
-once before the first epoch. Every other temporary is bounded by
+grows with the corpus's rows. Every other temporary is bounded by
 `_CHUNK_ROWS` rows (or one longer document) times dim: a stack holds at
 most that many rows, and the accumulation runs span by span, each at most
 that long, through two reused chunk buffers. The noise buffers hold
@@ -235,10 +233,10 @@ def _hashmix(value: np.ndarray, before, after) -> np.ndarray:
     return value ^ (value >> 16)
 
 
-def _pcg64_states(seeds: list[int] | np.ndarray) -> list[tuple[int, int]]:
+def _pcg64_states(seeds: list[int]) -> list[tuple[int, int]]:
     """The (state, inc) of `np.random.default_rng(seed).bit_generator` for
     each seed in 0..2^64-1 (see the module docstring)."""
-    seeds = np.asarray(seeds, dtype=np.uint64)
+    seeds = np.array(seeds, dtype=np.uint64)
     words = np.zeros((4, seeds.size), dtype=np.uint32)
     words[0] = seeds.astype(np.uint32)
     words[1] = (seeds >> 32).astype(np.uint32)
@@ -376,9 +374,6 @@ def train_graph2vec(corpus: list[WLDocument], dim: int = 16,
         doc_hashes.append(h)
         corpus_jobs.append(j)
     hashes = list(job_of)
-    epoch_seeds = np.empty((len(hashes), params.epochs), dtype=np.uint64)
-    for j, h in enumerate(hashes):  # job j's noise seed for each epoch
-        epoch_seeds[j] = derive_seeds(seed, ("neg", h), range(params.epochs))
     streams = _Streams()
     doc_vectors = np.empty((len(docs), dim))
     for j, state in enumerate(_pcg64_states([derive_seed(seed, "doc", h) for h in hashes])):
@@ -421,7 +416,7 @@ def train_graph2vec(corpus: list[WLDocument], dim: int = 16,
     # matrix as it stood at the epoch start; both change only at its end.
     for epoch, lr in enumerate(_lr_schedule(params)):
         started = time.perf_counter() if debug else 0.0
-        states = _pcg64_states(epoch_seeds[:, epoch])
+        states = _pcg64_states([derive_seed(seed, "neg", h, epoch) for h in hashes])
         for a, b, first, last, cuts in blocks:
             u = uniforms[:last - first]
             streams.fill(states[a:b], (u[i:j] for i, j in zip(cuts, cuts[1:])))

@@ -110,14 +110,17 @@ def _norm_hex(value: object, name: str, nbytes: int | None = None) -> str:
 
 def _norm_quantity(value: object, name: str) -> int:
     """`value` as a non-negative int: None (0), an int that is not a bool,
-    or an ASCII string of hex digits after 0x or of decimal digits.
-    Anything else raises MalformedTrace naming `name`."""
+    or an ASCII string of hex digits after 0x or of decimal digits (no more
+    than `int()` converts). Anything else raises MalformedTrace naming `name`."""
     if type(value) is int and value >= 0:
         return value
     if value is None:
         return 0
     if isinstance(value, str) and _is_quantity_text(value):
-        return int(value, 16) if value.startswith("0x") else int(value)
+        try:
+            return int(value, 16) if value.startswith("0x") else int(value)
+        except ValueError:  # more decimal digits than int() converts
+            pass
     raise MalformedTrace(f"{name}: expected a non-negative integer or a hex or decimal "
                          f"quantity, got {value!r}")
 

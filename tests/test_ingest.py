@@ -644,7 +644,8 @@ def test_hex_shortcut_equals_the_slow_rule(value, nbytes):
 _ACCEPTED_QUANTITIES = {None: 0, 0: 0, 7: 7, 2 ** 70: 2 ** 70, "0x1F": 31, "0x1f": 31,
                         "0x0": 0, "12": 12, "0": 0, "007": 7}
 _REJECTED_QUANTITIES = [True, False, -5, -1, 1.5, "\uff11", "\u0663", "0x\uff11F",
-                        "1_000", " 12 ", "+5", "-5", "-0x5", "0X1F", "0x", "", "12\n", []]
+                        "1_000", " 12 ", "+5", "-5", "-0x5", "0X1F", "0x", "", "12\n", [],
+                        "9" * 5000]  # past int()'s decimal digit limit
 
 
 def _quantity_slots(doc):
