@@ -8,9 +8,10 @@ the 0/0 -> 0 convention. The 37-dim layout is [global(21), local(16)].
 KNN neighbours are the k smallest distances
 `sqrt(((x - z) ** 2).sum(axis=1))` between the standardized query z and the
 training rows x; equal distances rank by training-row index. Training rows
-that are bitwise equal have bitwise equal distances to every query, so the
-model groups them once, at construction, and searches the distinct rows
-only. A query finds its neighbours exactly in three steps:
+that are bitwise equal, up to the sign of zero, have bitwise equal
+distances to every query, so the model groups them once, at construction,
+and searches the distinct rows only. A query finds its neighbours exactly
+in three steps:
 
 1. One BLAS matvec gives each distinct row's squared distance by the Gram
    identity `|x|^2 - 2x.z + |z|^2`. In d dims, its rounding error and that
@@ -32,8 +33,9 @@ The neighbours, their distances and so every label are those of a full
 scan, bit for bit. Queries bitwise equal to a training row (after
 standardization) are common: a graph2vec trained-vector hit whose graph
 statistics, direction flag and census match a training transaction's is
-one. Construction therefore runs the search once per distinct row and keeps
-the answers, so such a query costs one dict lookup.
+one. The first such query of a distinct row runs the search and the model
+keeps its answer, so every later query of that row costs one dict lookup.
+Construction runs no search.
 """
 
 from __future__ import annotations
@@ -193,8 +195,8 @@ def _admit_sqrt_ties(t: float) -> float:
 
 @dataclass
 class KNNModel:
-    """`x` must not be modified in place: its distinct rows and their
-    neighbours are fixed at construction."""
+    """`x` must not be modified in place: its distinct rows are fixed at
+    construction, and their neighbours once first asked for."""
     k: int
     standardizer: Standardizer
     x: np.ndarray  # standardized training matrix
@@ -209,8 +211,7 @@ class KNNModel:
     _err_scale: float = field(init=False, repr=False, compare=False)
     _err_floor: float = field(init=False, repr=False, compare=False)
     _row_index: dict[bytes, int] = field(init=False, repr=False, compare=False)
-    _fixed_rows: np.ndarray = field(init=False, repr=False, compare=False)
-    _fixed_dist: np.ndarray = field(init=False, repr=False, compare=False)
+    _answers: dict[int, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         x, mean, std = self.x, self.standardizer.mean, self.standardizer.std
@@ -229,13 +230,13 @@ class KNNModel:
             raise InvalidConfig(f"k must be an integer >= 1, got {self.k!r}")
         if self.k > rows:
             raise KTooLarge(f"k={self.k} exceeds training size {rows}")
-        # Group rows by their bits: members of a group are equal, so every
-        # distance to them is equal. Groups are numbered in order of first
-        # occurrence; group g's rows, ascending, are
+        # Group rows by their bits, with -0.0 read as 0.0: members of a group
+        # are equal, so every distance to them is equal. Groups are numbered
+        # in order of first occurrence; group g's rows, ascending, are
         # members[starts[g]:starts[g] + counts[g]].
-        self._row_index = {}
+        self._row_index, self._answers = {}, {}
         group = np.array([self._row_index.setdefault(row.tobytes(), len(self._row_index))
-                          for row in np.asarray(x, dtype=np.float64)], dtype=np.intp)
+                          for row in np.asarray(x, dtype=np.float64) + 0.0], dtype=np.intp)
         self._counts = np.bincount(group)
         self._members = np.argsort(group, kind="stable")
         self._starts = np.cumsum(self._counts) - self._counts
@@ -247,20 +248,18 @@ class KNNModel:
         # Each of the 4d products in the two expressions loses at most half
         # a subnormal to underflow.
         self._err_floor = 4.0 * (dims + 1) * float(np.finfo(np.float64).smallest_subnormal)
-        # The neighbours of each distinct row, for queries equal to it.
-        self._fixed_rows = np.empty((len(self._distinct), self.k), dtype=np.intp)
-        self._fixed_dist = np.empty((len(self._distinct), self.k))
-        for g, row in enumerate(self._distinct):
-            self._fixed_rows[g], self._fixed_dist[g] = self._search(row)
 
     def neighbors(self, features) -> tuple[np.ndarray, np.ndarray]:
         """Training-row indices of the k nearest, nearest first (equal
         distances by row index), and their distances."""
         z = self.standardizer.transform(_values(features))
-        g = self._row_index.get(z.tobytes())
-        if g is not None:
-            return self._fixed_rows[g].copy(), self._fixed_dist[g].copy()
-        return self._search(z)
+        g = self._row_index.get((z + 0.0).tobytes())
+        if g is None:
+            return self._search(z)
+        if g not in self._answers:  # the neighbours of distinct row g
+            self._answers[g] = self._search(z)
+        nearest, dist = self._answers[g]
+        return nearest.copy(), dist.copy()
 
     def _search(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """`neighbors` of the standardized query z, by the distinct-row

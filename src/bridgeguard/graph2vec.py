@@ -173,7 +173,7 @@ class EmbeddingModel:
     doc_hashes: list[str]  # content hash per corpus document
     params: TrainParams
     seed: int
-    _hash_to_index: dict[str, int] = field(default_factory=dict, repr=False)
+    _hash_to_index: dict[str, int] = field(init=False, repr=False, compare=False)
     _noise: _NoiseSampler = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -181,9 +181,9 @@ class EmbeddingModel:
         if (self.token_vectors.shape != (n, self.dim) or self.token_counts.shape != (n,)
                 or self.graph_vectors.shape != (len(self.doc_hashes), self.dim)):
             raise ValueError("array shapes do not match the vocabulary and documents")
-        if not self._hash_to_index:
-            for i, h in enumerate(self.doc_hashes):
-                self._hash_to_index.setdefault(h, i)
+        self._hash_to_index = {}
+        for i, h in enumerate(self.doc_hashes):
+            self._hash_to_index.setdefault(h, i)
         self._noise = _NoiseSampler(self.token_counts)
 
     def lookup(self, doc: WLDocument) -> int | None:
@@ -571,5 +571,6 @@ def load_model(path: str | Path) -> EmbeddingModel:
                 params=params,
                 seed=int(header["seed"]),
             )
-    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+    except (ValueError, KeyError, TypeError, EOFError, RecursionError,
+            zipfile.BadZipFile) as exc:
         raise ModelVersionMismatch(f"{path}: not an embedding model ({exc})") from exc

@@ -314,8 +314,12 @@ def record_to_document(record: TxRecord) -> dict:
 
 def json_text(payload: object) -> str:
     """`payload` as the toolkit's JSON text: sorted keys, one-space indent,
-    no final newline. Files (`write_json`) and `--format json` output use it."""
-    return json.dumps(payload, indent=1, sort_keys=True)
+    no final newline. Files (`write_json`) and `--format json` output use it.
+    A payload nesting deeper than the encoder recurses raises MalformedTrace."""
+    try:
+        return json.dumps(payload, indent=1, sort_keys=True)
+    except RecursionError as exc:
+        raise MalformedTrace(f"document nests too deep to write as JSON ({exc})") from exc
 
 
 def write_json(path: str | Path, payload: object) -> None:

@@ -86,14 +86,10 @@ def prepare(record: TxRecord, cfg: RunConfig, stage=_no_stage) -> PreparedTx:
 
 def feature_vector(prep: PreparedTx, model: EmbeddingModel,
                    stage=_no_stage) -> FeatureVector:
+    """The 37-dim vector of `prep` under `model`: the one featurization of
+    train, evaluate and detect."""
     with stage("global_mining"):
-        embedding = infer_embedding(model, prep.doc)
-    return _assemble(prep, embedding, stage)
-
-
-def _assemble(prep: PreparedTx, embedding: np.ndarray, stage=_no_stage) -> FeatureVector:
-    with stage("global_mining"):
-        glob = assemble_global(embedding, prep.stats, prep.flag)
+        glob = assemble_global(infer_embedding(model, prep.doc), prep.stats, prep.flag)
     with stage("classification"):  # the 37-dim input, as the classifier sees it
         return concat_features(glob, prep.census)
 
@@ -121,16 +117,10 @@ def _protocol_run(preps: list[PreparedTx], labels: list[str], cfg: RunConfig,
                          negative=cfg.negative, wl_iterations=cfg.wl_iterations)
     model = train_graph2vec([preps[i].doc for i in train_idx],
                             dim=cfg.embedding_dim, params=params, seed=seed)
-    # infer_embedding depends only on (model, content hash), and contents repeat.
-    embeddings: dict[str, np.ndarray] = {}
 
     def sample(i: int) -> LabeledSample:
-        prep = preps[i]
-        doc = prep.doc
-        if doc.content_hash not in embeddings:
-            embeddings[doc.content_hash] = infer_embedding(model, doc)
-        return LabeledSample(prep.record.tx_hash,
-                             _assemble(prep, embeddings[doc.content_hash]), labels[i])
+        return LabeledSample(preps[i].record.tx_hash, feature_vector(preps[i], model),
+                             labels[i])
 
     train = [sample(i) for i in train_idx]
     test = [sample(i) for i in test_idx]

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import requests
 
-from .errors import RpcUnavailable, TraceUnsupported, TxNotFound
-from .ingest import TxRecord, read_json, record_from_document, write_json
+from .errors import MalformedTrace, RpcUnavailable, TraceUnsupported, TxNotFound
+from .ingest import TxRecord, _norm_quantity, read_json, record_from_document, write_json
 
 _METHOD_NOT_FOUND = -32601
 
@@ -76,8 +76,10 @@ class RpcClient:
         if self._chain_id is None:
             result = self._post("eth_chainId", [])
             try:
-                self._chain_id = int(result, 16) if isinstance(result, str) else int(result)
-            except (TypeError, ValueError) as exc:
+                if result is None:  # the quantity rule reads null as 0; no chain id is null
+                    raise MalformedTrace("eth_chainId: null")
+                self._chain_id = _norm_quantity(result, "eth_chainId")
+            except MalformedTrace as exc:
                 raise RpcUnavailable(f"eth_chainId: result {result!r} is not a "
                                      "chain id") from exc
         return self._chain_id

@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DisconnectedGraph, EmptyTrace
-from .ingest import FRAME_KINDS, CallFrame, TxRecord
+from .ingest import CallFrame, TxRecord
 
 EMIT = "EMIT"
-EDGE_KINDS = frozenset(FRAME_KINDS | {EMIT})
 
 # vertex kind tags
 EOA = "eoa"

@@ -399,20 +399,26 @@ def test_knn_over_distinct_rows_equals_the_full_scan(case):
     _assert_matches_full_scan(model, q)
 
 
-def test_knn_answers_training_rows_from_the_neighbours_fixed_at_fit(rng):
-    samples = _blobs(rng, n_per_class=15, dim=3)
-    samples += samples[:10]  # duplicates, some of them of one another
-    model = knn_train(samples, k=4)
-    assert len(model._distinct) == 30
-    with mock.patch.object(model, "_search", side_effect=AssertionError("searched")):
-        for s in samples:
-            indices, distances = model.neighbors(s.features)
-            nearest, dist, _ = _full_scan(model, s.features)
+def test_knn_searches_each_distinct_training_row_once_on_first_query(rng):
+    x = rng.integers(-2, 3, (24, 3)).astype(np.float64)
+    x[::5] = np.where(x[::5] == 0.0, -0.0, x[::5])  # the -0.0 twins of other rows
+    x = np.concatenate([x, x[:8]])  # duplicates, some of them of one another
+    search = KNNModel._search
+    with mock.patch.object(KNNModel, "_search", autospec=True, side_effect=search) as spy:
+        model = _raw_knn(x, k=4)
+        assert spy.call_count == 0  # construction searches nothing
+        assert len(model._distinct) == len(np.unique(x, axis=0))  # unique reads -0.0 as 0.0
+        twins = [np.where(row == 0.0, -row, row) for row in x]
+        for query in [*twins, *x[::-1]]:
+            indices, distances = model.neighbors(query)
+            nearest, dist, _ = _full_scan(model, query)
             assert np.array_equal(indices, nearest) and np.array_equal(distances, dist)
             indices[:] = -1  # the caller owns the arrays it is given
             distances[:] = np.nan
-            again = model.neighbors(s.features)
+            again = model.neighbors(query)
             assert np.array_equal(again[0], nearest) and np.array_equal(again[1], dist)
+    # Each distinct row was searched once, by whichever query asked first.
+    assert spy.call_count == len(model._distinct)
 
 
 @settings(max_examples=400, deadline=None)

@@ -5,7 +5,7 @@ from click.testing import CliRunner
 
 from bridgeguard import cli
 from bridgeguard.cli import main
-from bridgeguard.ingest import json_text, load_manifest
+from bridgeguard.ingest import json_text, load_manifest, record_from_document
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +137,36 @@ def test_failing_inputs_end_only_themselves(workspace, runner, hostile_inputs, c
     assert len(payload["rows"]) == 1
     assert [item for item, _ in payload["failures"]] == hostile_inputs[1:]
     assert result.output.count("failed: ") == 3
+
+
+def test_ingest_out_fails_only_the_record_too_deep_to_write(workspace, runner, tmp_path,
+                                                           monkeypatch):
+    """A record the parser accepts but the JSON encoder cannot nest (a chain
+    at the EVM depth limit, built in memory since a file that deep does not
+    decode) fails only its own input; the good one is still written."""
+    corpus = workspace["corpus"]
+    good = str(corpus / load_manifest(corpus / "manifest.jsonl").entries[0].source)
+    deep = str(tmp_path / "deep.json")
+    root = node = {"type": "CALL", "from": A, "to": B, "input": "0x"}
+    for d in range(1, 1025):
+        node["calls"] = [{"type": "CALL", "from": node["to"], "to": (B, C)[d % 2],
+                          "input": "0x"}]
+        node = node["calls"][0]
+    deep_record = record_from_document({"trace": root, "logs": [],
+                                        "tx_hash": "0x" + "dd" * 32})
+    load = cli.load_trace_file
+    monkeypatch.setattr(cli, "load_trace_file",
+                        lambda path: deep_record if path == deep else load(path))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["ingest", good, deep, "--out", str(out),
+                                  "--format", "json"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # no uncaught exception
+    payload = json.loads(result.output.split("failed:")[0])
+    assert [item for item, _ in payload["failures"]] == [deep]
+    assert "nests too deep to write" in payload["failures"][0][1]
+    written = sorted(p.name for p in out.iterdir())
+    assert written == [payload["rows"][0]["tx_hash"] + ".json"]
 
 
 def test_detect_missing_model_is_fatal(runner, tmp_path):

@@ -236,6 +236,17 @@ def test_header_field_of_the_wrong_type_rejected_naming_it(tmp_path, field, valu
     assert named is None or named in str(caught.value)
 
 
+def test_header_nested_deeper_than_the_decoder_recurses_rejected_naming_it(tmp_path):
+    path = tmp_path / "embedding.npz"
+    save_model(train_graph2vec([_doc("a", "b")], params=FAST, seed=4), path)
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    arrays["header"] = "[" * 100000 + "]" * 100000
+    np.savez(path, **arrays)
+    with pytest.raises(ModelVersionMismatch, match="embedding.npz"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("content", [b"not a model", b"", b"PK\x03\x04truncated"],
                          ids=["text", "empty", "truncated-zip"])
 def test_file_that_is_not_a_model_rejected_naming_it(tmp_path, content):

@@ -605,6 +605,15 @@ def test_deepest_accepted_record_writes_back():
                                                          record.sender)
 
 
+def test_record_too_deep_to_encode_raises_malformed_trace(tmp_path):
+    # The JSON encoder recurses once per nesting level; the parser does not.
+    record = record_from_document(_chain_document(MAX_CALL_DEPTH))
+    path = tmp_path / "deep.json"
+    with pytest.raises(MalformedTrace, match="nests too deep to write"):
+        write_json(path, record_to_document(record))
+    assert not path.exists()
+
+
 # --- the hex and quantity rules, on their own ---------------------------------
 
 

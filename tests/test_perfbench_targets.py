@@ -2,14 +2,18 @@
 pairs: the layers it times and the calls whose outputs it captures for its
 checks. A name that no longer resolves only prints "not traced" when the
 benchmark runs, and a missing capture target empties the capture, so every
-output reads as incorrect. These tests import the harness without writing
-into it and check every name against the program."""
+output reads as incorrect. The detect checks' exhaustive KNN oracle also
+reads the classifier's attributes. These tests import the harness without
+writing into it and check every name against the program."""
 
 import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from bridgeguard.classify import LabeledSample, knn_predict, knn_train
 
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
@@ -17,7 +21,7 @@ if str(ROOT) not in sys.path:
 
 _write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
 try:
-    from perfbench import perlayer, tracer, workloads  # noqa: E402
+    from perfbench import checks, perlayer, tracer, workloads  # noqa: E402
 finally:
     sys.dont_write_bytecode = _write_bytecode
 
@@ -40,3 +44,16 @@ def test_capture_hook_target_is_traced_and_exists(module, attr):
     # `tracer.instrument` attaches hooks only to the layer functions.
     assert (module, attr) in TRACED
     assert _resolves(module, attr)
+
+
+def test_knn_oracle_reads_the_attributes_the_program_keeps():
+    """`checks.knn_oracle` scores from the classifier's `standardizer`, `x`,
+    `y` and `k`; the detect checks mark every output incorrect without them."""
+    rng = np.random.default_rng(11)
+    labels = ["Normal", "AttackSrc", "AttackTgt"]
+    rows = np.concatenate([rng.normal(3.0 * c, 1.0, (12, 4)) for c in range(3)])
+    train = [LabeledSample(f"t{i}", row, labels[i // 12]) for i, row in enumerate(rows)]
+    model = knn_train(train, k=5)
+    probes = [*rows[::5], *rng.normal(3.0, 4.0, (30, 4))]
+    for probe in probes:
+        assert checks.knn_oracle(model, probe) == knn_predict(model, probe)

@@ -181,8 +181,15 @@ def test_non_object_result_raises_rpc_unavailable_naming_the_method(method, resu
         client.fetch_tx_record(TX)
 
 
-@pytest.mark.parametrize("result", ["zz", {"id": 1}, None])
+@pytest.mark.parametrize("result, chain", [("0x89", 137), (137, 137), ("137", 137)])
+def test_chain_id_reads_the_reply_by_the_quantity_rule(result, chain):
+    client = RpcClient("http://node", session=ScriptedNode("eth_chainId", {"result": result}))
+    assert client.chain_id() == chain
+
+
+@pytest.mark.parametrize("result", ["zz", {"id": 1}, None, True, 1.5, " 0x1 ", "-0x5"])
 def test_unparseable_chain_id_raises_rpc_unavailable(result):
+    # The reply is read by the ingest quantity rule, but null is no chain id.
     client = RpcClient("http://node", session=ScriptedNode("eth_chainId", {"result": result}))
     with pytest.raises(RpcUnavailable, match="eth_chainId: result"):
         client.chain_id()
