@@ -3,7 +3,7 @@
 Implements exactly-specified K-nearest-neighbors and Gini decision-tree
 classifiers (deterministic tie rules, bit-reproducible under seeds), the
 stratified split protocol, and precision/recall/F1/support evaluation with
-the 0/0 -> 0 convention. The 37-dim layout is [global(21), local(16)].
+the 0/0 -> 0 convention. `features` states the 37-dim input layout.
 
 KNN neighbours are the k smallest distances
 `sqrt(((x - z) ** 2).sum(axis=1))` between the standardized query z and the
@@ -57,13 +57,10 @@ from .errors import (
     ModelMissing,
     ModelVersionMismatch,
 )
-from .features import GLOBAL_DIM, GlobalFeature
+from .features import FEATURE_DIM
 from .hashing import derive_seed
 from .ingest import LABELS, read_json, write_json
 from .motifs import LocalFeature
-
-LOCAL_DIM = 16
-FEATURE_DIM = GLOBAL_DIM + LOCAL_DIM  # 37
 
 CLASSIFIER_FORMAT_VERSION = 1
 
@@ -75,7 +72,7 @@ CLASSIFIERS = ("knn", "dtree")  # the classifier kinds a detector can use
 
 @dataclass(frozen=True)
 class FeatureVector:
-    values: np.ndarray  # fixed layout, length 37
+    values: np.ndarray  # features.py's layout, length FEATURE_DIM
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
@@ -93,11 +90,11 @@ class LabeledSample:
     label: str
 
 
-def concat_features(glob: GlobalFeature, loc: LocalFeature) -> FeatureVector:
-    """37-dim vector, global block first. Argument types are enforced."""
-    if not isinstance(glob, GlobalFeature) or not isinstance(loc, LocalFeature):
-        raise TypeError("concat_features takes (GlobalFeature, LocalFeature)")
-    return FeatureVector(values=np.concatenate([glob.to_vector(), loc.to_vector()]))
+def concat_features(glob: np.ndarray, loc: LocalFeature) -> FeatureVector:
+    """37-dim vector: the global block of `assemble_global`, then the census."""
+    if not isinstance(glob, np.ndarray) or not isinstance(loc, LocalFeature):
+        raise TypeError("concat_features takes (global block array, LocalFeature)")
+    return FeatureVector(values=np.concatenate([glob, loc.counts]))
 
 
 def _values(features) -> np.ndarray:
@@ -182,7 +179,7 @@ class Standardizer:
 
 # --- K-nearest neighbors ----------------------------------------------------
 
-_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_UNIT_ROUNDOFF = float(np.finfo(np.float64).eps / 2)
 # Bound on |Gram - reference| in units of gamma (|x|+|z|)^2: one for each
 # expression, the rest for rounding the bound itself.
 _GRAM_SAFETY = 4.0
@@ -226,7 +223,7 @@ class KNNModel:
             raise DimensionMismatch("standardizer must be finite with nonzero std")
         if not set(self.y) <= set(self.classes):
             raise InvalidConfig("training labels missing from the class list")
-        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)) or self.k < 1:
             raise InvalidConfig(f"k must be an integer >= 1, got {self.k!r}")
         if self.k > rows:
             raise KTooLarge(f"k={self.k} exceeds training size {rows}")
@@ -264,21 +261,23 @@ class KNNModel:
     def _search(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """`neighbors` of the standardized query z, by the distinct-row
         search of the module docstring."""
-        z_sq = z @ z
-        gram = self._distinct @ z
-        gram *= -2.0
-        gram += self._sq_norms
-        gram += z_sq
-        err = self._norms + np.sqrt(z_sq)
-        err *= err  # squared before scaling, so an overflow reads as inf
-        err *= self._err_scale
-        nth = min(self.k, gram.size) - 1
-        kth = np.partition(gram + err, nth)[nth]
-        gram -= err
-        # NaN bounds (an overflow, a non-finite query) admit their rows.
-        limit = _admit_sqrt_ties(kth + self._err_floor) + self._err_floor
-        cand = np.flatnonzero(~(gram > limit))
-        dist = np.sqrt(((self._distinct[cand] - z) ** 2).sum(axis=1))
+        # Squares may overflow to inf and inf - inf gives NaN, by design.
+        with np.errstate(over="ignore", invalid="ignore"):
+            z_sq = z @ z
+            gram = self._distinct @ z
+            gram *= -2.0
+            gram += self._sq_norms
+            gram += z_sq
+            err = self._norms + np.sqrt(z_sq)
+            err *= err  # squared before scaling, so an overflow reads as inf
+            err *= self._err_scale
+            nth = min(self.k, gram.size) - 1
+            kth = np.partition(gram + err, nth)[nth]
+            gram -= err
+            # NaN bounds (an overflow, a non-finite query) admit their rows.
+            limit = _admit_sqrt_ties(kth + self._err_floor) + self._err_floor
+            cand = np.flatnonzero(~(gram > limit))
+            dist = np.sqrt(((self._distinct[cand] - z) ** 2).sum(axis=1))
         # Each candidate's member rows, with its distance.
         counts = self._counts[cand]
         ends = np.cumsum(counts)

@@ -27,7 +27,7 @@ class RunConfig:
     rpc_url: str | None = None
     cache_dir: str | None = None
     wl_iterations: int = 2
-    embedding_dim: int = 16
+    embedding_dim: int = EMBED_DIM
     epochs: int = 100
     learning_rate: float = 0.025
     negative: int = 5
@@ -69,6 +69,7 @@ _RANGES = {
     "min_samples_leaf": (lambda v: v >= 1, ">= 1"),
     "split_ratio": (lambda v: 0 < v < 1, "in (0, 1)"),
     "runs": (lambda v: v >= 1, ">= 1"),
+    "seed": (lambda v: v >= 0, ">= 0"),
     "signatures": (lambda v: v is None or all(
         isinstance(topic, str) and _is_topic0(topic) and direction in (DEPOSIT, WITHDRAWAL)
         for topic, direction in v.items()),

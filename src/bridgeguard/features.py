@@ -1,7 +1,9 @@
-"""Global feature block: 16-dim embedding + 4 graph statistics + flow flag.
+"""The 37-dim feature layout and its global block.
 
-Layout is fixed and versioned: [embedding(16), |V|, |E|, n_logs, density,
-direction_flag], 21 dimensions total. Density uses 2|E| / (|V| (|V|-1)),
+A transaction's feature vector is the global block followed by the local
+block. The global block is fixed: [embedding(16), |V|, |E|, n_logs, density,
+direction_flag], 21 dimensions total. The local block is the motif census,
+one count per class of `MOTIF_NAMES` (16). Density uses 2|E| / (|V| (|V|-1)),
 which on a directed graph can exceed 1; |V| < 2 maps to 0. Log-event
 vertices count toward |V|, |E| counts merged edges, and n_logs counts raw
 emissions (EMIT multiplicity included).
@@ -9,23 +11,22 @@ emissions (EMIT multiplicity included).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch
 from .hashing import event_topic
 from .ingest import LogEntry
+from .motifs import MOTIF_NAMES
 from .xteg import EMIT, XTEG
 
 EMBED_DIM = 16
-GLOBAL_DIM = 21
 
 GLOBAL_LAYOUT = tuple(
     [f"embedding_{i}" for i in range(EMBED_DIM)]
     + ["n_vertices", "n_edges", "n_logs", "density", "direction_flag"]
 )
-LAYOUT_VERSION = 1
+GLOBAL_DIM = len(GLOBAL_LAYOUT)  # 21
+FEATURE_DIM = GLOBAL_DIM + len(MOTIF_NAMES)  # 37: global block, then local
 
 DEPOSIT = "deposit"
 WITHDRAWAL = "withdrawal"
@@ -52,23 +53,6 @@ BRIDGE_EVENTS = {
 DEFAULT_SIGNATURES: dict[str, str] = {
     event_topic(sig): direction for sig, direction in BRIDGE_EVENTS.items()
 }
-
-
-@dataclass
-class GlobalFeature:
-    embedding: np.ndarray  # 16 reals
-    n_vertices: int
-    n_edges: int
-    n_logs: int
-    density: float
-    direction_flag: float
-
-    def to_vector(self) -> np.ndarray:
-        vec = np.empty(GLOBAL_DIM, dtype=np.float64)
-        vec[:EMBED_DIM] = self.embedding
-        vec[EMBED_DIM:] = (self.n_vertices, self.n_edges, self.n_logs,
-                           self.density, self.direction_flag)
-        return vec
 
 
 def graph_stats(graph: XTEG) -> tuple[int, int, int, float]:
@@ -102,18 +86,14 @@ def direction_flag(logs: list[LogEntry],
 
 
 def assemble_global(embedding: np.ndarray, stats: tuple[int, int, int, float],
-                    flag: float) -> GlobalFeature:
+                    flag: float) -> np.ndarray:
+    """The global block, a float64 array in `GLOBAL_LAYOUT` order."""
     embedding = np.asarray(embedding, dtype=np.float64)
     if embedding.shape != (EMBED_DIM,):
         raise DimensionMismatch(f"embedding must have {EMBED_DIM} dims, got {embedding.shape}")
     if len(stats) != 4:
         raise DimensionMismatch("stats must be (|V|, |E|, n_logs, density)")
-    n_vertices, n_edges, n_logs, density = stats
-    return GlobalFeature(
-        embedding=embedding,
-        n_vertices=int(n_vertices),
-        n_edges=int(n_edges),
-        n_logs=int(n_logs),
-        density=float(density),
-        direction_flag=float(flag),
-    )
+    vec = np.empty(GLOBAL_DIM, dtype=np.float64)
+    vec[:EMBED_DIM] = embedding
+    vec[EMBED_DIM:] = (*stats, flag)
+    return vec

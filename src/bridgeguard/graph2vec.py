@@ -123,6 +123,7 @@ import numpy as np
 
 from .config import field_error
 from .errors import EmptyCorpus, ModelVersionMismatch, TrainingDiverged
+from .features import EMBED_DIM
 from .hashing import derive_seed, derive_seeds
 from .wl import WLDocument
 
@@ -335,7 +336,7 @@ def _spans(offsets: np.ndarray, limit: int | None = None) -> list[tuple[int, int
 # A diverging run overflows on the way; the per-epoch finiteness check
 # reports it as one TrainingDiverged, not a stream of RuntimeWarnings.
 @np.errstate(over="ignore", invalid="ignore")
-def train_graph2vec(corpus: list[WLDocument], dim: int = 16,
+def train_graph2vec(corpus: list[WLDocument], dim: int = EMBED_DIM,
                     params: TrainParams | None = None, seed: int = 0) -> EmbeddingModel:
     """Fit one vector per corpus document; bit-reproducible under the seed."""
     if not corpus:
@@ -561,6 +562,9 @@ def load_model(path: str | Path) -> EmbeddingModel:
                 problem = field_error(key, value)  # TrainParams fields are RunConfig's
                 if problem:
                     raise ModelVersionMismatch(f"{path}: params.{problem}")
+            for key in ("tokens", "doc_hashes"):
+                if data[key].dtype.kind != "U":
+                    raise ModelVersionMismatch(f"{path}: {key} is not an array of strings")
             return EmbeddingModel(
                 dim=header["dim"],
                 vocab={token: i for i, token in enumerate(data["tokens"].tolist())},

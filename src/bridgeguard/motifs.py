@@ -60,8 +60,8 @@ class LocalFeature:
     counts: tuple[int, ...]  # position i = occurrences of class M_{i+1}
 
     def __post_init__(self) -> None:
-        if len(self.counts) != 16:
-            raise ValueError("motif census must have 16 classes")
+        if len(self.counts) != len(MOTIF_NAMES):
+            raise ValueError(f"motif census must have {len(MOTIF_NAMES)} classes")
 
     def to_vector(self) -> np.ndarray:
         return np.asarray(self.counts, dtype=np.float64)
@@ -87,7 +87,7 @@ def _class_table() -> dict[int, int]:
         for src, dst in MOTIF_ARCS[name]:
             code |= 1 << _PAIR_BITS[(names[src], names[dst])]
         table[_canonical_code(code)] = idx
-    assert len(table) == 16
+    assert len(table) == len(MOTIF_NAMES)
     return table
 
 
@@ -133,7 +133,7 @@ def _arcs(g: SimpleDigraph | np.ndarray) -> tuple[int, tuple[tuple[int, int], ..
 def motif_census_matrix(g: SimpleDigraph | np.ndarray) -> LocalFeature:
     n, arcs = _arcs(g)
     if n < 3:
-        return LocalFeature(counts=(0,) * 16)
+        return LocalFeature(counts=(0,) * len(MOTIF_NAMES))
 
     # rel[v][w]: bit 0 for v->w, bit 1 for w->v; its keys are N(v). For a
     # triple (v, u, w) the code is rel[v][u] | rel[v][w] << 2 | rel[u][w] << 4,
@@ -143,7 +143,7 @@ def motif_census_matrix(g: SimpleDigraph | np.ndarray) -> LocalFeature:
         rel[src][dst] = rel[src].get(dst, 0) | 1
         rel[dst][src] = rel[dst].get(src, 0) | 2
 
-    counts = [0] * 16
+    counts = [0] * len(MOTIF_NAMES)
     for v, rv in enumerate(rel):
         for u, vu in rv.items():
             if u < v:
@@ -163,7 +163,7 @@ def triad_census_bruteforce(g: SimpleDigraph | np.ndarray) -> LocalFeature:
     if n > 64:
         raise GraphTooLarge(f"brute force capped at 64 vertices, got {n}")
     arc_set = set(arcs)
-    counts = [0] * 16
+    counts = [0] * len(MOTIF_NAMES)
     for trio in combinations(range(n), 3):
         code = 0
         for (x, y), bit in _PAIR_BITS.items():

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bridgeguard.classify import (
-    FEATURE_DIM,
     DecisionTreeModel,
     FeatureVector,
     KNNModel,
@@ -41,7 +40,7 @@ from bridgeguard.errors import (
     ModelMissing,
     ModelVersionMismatch,
 )
-from bridgeguard.features import assemble_global
+from bridgeguard.features import FEATURE_DIM, assemble_global
 from bridgeguard.ingest import LABELS
 from bridgeguard.motifs import LocalFeature
 
@@ -223,6 +222,8 @@ def test_knn_errors():
         knn_train(samples, k=2)
     with pytest.raises(InvalidConfig):
         knn_train(samples, k=0)
+    with pytest.raises(InvalidConfig):
+        knn_train(samples, k=True)  # a bool is an int to isinstance
 
 
 def test_knn_invariant_under_affine_rescaling(rng):
@@ -278,8 +279,9 @@ def _raw_knn(x, k) -> KNNModel:
 def _full_scan(model: KNNModel, query):
     """The plain scan over every training row: neighbours, distances and
     per-class stats."""
-    z = (np.asarray(query, dtype=np.float64) - model.standardizer.mean) / model.standardizer.std
-    dist = np.sqrt(((model.x - z) ** 2).sum(axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # squares that overflow
+        z = (np.asarray(query, dtype=np.float64) - model.standardizer.mean) / model.standardizer.std
+        dist = np.sqrt(((model.x - z) ** 2).sum(axis=1))
     nearest = np.argsort(dist, kind="stable")[:model.k]
     stats = {c: {"count": 0, "sum_distance": 0.0} for c in model.classes}
     for i in nearest:
@@ -730,10 +732,11 @@ def _saved_knn_doc(tmp_path) -> dict:
     ("hyperparams", "k", 7),
     ("hyperparams", "k", 2.5),
     ("hyperparams", "k", "3"),
+    ("hyperparams", "k", True),
 ], ids=["hyperparams-list", "standardizer-list", "payload-string", "x-one-dim",
         "x-ragged", "x-wider-than-standardizer", "x-fewer-rows-than-labels",
         "x-not-finite", "y-label-outside-classes", "std-shorter-than-mean",
-        "std-zero", "k-zero", "k-above-rows", "k-float", "k-string"])
+        "std-zero", "k-zero", "k-above-rows", "k-float", "k-string", "k-bool"])
 def test_malformed_knn_file_rejected_naming_it(tmp_path, section, key, value):
     doc = _saved_knn_doc(tmp_path)
     if key is None:

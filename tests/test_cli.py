@@ -342,6 +342,23 @@ def test_bad_training_setting_is_one_error_line(workspace, runner, tmp_path, set
     assert not (tmp_path / "model").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["train", "--seed", "-1"],
+    ["evaluate", "--seed", "-3", "--runs", "1"],
+], ids=["train", "evaluate"])
+def test_negative_seed_is_one_error_line(workspace, runner, tmp_path, command):
+    manifest = workspace["corpus"] / "manifest.jsonl"
+    if command[0] == "train":
+        command = command + ["--model-dir", str(tmp_path / "model")]
+    result = runner.invoke(main, command + ["--manifest", str(manifest)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "seed must be >= 0" in lines[0]
+    assert not (tmp_path / "model").exists()
+
+
 def test_unknown_classifier_in_config_is_one_error_line_before_training(
         workspace, runner, tmp_path, monkeypatch):
     trained = []

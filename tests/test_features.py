@@ -5,17 +5,18 @@ from bridgeguard.errors import DimensionMismatch
 from bridgeguard.features import (
     DEFAULT_SIGNATURES,
     EMBED_DIM,
+    FEATURE_DIM,
     FLAG_DEPOSIT,
     FLAG_UNKNOWN,
     FLAG_WITHDRAWAL,
     GLOBAL_DIM,
     GLOBAL_LAYOUT,
-    LAYOUT_VERSION,
     assemble_global,
     direction_flag,
     graph_stats,
 )
 from bridgeguard.ingest import LogEntry
+from bridgeguard.motifs import MOTIF_NAMES
 from bridgeguard.synthgen import TOPIC_DEPOSIT, TOPIC_UNLOCK, gen_normal_deposit
 from bridgeguard.xteg import XTEG, Vertex, XtegEdge, build_xteg
 from conftest import random_record
@@ -91,19 +92,19 @@ def test_direction_flag_respects_custom_config():
 
 def test_assemble_dimensions_and_layout():
     stats = (6, 5, 2, 0.5)
-    feature = assemble_global(np.zeros(EMBED_DIM), stats, FLAG_DEPOSIT)
-    vec = feature.to_vector()
+    vec = assemble_global(np.zeros(EMBED_DIM), stats, FLAG_DEPOSIT)
+    assert vec.dtype == np.float64
     assert vec.shape == (GLOBAL_DIM,) == (21,)
     assert list(vec[EMBED_DIM:]) == [6, 5, 2, 0.5, 1.0]
     assert GLOBAL_LAYOUT[0] == "embedding_0"
     assert GLOBAL_LAYOUT[-5:] == ("n_vertices", "n_edges", "n_logs",
                                   "density", "direction_flag")
     assert len(GLOBAL_LAYOUT) == 21
-    assert LAYOUT_VERSION == 1
+    assert FEATURE_DIM == GLOBAL_DIM + len(MOTIF_NAMES) == 37
 
 
 def test_assemble_zero_inputs_zero_vector_except_flag():
-    vec = assemble_global(np.zeros(EMBED_DIM), (0, 0, 0, 0.0), FLAG_UNKNOWN).to_vector()
+    vec = assemble_global(np.zeros(EMBED_DIM), (0, 0, 0, 0.0), FLAG_UNKNOWN)
     assert vec[-1] == 0.5
     assert not vec[:-1].any()
 
@@ -113,6 +114,11 @@ def test_assemble_rejects_wrong_embedding_length():
         assemble_global(np.zeros(8), (1, 1, 0, 1.0), 0.5)
     with pytest.raises(DimensionMismatch):
         assemble_global(np.zeros((4, 4)), (1, 1, 0, 1.0), 0.5)
+
+
+def test_assemble_rejects_wrong_stats_length():
+    with pytest.raises(DimensionMismatch):
+        assemble_global(np.zeros(EMBED_DIM), (1, 1, 0), 0.5)
 
 
 def test_generated_deposit_flags_deposit():

@@ -269,7 +269,10 @@ def test_vectors_have_requested_dim_and_are_finite():
     ("token_counts", np.ones(3, dtype=np.int64)),
     ("token_vectors", np.zeros((1, 16))),
     ("graph_vectors", np.zeros((2, 16))),
-], ids=["no-counts", "zero-counts", "extra-count", "missing-token-row", "extra-doc-row"])
+    ("tokens", np.arange(2)),
+    ("doc_hashes", np.arange(1)),
+], ids=["no-counts", "zero-counts", "extra-count", "missing-token-row", "extra-doc-row",
+        "integer-tokens", "integer-doc-hashes"])
 def test_model_with_inconsistent_arrays_rejected_naming_it(tmp_path, key, value):
     # A two-token, one-document model whose noise distribution or array
     # shapes are broken; sampling from it could pick a missing token row.
