@@ -109,9 +109,16 @@ def event_topic(signature: str) -> str:
     return "0x" + keccak256(signature.encode("ascii")).hex()
 
 
+# Each label hash copies this empty hash state: cheaper than a new blake2b.
+_BLAKE2B_64 = hashlib.blake2b(digest_size=8)
+
+
 def stable_hash64(text: str) -> str:
-    """Platform-stable 64-bit hash of a label string, as 16 hex chars."""
-    return hashlib.blake2b(text.encode("utf-8"), digest_size=8).hexdigest()
+    """Platform-stable 64-bit hash of a label string, as 16 hex chars: the
+    8-byte blake2b digest of its UTF-8 bytes."""
+    h = _BLAKE2B_64.copy()
+    h.update(text.encode("utf-8"))
+    return h.hexdigest()
 
 
 def canonical_json(payload: object) -> str:

@@ -11,6 +11,11 @@ The parser walks the call tree with an explicit stack, not by recursion, and
 accepts frames down to the EVM's call-depth limit, `MAX_CALL_DEPTH` = 1024
 (the root frame is depth 0); a deeper frame raises MalformedTrace. JSON
 decoding still recurses, so a file can fail to decode before that depth.
+
+`CallFrame`, `LogEntry` and `TxRecord` are slotted dataclasses, and the
+parser builds frames and logs positionally: a record holds one object per
+frame and per log, so their construction cost and size add up. A file is
+read as bytes and decoded from UTF-8 once.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ LABELS = ("Normal", "AttackSrc", "AttackTgt")  # fixed class order
 ZERO_ADDRESS = "0x" + "00" * 20
 
 
-@dataclass
+@dataclass(slots=True)
 class CallFrame:
     frame_kind: str
     caller: str
@@ -47,7 +52,7 @@ class CallFrame:
     reverted: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class LogEntry:
     emitter: str
     topic0: str | None  # 0x + 64 hex; None for anonymous events
@@ -56,7 +61,7 @@ class LogEntry:
     log_index: int
 
 
-@dataclass
+@dataclass(slots=True)
 class TxRecord:
     tx_hash: str
     chain_id: int
@@ -108,6 +113,16 @@ def _norm_hex(value: object, name: str, nbytes: int | None = None) -> str:
     return "0x" + body
 
 
+def _norm_address(value: object, name: str, seen: dict[str, str]) -> str:
+    """`_norm_hex(value, name, 20)`, remembered in `seen`: one document names
+    the same few addresses many times, and the hex check is most of their
+    parse."""
+    norm = seen.get(value) if type(value) is str else None
+    if norm is None:
+        norm = seen[value] = _norm_hex(value, name, 20)
+    return norm
+
+
 def _norm_quantity(value: object, name: str) -> int:
     """`value` as a non-negative int: None (0), an int that is not a bool,
     or an ASCII string of hex digits after 0x or of decimal digits (no more
@@ -130,55 +145,55 @@ def _norm_quantity(value: object, name: str) -> int:
 MAX_CALL_DEPTH = 1024  # the EVM's call-depth limit; the root frame is depth 0
 
 
-def _parse_calls(trace: object) -> CallFrame:
+def _parse_calls(trace: object, addresses: dict[str, str]) -> CallFrame:
     """The call tree under `trace`, walked in pre-order with an explicit
     stack: frames are checked, numbered and raise their first error in the
-    order a recursive descent would visit them."""
+    order a recursive descent would visit them. `addresses` is the
+    document's `_norm_address` memo."""
     root = None
     order = 0
-    stack: list[tuple[object, int, CallFrame | None]] = [(trace, 0, None)]
+    # (node, depth, the parent's children list; None for the root)
+    stack: list[tuple[object, int, list | None]] = [(trace, 0, None)]
     while stack:
-        node, depth, parent = stack.pop()
+        node, depth, siblings = stack.pop()
         if depth > MAX_CALL_DEPTH:
             raise MalformedTrace(f"call tree nests too deep to parse (a frame at depth "
                                  f"{depth}, deeper than {MAX_CALL_DEPTH})")
         if not isinstance(node, dict):
             raise MalformedTrace(f"frame at depth {depth} is not an object")
-        kind = node.get("type")
-        if not isinstance(kind, str) or kind.upper() not in FRAME_KINDS:
-            raise MalformedTrace(f"unknown frame type {kind!r} at depth {depth}")
+        raw_kind = node.get("type")
+        kind = raw_kind.upper() if isinstance(raw_kind, str) else None
+        if kind not in FRAME_KINDS:
+            raise MalformedTrace(f"unknown frame type {raw_kind!r} at depth {depth}")
 
-        caller = _norm_hex(node.get("from"), "from", 20)
+        caller = _norm_address(node.get("from"), "from", addresses)
         # CREATE* report the created address in `to`; SELFDESTRUCT the refund
         # beneficiary, which some tracers omit entirely.
         to = node.get("to")
-        callee = ZERO_ADDRESS if to in (None, "") else _norm_hex(to, "to", 20)
+        callee = ZERO_ADDRESS if to in (None, "") else _norm_address(to, "to", addresses)
 
         raw_input = node.get("input", "0x")
         input_hex = _norm_hex(raw_input, "input") if raw_input is not None else "0x"
-        frame = CallFrame(
-            frame_kind=kind.upper(),
-            caller=caller,
-            callee=callee,
-            selector=input_hex[2:10] if len(input_hex) >= 10 else None,
-            value=_norm_quantity(node.get("value"), "value"),
-            depth=depth,
-            order=order,
-            reverted=bool(node.get("error") or node.get("revertReason")),
-        )
+        frame = CallFrame(kind, caller, callee,
+                          input_hex[2:10] if len(input_hex) >= 10 else None,
+                          _norm_quantity(node.get("value"), "value"), depth, order, [],
+                          bool(node.get("error") or node.get("revertReason")))
         order += 1
-        if parent is None:
+        if siblings is None:
             root = frame
         else:
-            parent.children.append(frame)
-        calls = node.get("calls") or []
-        if not isinstance(calls, list):
-            raise MalformedTrace("`calls` must be a list")
-        stack.extend((child, depth + 1, frame) for child in reversed(calls))
+            siblings.append(frame)
+        calls = node.get("calls")
+        if calls:
+            if not isinstance(calls, list):
+                raise MalformedTrace("`calls` must be a list")
+            depth += 1
+            children = frame.children
+            stack += [(child, depth, children) for child in reversed(calls)]
     return root
 
 
-def _parse_log(entry: object, position: int) -> LogEntry:
+def _parse_log(entry: object, position: int, addresses: dict[str, str]) -> LogEntry:
     if not isinstance(entry, dict):
         raise MalformedTrace(f"log #{position} is not an object")
     topics = entry.get("topics", [])
@@ -187,11 +202,11 @@ def _parse_log(entry: object, position: int) -> LogEntry:
     norm_topics = [_norm_hex(t, "topic", 32) for t in topics]
     data = entry.get("data", "0x")
     return LogEntry(
-        emitter=_norm_hex(entry.get("address"), "log address", 20),
-        topic0=norm_topics[0] if norm_topics else None,
-        topics_rest=norm_topics[1:],
-        data=_norm_hex(data, "log data") if data is not None else "0x",
-        log_index=_norm_quantity(entry.get("logIndex", position), "logIndex"),
+        _norm_address(entry.get("address"), "log address", addresses),
+        norm_topics[0] if norm_topics else None,
+        norm_topics[1:],
+        _norm_hex(data, "log data") if data is not None else "0x",
+        _norm_quantity(entry.get("logIndex", position), "logIndex"),
     )
 
 
@@ -217,12 +232,13 @@ def _record_from_document(doc: object, chain_id: int | None) -> TxRecord:
     trace = doc.get("trace")
     if trace is None or trace == {}:
         raise EmptyTrace("document has no root frame")
-    root = _parse_calls(trace)
+    addresses: dict[str, str] = {}
+    root = _parse_calls(trace, addresses)
 
     raw_logs = doc.get("logs") or []
     if not isinstance(raw_logs, list):
         raise MalformedTrace("`logs` must be a list")
-    logs = [_parse_log(entry, i) for i, entry in enumerate(raw_logs)]
+    logs = [_parse_log(entry, i, addresses) for i, entry in enumerate(raw_logs)]
     seen = set()
     for log in logs:
         if log.log_index in seen:
@@ -231,7 +247,8 @@ def _record_from_document(doc: object, chain_id: int | None) -> TxRecord:
     logs.sort(key=lambda log: log.log_index)
 
     sender = doc.get("sender")
-    sender = _norm_hex(sender, "sender", 20) if sender is not None else root.caller
+    sender = (_norm_address(sender, "sender", addresses) if sender is not None
+              else root.caller)
     if sender != root.caller:
         raise MalformedTrace("sender does not match root frame caller")
 
@@ -249,14 +266,16 @@ def _record_from_document(doc: object, chain_id: int | None) -> TxRecord:
 
 
 def read_json(path: str | Path, error: type[BridgeGuardError]) -> object:
-    """The JSON document in the UTF-8 file at `path`. A file that does not
-    decode, or nests deeper than the decoder's recursion allows, raises
-    `error` naming the path; an OSError passes through."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            return json.load(f)
-        except (ValueError, RecursionError) as exc:  # ValueError: JSON and UTF-8
-            raise error(f"{path}: invalid JSON ({exc})") from exc
+    """The JSON document in the UTF-8 file at `path`, read as bytes and
+    decoded once. A file that does not decode, or nests deeper than the
+    decoder's recursion allows, raises `error` naming the path; an OSError
+    passes through."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # ValueError: JSON and UTF-8
+        raise error(f"{path}: invalid JSON ({exc})") from exc
 
 
 def load_trace_file(path: str | Path, chain_id: int | None = None) -> TxRecord:

@@ -24,7 +24,7 @@ from math import comb
 import numpy as np
 
 from .errors import GraphTooLarge, MultiEdgePresent, SelfLoopPresent
-from .xteg import XTEG, SimpleDigraph, to_simple_digraph
+from .xteg import XTEG, SimpleDigraph
 
 MOTIF_NAMES = (
     "003", "012", "102", "021D", "021U", "021C", "111D", "111U",
@@ -62,9 +62,6 @@ class LocalFeature:
     def __post_init__(self) -> None:
         if len(self.counts) != len(MOTIF_NAMES):
             raise ValueError(f"motif census must have {len(MOTIF_NAMES)} classes")
-
-    def to_vector(self) -> np.ndarray:
-        return np.asarray(self.counts, dtype=np.float64)
 
 
 def _canonical_code(code: int) -> int:
@@ -131,7 +128,12 @@ def _arcs(g: SimpleDigraph | np.ndarray) -> tuple[int, tuple[tuple[int, int], ..
 
 
 def motif_census_matrix(g: SimpleDigraph | np.ndarray) -> LocalFeature:
-    n, arcs = _arcs(g)
+    return _census(*_arcs(g))
+
+
+def _census(n: int, arcs) -> LocalFeature:
+    """The census of `n` vertices and distinct, in-range, loop-free `arcs`,
+    in any order."""
     if n < 3:
         return LocalFeature(counts=(0,) * len(MOTIF_NAMES))
 
@@ -174,8 +176,10 @@ def triad_census_bruteforce(g: SimpleDigraph | np.ndarray) -> LocalFeature:
 
 
 def local_feature(graph: XTEG) -> LocalFeature:
-    """Motif census of the graph's kind-free simple digraph."""
-    return motif_census_matrix(to_simple_digraph(graph))
+    """Motif census of the graph's kind-free simple digraph: the arcs of
+    `to_simple_digraph`, which need neither sorting nor `_arcs`' checks."""
+    return _census(len(graph.vertices),
+                   {(e.src, e.dst) for e in graph.edges if e.src != e.dst})
 
 
 def catalog_markdown() -> str:

@@ -32,31 +32,21 @@ class WLDocument:
 def wl_document(graph: XTEG, iterations: int = 2) -> WLDocument:
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    n = len(graph.vertices)
-    out_inc: list[list[tuple[str, int]]] = [[] for _ in range(n)]
-    in_inc: list[list[tuple[str, int]]] = [[] for _ in range(n)]
+    # Each vertex's neighbours as (prefix, neighbour id): a neighbourhood
+    # entry is the prefix "o:KIND:" (out) or "i:KIND:" (in) plus the
+    # neighbour's current label.
+    adjacent: list[list[tuple[str, int]]] = [[] for _ in graph.vertices]
     for edge in graph.edges:
-        out_inc[edge.src].append((edge.kind, edge.dst))
-        in_inc[edge.dst].append((edge.kind, edge.src))
+        adjacent[edge.src].append((f"o:{edge.kind}:", edge.dst))
+        adjacent[edge.dst].append((f"i:{edge.kind}:", edge.src))
 
-    labels = []
-    for v in graph.vertices:
-        profile = sorted(
-            [f"o:{kind}" for kind, _ in out_inc[v.id]]
-            + [f"i:{kind}" for kind, _ in in_inc[v.id]]
-        )
-        labels.append(f"{v.kind}|{','.join(profile)}")
-
+    labels = [f"{v.kind}|{','.join(sorted([prefix[:-1] for prefix, _ in adj]))}"
+              for v, adj in zip(graph.vertices, adjacent)]
     tokens = [f"0:{label}" for label in labels]
     for it in range(1, iterations + 1):
-        new_labels = []
-        for vid in range(n):
-            neighborhood = sorted(
-                [f"o:{kind}:{labels[dst]}" for kind, dst in out_inc[vid]]
-                + [f"i:{kind}:{labels[src]}" for kind, src in in_inc[vid]]
-            )
-            new_labels.append(stable_hash64(labels[vid] + "|" + ";".join(neighborhood)))
-        labels = new_labels
-        tokens.extend(f"{it}:{label}" for label in labels)
+        labels = [stable_hash64(label + "|" + ";".join(
+                      sorted([prefix + labels[u] for prefix, u in adj])))
+                  for label, adj in zip(labels, adjacent)]
+        tokens += [f"{it}:{label}" for label in labels]
 
     return WLDocument(tokens=tuple(sorted(tokens)))

@@ -11,6 +11,10 @@ log's emitter, the earliest in pre-order on ties, and the root frame when no
 frame enters the emitter. An EMIT edge never precedes its host frame's
 edge. The build is linear: one pre-order walk over the frames, which also
 records each callee's host, then one pass over the logs.
+
+`Vertex` and `XtegEdge` are slotted dataclasses built positionally. `Vertex`
+is not frozen, so it is not hashable: nothing hashes a vertex, and the build
+keys vertices by their `key` tuple (kind, address, detail).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DisconnectedGraph, EmptyTrace
-from .ingest import CallFrame, TxRecord
+from .ingest import TxRecord
 
 EMIT = "EMIT"
 
@@ -31,7 +35,7 @@ FALLBACK = "fallback"  # contract entered with input < 4 bytes
 ANONYMOUS = "anonymous"  # log without topic0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Vertex:
     id: int
     kind: str  # EOA | FUNCTION | EVENT
@@ -43,7 +47,7 @@ class Vertex:
         return (self.kind, self.address, self.detail)
 
 
-@dataclass
+@dataclass(slots=True)
 class XtegEdge:
     src: int
     dst: int
@@ -66,58 +70,52 @@ class SimpleDigraph:
     arcs: tuple[tuple[int, int], ...]  # sorted, deduplicated
 
 
-class _VertexInterner:
-    def __init__(self) -> None:
-        self.by_key: dict[tuple[str, str, str], int] = {}
-        self.vertices: list[Vertex] = []
-
-    def intern(self, kind: str, address: str, detail: str) -> int:
-        key = (kind, address, detail)
-        vid = self.by_key.get(key)
-        if vid is None:
-            vid = len(self.vertices)
-            self.by_key[key] = vid
-            self.vertices.append(Vertex(id=vid, kind=kind, address=address, detail=detail))
-        return vid
-
-
-def _frame_vertex(interner: _VertexInterner, frame: CallFrame, sender: str) -> int:
-    # The sender is the only address known to be an EOA; everything else is
-    # treated as contract code keyed by (address, selector).
-    if frame.callee == sender:
-        return interner.intern(EOA, sender, "")
-    return interner.intern(FUNCTION, frame.callee, frame.selector or FALLBACK)
-
-
 def build_xteg(record: TxRecord) -> XTEG:
     """Build the execution graph: one edge per frame, one EMIT per log."""
     if record.root_frame is None:  # defensive; the parser already rejects this
         raise EmptyTrace(record.tx_hash)
 
-    interner = _VertexInterner()
-    # Frame edges take their pre-order entry time; log edges keep receipt
-    # (log_index) order while never preceding their host frame's edge.
-    raw: list[tuple[tuple[int, int, int], int, int, str]] = []
+    sender = record.sender
+    vertices: list[Vertex] = []
+    vid_of: dict[tuple[str, str, str], int] = {}  # Vertex.key -> id
+
+    def intern(key: tuple[str, str, str]) -> int:
+        vid = vid_of.get(key)
+        if vid is None:
+            vid = vid_of[key] = len(vertices)
+            vertices.append(Vertex(vid, *key))
+        return vid
+
+    # Raw edges are (time, tie, log_index, src, dst, kind). Frame edges take
+    # their pre-order entry time; log edges keep receipt (log_index) order
+    # while never preceding their host frame's edge. Frame orders and log
+    # indices are unique, so no two raw edges share their first three fields.
+    raw: list[tuple[int, int, int, int, int, str]] = []
     host: dict[str, tuple[int, int, int]] = {}  # callee -> (depth, order, vid)
-    stack = [(record.root_frame, interner.intern(EOA, record.sender, ""))]
+    stack = [(record.root_frame, intern((EOA, sender, "")))]
     while stack:  # pre-order
         frame, parent_vid = stack.pop()
-        vid = _frame_vertex(interner, frame, record.sender)
-        raw.append(((frame.order, 0, 0), parent_vid, vid, frame.frame_kind))
-        best = host.get(frame.callee)
+        # The sender is the only address known to be an EOA; everything else
+        # is treated as contract code keyed by (address, selector).
+        callee = frame.callee
+        vid = intern((EOA, sender, "") if callee == sender
+                     else (FUNCTION, callee, frame.selector or FALLBACK))
+        raw.append((frame.order, 0, 0, parent_vid, vid, frame.frame_kind))
+        best = host.get(callee)
         if best is None or frame.depth > best[0]:  # deepest, earliest on ties
-            host[frame.callee] = (frame.depth, frame.order, vid)
-        stack.extend((child, vid) for child in reversed(frame.children))
+            host[callee] = (frame.depth, frame.order, vid)
+        if frame.children:
+            stack += [(child, vid) for child in reversed(frame.children)]
 
-    root_host = (0, record.root_frame.order, raw[0][2])  # raw[0]: the root's edge
+    root_host = (0, record.root_frame.order, raw[0][4])  # raw[0]: the root's edge
     emit_time = 0
     for log in record.logs:  # already sorted by log_index
         _, host_order, src = host.get(log.emitter, root_host)
         emit_time = max(emit_time, host_order)
-        dst = interner.intern(EVENT, log.emitter, log.topic0 or ANONYMOUS)
-        raw.append(((emit_time, 1, log.log_index), src, dst, EMIT))
+        dst = intern((EVENT, log.emitter, log.topic0 or ANONYMOUS))
+        raw.append((emit_time, 1, log.log_index, src, dst, EMIT))
 
-    n = len(interner.vertices)
+    n = len(vertices)
     if n < 2:
         # A root self-send collapses caller and callee into one vertex;
         # such degenerate transactions carry no call structure to mine.
@@ -125,19 +123,18 @@ def build_xteg(record: TxRecord) -> XTEG:
     # Weakly connected by construction: every vertex after the sender is
     # first interned as the head of an edge whose tail is already interned.
 
-    raw.sort(key=lambda item: item[0])
+    raw.sort()
     edges: list[XtegEdge] = []
     merged: dict[tuple[int, int, str], XtegEdge] = {}
-    for order, (_, src, dst, kind) in enumerate(raw):
+    for order, (_, _, _, src, dst, kind) in enumerate(raw):
         key = (src, dst, kind)
         existing = merged.get(key)
         if existing is not None:
             existing.multiplicity += 1
         else:
-            edge = XtegEdge(src=src, dst=dst, kind=kind, order=order)
+            edges.append(edge := XtegEdge(src, dst, kind, order))
             merged[key] = edge
-            edges.append(edge)
-    return XTEG(tx_hash=record.tx_hash, vertices=interner.vertices, edges=edges)
+    return XTEG(record.tx_hash, vertices, edges)
 
 
 def to_simple_digraph(graph: XTEG) -> SimpleDigraph:

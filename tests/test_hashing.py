@@ -49,6 +49,13 @@ def test_stable_hash64_is_stable_and_sized():
     assert stable_hash64("a") != stable_hash64("b")
 
 
+@given(st.text())
+def test_stable_hash64_is_the_8_byte_blake2b_of_the_utf8_text(text):
+    expected = hashlib.blake2b(text.encode("utf-8"), digest_size=8).hexdigest()
+    assert stable_hash64(text) == expected
+    assert stable_hash64(text) == expected  # the shared empty state is never updated
+
+
 def test_derive_seed_separates_contexts():
     assert derive_seed(1, "a") != derive_seed(1, "b")
     assert derive_seed(1, "a", 0) != derive_seed(1, "a", 1)

@@ -2,6 +2,8 @@ import pickle
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgeguard.ingest import record_from_document
 from bridgeguard import wl
@@ -116,3 +118,58 @@ def test_cached_content_hash_leaves_equality_hashing_and_pickling_alone():
         assert copy.content_hash == fresh.content_hash
     with pytest.raises(AttributeError):  # still frozen
         doc.tokens = ()
+
+
+def plain_wl_document(graph: XTEG, iterations: int = 2) -> WLDocument:
+    """WL relabeling that formats every neighbourhood entry afresh in each
+    iteration."""
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    n = len(graph.vertices)
+    out_inc = [[] for _ in range(n)]
+    in_inc = [[] for _ in range(n)]
+    for edge in graph.edges:
+        out_inc[edge.src].append((edge.kind, edge.dst))
+        in_inc[edge.dst].append((edge.kind, edge.src))
+    labels = []
+    for v in graph.vertices:
+        profile = sorted([f"o:{kind}" for kind, _ in out_inc[v.id]]
+                         + [f"i:{kind}" for kind, _ in in_inc[v.id]])
+        labels.append(f"{v.kind}|{','.join(profile)}")
+    tokens = [f"0:{label}" for label in labels]
+    for it in range(1, iterations + 1):
+        new_labels = []
+        for vid in range(n):
+            neighborhood = sorted([f"o:{kind}:{labels[dst]}" for kind, dst in out_inc[vid]]
+                                  + [f"i:{kind}:{labels[src]}" for kind, src in in_inc[vid]])
+            new_labels.append(stable_hash64(labels[vid] + "|" + ";".join(neighborhood)))
+        labels = new_labels
+        tokens.extend(f"{it}:{label}" for label in labels)
+    return WLDocument(tokens=tuple(sorted(tokens)))
+
+
+@st.composite
+def _graphs(draw):
+    """Small graphs with a hub, parallel edges of one or more kinds,
+    self-loops and isolated vertices."""
+    n = draw(st.integers(1, 12))
+    kinds = st.sampled_from(["CALL", "STATICCALL", "DELEGATECALL", "CREATE", "EMIT"])
+    vertices = [Vertex(i, draw(st.sampled_from(["eoa", "function", "event"])), f"0x{i:02x}",
+                       "") for i in range(n)]
+    ends = st.integers(0, n - 1)
+    arcs = draw(st.lists(st.tuples(ends, ends, kinds), max_size=30))
+    hub = draw(ends)
+    arcs += [(hub, draw(ends), draw(kinds)) for _ in range(draw(st.integers(0, 20)))]
+    return XTEG("0xtest", vertices, [XtegEdge(s, d, k, i) for i, (s, d, k) in enumerate(arcs)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=_graphs(), iterations=st.integers(1, 4))
+def test_document_equals_the_plain_relabeling(graph, iterations):
+    assert wl_document(graph, iterations) == plain_wl_document(graph, iterations)
+
+
+def test_document_equals_the_plain_relabeling_on_built_graphs(rng):
+    for _ in range(100):
+        graph = build_xteg(record_from_document(random_trace_doc(rng, max_frames=40)))
+        assert wl_document(graph) == plain_wl_document(graph)

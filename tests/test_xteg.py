@@ -3,8 +3,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bridgeguard.errors import DisconnectedGraph
+from bridgeguard.errors import DisconnectedGraph, EmptyTrace
 from bridgeguard.ingest import CallFrame, flatten_frames, record_from_document
 from bridgeguard.synthgen import gen_attack_tgt, gen_normal_deposit
 from bridgeguard.xteg import (
@@ -13,10 +15,10 @@ from bridgeguard.xteg import (
     EOA,
     EVENT,
     FUNCTION,
+    FALLBACK,
     XTEG,
+    Vertex,
     XtegEdge,
-    _frame_vertex,
-    _VertexInterner,
     build_xteg,
     dump_xteg,
     to_simple_digraph,
@@ -175,6 +177,27 @@ def test_dump_contains_vertices_and_edges():
 
 
 # --- the one-walk build against the scan-per-log build it replaced ------------
+
+
+class _VertexInterner:
+    def __init__(self) -> None:
+        self.by_key: dict[tuple[str, str, str], int] = {}
+        self.vertices: list[Vertex] = []
+
+    def intern(self, kind: str, address: str, detail: str) -> int:
+        key = (kind, address, detail)
+        vid = self.by_key.get(key)
+        if vid is None:
+            vid = len(self.vertices)
+            self.by_key[key] = vid
+            self.vertices.append(Vertex(id=vid, kind=kind, address=address, detail=detail))
+        return vid
+
+
+def _frame_vertex(interner: _VertexInterner, frame: CallFrame, sender: str) -> int:
+    if frame.callee == sender:
+        return interner.intern(EOA, sender, "")
+    return interner.intern(FUNCTION, frame.callee, frame.selector or FALLBACK)
 
 
 def _attribute_log_frame(frames: list[CallFrame], emitter: str) -> CallFrame:
@@ -362,3 +385,104 @@ def test_build_of_20000_frames_and_logs_within_budget(rng):
     elapsed = time.perf_counter() - start
     assert sum(e.multiplicity for e in graph.edges) == 2 * n
     assert elapsed < 5.0
+
+
+# --- the build against the plain build it replaced -----------------------------
+
+
+def plain_build_xteg(record) -> XTEG:
+    """The one-walk build with an interner object, keyword-built records and
+    a keyed stable sort of nested raw-edge tuples."""
+    if record.root_frame is None:
+        raise EmptyTrace(record.tx_hash)
+    interner = _VertexInterner()
+    raw = []
+    host = {}
+    stack = [(record.root_frame, interner.intern(EOA, record.sender, ""))]
+    while stack:
+        frame, parent_vid = stack.pop()
+        vid = _frame_vertex(interner, frame, record.sender)
+        raw.append(((frame.order, 0, 0), parent_vid, vid, frame.frame_kind))
+        best = host.get(frame.callee)
+        if best is None or frame.depth > best[0]:
+            host[frame.callee] = (frame.depth, frame.order, vid)
+        stack.extend((child, vid) for child in reversed(frame.children))
+    root_host = (0, record.root_frame.order, raw[0][2])
+    emit_time = 0
+    for log in record.logs:
+        _, host_order, src = host.get(log.emitter, root_host)
+        emit_time = max(emit_time, host_order)
+        dst = interner.intern(EVENT, log.emitter, log.topic0 or ANONYMOUS)
+        raw.append(((emit_time, 1, log.log_index), src, dst, EMIT))
+    n = len(interner.vertices)
+    if n < 2:
+        raise DisconnectedGraph(f"{record.tx_hash}: graph has {n} vertex(es), need >= 2")
+    raw.sort(key=lambda item: item[0])
+    edges = []
+    merged = {}
+    for order, (_, src, dst, kind) in enumerate(raw):
+        key = (src, dst, kind)
+        existing = merged.get(key)
+        if existing is not None:
+            existing.multiplicity += 1
+        else:
+            edge = XtegEdge(src=src, dst=dst, kind=kind, order=order)
+            merged[key] = edge
+            edges.append(edge)
+    return XTEG(tx_hash=record.tx_hash, vertices=interner.vertices, edges=edges)
+
+
+# A few addresses and selectors, so that calls repeat a vertex (parallel
+# edges), call their own function (self-loops) and call back to the sender.
+_POOL = [_addr(i) for i in range(1, 5)]
+
+
+@st.composite
+def _pooled_docs(draw):
+    sender = draw(st.sampled_from(_POOL))
+    nodes = [{"type": "CALL", "from": sender, "to": draw(st.sampled_from(_POOL)),
+              "input": draw(st.sampled_from(["0x", "0xaaaaaaaa", "0xbbbbbbbb"])),
+              "calls": []}]
+    hub_fanout = draw(st.integers(0, 40))  # the root takes this many extra children
+    for i in range(draw(st.integers(0, 30)) + hub_fanout):
+        parent = nodes[0] if i < hub_fanout else nodes[draw(st.integers(0, len(nodes) - 1))]
+        child = {"type": draw(st.sampled_from(["CALL", "STATICCALL", "DELEGATECALL",
+                                               "CREATE", "SELFDESTRUCT"])),
+                 "from": parent["to"] or _addr(0),
+                 "to": draw(st.sampled_from(_POOL + [None])),
+                 "input": draw(st.sampled_from(["0x", "0xaaaaaaaa", "0xbbbbbbbb"])),
+                 "calls": []}
+        parent["calls"].append(child)
+        nodes.append(child)
+    n_logs = draw(st.integers(0, 25))
+    indices = draw(st.permutations(range(n_logs)))
+    logs = [{"address": draw(st.sampled_from(_POOL + [_addr(9)])),
+             "topics": draw(st.sampled_from([[], [_topic(1)], [_topic(2), _topic(3)]])),
+             "data": "0x", "logIndex": index} for index in indices]
+    return {"trace": nodes[0], "logs": logs}
+
+
+def _graph_fields(graph: XTEG):
+    return ([(v.id, v.kind, v.address, v.detail) for v in graph.vertices],
+            [(e.src, e.dst, e.kind, e.order, e.multiplicity) for e in graph.edges])
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_pooled_docs())
+def test_build_equals_the_plain_build(doc):
+    record = record_from_document(doc)
+    try:
+        expected = plain_build_xteg(record)
+    except DisconnectedGraph as exc:
+        with pytest.raises(DisconnectedGraph, match=f"^{re.escape(str(exc))}$"):
+            build_xteg(record)
+        return
+    graph = build_xteg(record)
+    assert _graph_fields(graph) == _graph_fields(expected)
+    assert graph == expected and graph.tx_hash == expected.tx_hash
+
+
+def test_build_equals_the_plain_build_on_random_traces(rng):
+    for _ in range(200):
+        record = record_from_document(_random_doc_with_many_logs(rng))
+        assert _graph_fields(build_xteg(record)) == _graph_fields(plain_build_xteg(record))
