@@ -12,10 +12,8 @@ accepts frames down to the EVM's call-depth limit, `MAX_CALL_DEPTH` = 1024
 (the root frame is depth 0); a deeper frame raises MalformedTrace. JSON
 decoding still recurses, so a file can fail to decode before that depth.
 
-`CallFrame`, `LogEntry` and `TxRecord` are slotted dataclasses, and the
-parser builds frames and logs positionally: a record holds one object per
-frame and per log, so their construction cost and size add up. A file is
-read as bytes and decoded from UTF-8 once.
+`CallFrame`, `LogEntry` and `TxRecord` are slotted dataclasses, built
+positionally on the parse path. A file is read as bytes and decoded once.
 """
 
 from __future__ import annotations

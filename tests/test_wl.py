@@ -168,8 +168,3 @@ def _graphs(draw):
 def test_document_equals_the_plain_relabeling(graph, iterations):
     assert wl_document(graph, iterations) == plain_wl_document(graph, iterations)
 
-
-def test_document_equals_the_plain_relabeling_on_built_graphs(rng):
-    for _ in range(100):
-        graph = build_xteg(record_from_document(random_trace_doc(rng, max_frames=40)))
-        assert wl_document(graph) == plain_wl_document(graph)

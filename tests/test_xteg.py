@@ -14,8 +14,8 @@ from bridgeguard.xteg import (
     EMIT,
     EOA,
     EVENT,
-    FUNCTION,
     FALLBACK,
+    FUNCTION,
     XTEG,
     Vertex,
     XtegEdge,
@@ -462,11 +462,6 @@ def _pooled_docs(draw):
     return {"trace": nodes[0], "logs": logs}
 
 
-def _graph_fields(graph: XTEG):
-    return ([(v.id, v.kind, v.address, v.detail) for v in graph.vertices],
-            [(e.src, e.dst, e.kind, e.order, e.multiplicity) for e in graph.edges])
-
-
 @settings(max_examples=300, deadline=None)
 @given(doc=_pooled_docs())
 def test_build_equals_the_plain_build(doc):
@@ -477,12 +472,5 @@ def test_build_equals_the_plain_build(doc):
         with pytest.raises(DisconnectedGraph, match=f"^{re.escape(str(exc))}$"):
             build_xteg(record)
         return
-    graph = build_xteg(record)
-    assert _graph_fields(graph) == _graph_fields(expected)
-    assert graph == expected and graph.tx_hash == expected.tx_hash
+    assert build_xteg(record) == expected
 
-
-def test_build_equals_the_plain_build_on_random_traces(rng):
-    for _ in range(200):
-        record = record_from_document(_random_doc_with_many_logs(rng))
-        assert _graph_fields(build_xteg(record)) == _graph_fields(plain_build_xteg(record))
