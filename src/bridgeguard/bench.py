@@ -5,13 +5,17 @@ times the paper's stages: graph construction, global mining (WL document +
 embedding + statistics + flow flag), local mining (motif census),
 classification (feature vector + classifier scores and label). Times are
 wall-clock milliseconds, single worker for stability: each stage's mean
-over the corpus, and its p50, p95 and p99 over transactions. Published reference
-timings for the original BridgeGuard benchmark are carried alongside for
-comparison, never asserted.
+over the corpus, and its p50, p95 and p99 over transactions. The report
+also records the machine's CPU count (`nproc`) and the process's peak
+resident set (`peak_rss_mb`); like the times, they are not part of any
+determinism check. Published reference timings for the original
+BridgeGuard benchmark are carried alongside for comparison, never asserted.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -45,11 +49,21 @@ class BenchReport:
     tps: float  # 1000 / total_ms
     median_total_ms: float  # median per-transaction end-to-end latency
     config_hash: str
+    nproc: int | None  # os.cpu_count()
+    peak_rss_mb: float  # the process's peak resident set so far, 1e6 bytes
 
     def to_dict(self) -> dict:
         return dict(asdict(self), reference_total_ms=REFERENCE_TOTAL_MS,
                     reference_tps=REFERENCE_TPS,
                     reference_stage_ms={stage: STAGE_TABLE[stage][1] for stage in STAGES})
+
+
+def peak_rss_mb() -> float:
+    """The process's peak resident set so far, in MB of 1e6 bytes."""
+    import resource  # POSIX only; only bench reads it
+
+    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return maxrss * (1 if sys.platform == "darwin" else 1024) / 1e6  # bytes, else KiB
 
 
 def run_bench(records: list[TxRecord], bundle: DetectorBundle,
@@ -85,6 +99,8 @@ def run_bench(records: list[TxRecord], bundle: DetectorBundle,
         tps=1000.0 / total_ms if total_ms > 0 else float("inf"),
         median_total_ms=float(np.median(per_tx.sum(axis=1))),
         config_hash=bundle.config.config_hash(),
+        nproc=os.cpu_count(),
+        peak_rss_mb=peak_rss_mb(),
     )
 
 
@@ -105,5 +121,6 @@ def format_bench_table(report: BenchReport) -> str:
     lines = ["  ".join([row[0].ljust(widths[0])]
                        + [cell.rjust(w) for cell, w in zip(row[1:], widths[1:])])
              for row in rows]
-    lines.append(f"(corpus: {report.n} transactions, config {report.config_hash})")
+    lines.append(f"(corpus: {report.n} transactions, config {report.config_hash}; "
+                 f"nproc {report.nproc}, peak RSS {report.peak_rss_mb:.1f} MB)")
     return "\n".join(lines)

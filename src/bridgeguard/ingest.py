@@ -14,6 +14,11 @@ decoding still recurses, so a file can fail to decode before that depth.
 
 `CallFrame`, `LogEntry` and `TxRecord` are slotted dataclasses, built
 positionally on the parse path. A file is read as bytes and decoded once.
+Every frame stores its kind's object from `FRAME_KINDS`. The records of one
+corpus (`load_corpus`, and `synthgen.gen_dataset`) share their repeated
+addresses, selectors and topics through one `share_strings` dict per call;
+nothing is cached per process, so labelling one input at a time keeps
+nothing of it.
 """
 
 from __future__ import annotations
@@ -31,6 +36,9 @@ FRAME_KINDS = frozenset({
     "CALL", "STATICCALL", "DELEGATECALL", "CALLCODE",
     "CREATE", "CREATE2", "SELFDESTRUCT",
 })
+# Each frame kind to its object in FRAME_KINDS, which every parsed frame
+# stores. Read-only.
+_FRAME_KIND = {kind: kind for kind in FRAME_KINDS}
 
 LABELS = ("Normal", "AttackSrc", "AttackTgt")  # fixed class order
 
@@ -160,8 +168,8 @@ def _parse_calls(trace: object, addresses: dict[str, str]) -> CallFrame:
         if not isinstance(node, dict):
             raise MalformedTrace(f"frame at depth {depth} is not an object")
         raw_kind = node.get("type")
-        kind = raw_kind.upper() if isinstance(raw_kind, str) else None
-        if kind not in FRAME_KINDS:
+        kind = _FRAME_KIND.get(raw_kind.upper()) if isinstance(raw_kind, str) else None
+        if kind is None:
             raise MalformedTrace(f"unknown frame type {raw_kind!r} at depth {depth}")
 
         caller = _norm_address(node.get("from"), "from", addresses)
@@ -279,6 +287,30 @@ def read_json(path: str | Path, error: type[BridgeGuardError]) -> object:
 def load_trace_file(path: str | Path, chain_id: int | None = None) -> TxRecord:
     """Load one transaction's trace document plus receipt logs from disk."""
     return record_from_document(read_json(path, MalformedTrace), chain_id=chain_id)
+
+
+def share_strings(record: TxRecord, strings: dict[str, str]) -> None:
+    """Replace `record`'s sender, callers, callees, selectors, emitters and
+    topics by the first equal string in `strings`, adding the ones it lacks.
+    A corpus repeats a few thousand such values over all its records, so
+    records passed through one dict hold each of them once. The dict lives
+    as long as the caller keeps it; nothing is kept per process."""
+    share = strings.setdefault
+    record.sender = share(record.sender, record.sender)
+    stack = [record.root_frame]
+    while stack:
+        frame = stack.pop()
+        frame.caller = share(frame.caller, frame.caller)
+        frame.callee = share(frame.callee, frame.callee)
+        if frame.selector is not None:
+            frame.selector = share(frame.selector, frame.selector)
+        stack += frame.children
+    for log in record.logs:
+        log.emitter = share(log.emitter, log.emitter)
+        if log.topic0 is not None:
+            log.topic0 = share(log.topic0, log.topic0)
+        if log.topics_rest:
+            log.topics_rest = [share(topic, topic) for topic in log.topics_rest]
 
 
 # --- serialization (round-trip format) ------------------------------------
@@ -420,11 +452,17 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
 def load_corpus(manifest_path: str | Path) -> tuple[list[TxRecord], list[str]]:
     """The records and labels a manifest lists, in its order. A relative
-    source resolves against the manifest's directory."""
+    source resolves against the manifest's directory. The records share
+    their repeated strings through one `share_strings` dict."""
     root = Path(manifest_path).parent
     entries = load_manifest(manifest_path).entries
-    return ([load_trace_file(root / entry.source, chain_id=entry.chain_id)
-             for entry in entries], [entry.label for entry in entries])
+    strings: dict[str, str] = {}
+    records = []
+    for entry in entries:
+        record = load_trace_file(root / entry.source, chain_id=entry.chain_id)
+        share_strings(record, strings)
+        records.append(record)
+    return records, [entry.label for entry in entries]
 
 
 def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:

@@ -3,7 +3,9 @@
 The embedding model is always fit on training data only; test and detect
 inputs are embedded against the frozen model. A trained detector is saved
 as a bundle directory holding the embedding model, the classifier, and the
-resolved configuration.
+resolved configuration. Training and evaluation prepare their corpus with
+`prepare_corpus`, whose documents share equal WL tokens through one dict
+per call; `detect` prepares each record on its own and keeps nothing.
 """
 
 from __future__ import annotations
@@ -84,6 +86,20 @@ def prepare(record: TxRecord, cfg: RunConfig, stage=_no_stage) -> PreparedTx:
     return PreparedTx(record=record, doc=doc, stats=stats, flag=flag, census=census)
 
 
+def prepare_corpus(records: list[TxRecord], cfg: RunConfig) -> list[PreparedTx]:
+    """`prepare` of each record, in order, with equal WL tokens stored once:
+    each document's tokens are rebuilt through one dict, which lives only as
+    long as this call."""
+    tokens: dict[str, str] = {}
+    share = tokens.setdefault
+    preps = []
+    for record in records:
+        prep = prepare(record, cfg)
+        prep.doc = WLDocument(tuple([share(token, token) for token in prep.doc.tokens]))
+        preps.append(prep)
+    return preps
+
+
 def feature_vector(prep: PreparedTx, model: EmbeddingModel,
                    stage=_no_stage) -> FeatureVector:
     """The 37-dim vector of `prep` under `model`: the one featurization of
@@ -144,7 +160,7 @@ def train_detector(records: list[TxRecord], labels: list[str],
                    cfg: RunConfig) -> tuple[DetectorBundle, dict]:
     """One protocol run seeded `cfg.seed` with the configured classifier:
     the detector bundle and its test report."""
-    preps = [prepare(r, cfg) for r in records]
+    preps = prepare_corpus(records, cfg)
     model, fitted = _protocol_run(preps, labels, cfg, cfg.seed, (cfg.classifier,))
     classifier, report = fitted[cfg.classifier]
     return DetectorBundle(embedding=model, classifier=classifier, config=cfg), report
@@ -158,7 +174,7 @@ def repeated_pipeline_eval(records: list[TxRecord], labels: list[str],
     if cfg.runs < 1:
         raise InvalidConfig("runs must be >= 1")
     classifiers = tuple(dict.fromkeys(classifiers))  # each kind is fitted once
-    preps = [prepare(r, cfg) for r in records]
+    preps = prepare_corpus(records, cfg)
     reports: dict[str, list[dict]] = {kind: [] for kind in classifiers}
     for run in range(cfg.runs):
         _, fitted = _protocol_run(preps, labels, cfg, cfg.seed + run, classifiers)

@@ -11,6 +11,9 @@ attached so classes are not separable by vertex count alone.
 Everything is a pure function of (config, seed): addresses, amounts, noise
 placement, and the final corpus order all derive from the seed. Bridge
 contract addresses stay fixed per corpus, mirroring real deployments.
+`gen_dataset` passes each record through one `ingest.share_strings` dict,
+so a corpus stores each repeated address, selector and topic once; the dict
+is dropped when the call returns.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .ingest import (
     record_from_document,
     record_to_document,
     save_manifest,
+    share_strings,
     write_json,
 )
 
@@ -239,15 +243,19 @@ def gen_dataset(cfg: GenConfig) -> tuple[list[SynthTx], DatasetManifest]:
     n_tgt = n_attack - n_src
 
     samples: list[SynthTx] = []
+    strings: dict[str, str] = {}
+
+    def add(tx: SynthTx) -> None:
+        share_strings(tx.record, strings)
+        samples.append(tx)
+
     for i in range(cfg.n_normal):
         gen = gen_normal_deposit if i % 2 == 0 else gen_normal_withdrawal
-        samples.append(gen(derive_seed(cfg.seed, "normal", i), cfg.noise, env))
+        add(gen(derive_seed(cfg.seed, "normal", i), cfg.noise, env))
     for i in range(n_src):
-        samples.append(gen_attack_src(derive_seed(cfg.seed, "attack-src", i),
-                                      cfg.noise, env))
+        add(gen_attack_src(derive_seed(cfg.seed, "attack-src", i), cfg.noise, env))
     for i in range(n_tgt):
-        samples.append(gen_attack_tgt(derive_seed(cfg.seed, "attack-tgt", i),
-                                      cfg.noise, env))
+        add(gen_attack_tgt(derive_seed(cfg.seed, "attack-tgt", i), cfg.noise, env))
 
     rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
     order = rng.permutation(len(samples))

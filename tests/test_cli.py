@@ -1,4 +1,6 @@
 import json
+import os
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -240,6 +242,8 @@ def test_bench_reports_stages_and_tps(workspace, runner, tmp_path):
     for stage in report["stage_ms"]:
         assert (0 <= report["stage_p50_ms"][stage] <= report["stage_p95_ms"][stage]
                 <= report["stage_p99_ms"][stage])
+    assert report["nproc"] == os.cpu_count()
+    assert report["peak_rss_mb"] > 1.0  # the interpreter and numpy alone hold more
 
     table = runner.invoke(main, [
         "bench", "--manifest", str(corpus / "manifest.jsonl"),
@@ -248,6 +252,8 @@ def test_bench_reports_stages_and_tps(workspace, runner, tmp_path):
     header = table.output.splitlines()[0]
     assert (header.index("Avg. time") < header.index("p50 (ms)") < header.index("p95 (ms)")
             < header.index("p99 (ms)"))
+    footer = table.output.splitlines()[-1]
+    assert f"nproc {os.cpu_count()}," in footer and re.search(r"peak RSS \d+\.\d MB\)$", footer)
 
 
 @pytest.mark.parametrize("limit", ["0", "-5"])

@@ -530,7 +530,7 @@ _TRICKY = {
             "0x" + "ab" * 19 + "\u212a0", "0x" + "\u0660" * 40, "0x\u0130", "0xAB\n",
             "0x" + "ab" * 20 + "\n", "0x", None, "", 5, True],
     "quantity": [True, False, 0, 2 ** 70, -3, "0x1F", "0X1F", "12", "\uff11", 1.5, None],
-    "type": ["call", "Call", "selfdestruct", "JUMP", "", None, 3],
+    "type": ["call", "Call", "selfdestruct", "JUMP", "", None, 3, ["CALL"], {"CALL": 1}],
 }
 
 
