@@ -36,6 +36,7 @@ STAGE_TABLE = {
 }
 REFERENCE_TOTAL_MS = 15.212
 REFERENCE_TPS = 65.0
+MIN_CORPUS = 100  # the fewest transactions bench times
 
 
 @dataclass
@@ -66,10 +67,9 @@ def peak_rss_mb() -> float:
     return maxrss * (1 if sys.platform == "darwin" else 1024) / 1e6  # bytes, else KiB
 
 
-def run_bench(records: list[TxRecord], bundle: DetectorBundle,
-              min_corpus: int = 100) -> BenchReport:
-    if len(records) < min_corpus:
-        raise CorpusTooSmall(f"bench needs >= {min_corpus} transactions, got {len(records)}")
+def run_bench(records: list[TxRecord], bundle: DetectorBundle) -> BenchReport:
+    if len(records) < MIN_CORPUS:
+        raise CorpusTooSmall(f"bench needs >= {MIN_CORPUS} transactions, got {len(records)}")
     column = {name: j for j, name in enumerate(STAGES)}
     per_tx_ns = np.zeros((len(records), len(STAGES)), dtype=np.int64)
 

@@ -329,6 +329,11 @@ def knn_predict(model: KNNModel, features) -> str:
 
 # --- decision tree -----------------------------------------------------------
 
+# The most levels below its root that a tree grows or loads, whatever
+# `max_depth` asks: growing, saving and loading each recurse once per level,
+# and this bound leaves them far inside Python's default recursion limit.
+MAX_TREE_DEPTH = 256
+
 
 @dataclass
 class TreeNode:
@@ -405,11 +410,11 @@ def _best_split(x: np.ndarray, y: np.ndarray, w: np.ndarray, n_classes: int,
 
 
 def _grow(x: np.ndarray, y: np.ndarray, w: np.ndarray, n_classes: int,
-          depth: int, max_depth: int | None, min_leaf: int) -> TreeNode:
+          depth: int, max_depth: int, min_leaf: int) -> TreeNode:
     counts = np.zeros(n_classes)
     np.add.at(counts, y, w)
     node = TreeNode(counts=counts)
-    if (max_depth is not None and depth >= max_depth) or len(np.unique(y)) <= 1:
+    if depth >= max_depth or len(np.unique(y)) <= 1:
         return node
     found = _best_split(x, y, w, n_classes, min_leaf)
     if found is None:
@@ -441,7 +446,8 @@ def dtree_train(train: list[LabeledSample], max_depth: int | None = None,
         w = per_class[y]
     else:
         w = np.ones(y.size)
-    root = _grow(x, y, w, len(classes), 0, max_depth, min_samples_leaf)
+    limit = MAX_TREE_DEPTH if max_depth is None else min(max_depth, MAX_TREE_DEPTH)
+    root = _grow(x, y, w, len(classes), 0, limit, min_samples_leaf)
     return DecisionTreeModel(root=root, classes=classes)
 
 
@@ -567,23 +573,26 @@ def _tree_to_dict(node: TreeNode) -> dict:
     return out
 
 
-def _tree_from_dict(obj: dict, n_classes: int) -> TreeNode:
-    """A saved tree, checked so that scoring cannot fail: a field of the
-    wrong type or range raises ValueError, a missing one KeyError."""
+def _tree_from_dict(obj: dict, n_classes: int, depth: int) -> TreeNode:
+    """A saved tree whose root is `depth` levels down, checked so that
+    scoring cannot fail: a field of the wrong type or range, or a split
+    below MAX_TREE_DEPTH, raises ValueError, a missing field KeyError."""
     counts = np.asarray(obj["counts"], dtype=np.float64)
     if counts.shape != (n_classes,) or not (np.isfinite(counts) & (counts >= 0)).all():
         raise ValueError(f"node counts {obj['counts']!r} are not {n_classes} "
                          "finite, non-negative numbers")
     node = TreeNode(counts=counts)
     if obj.keys() & {"dim", "threshold", "left", "right"}:  # a split needs all four
+        if depth >= MAX_TREE_DEPTH:
+            raise ValueError(f"tree splits below its maximum depth {MAX_TREE_DEPTH}")
         dim, threshold = obj["dim"], obj["threshold"]
         if type(dim) is not int or not 0 <= dim < FEATURE_DIM:  # bool is not int
             raise ValueError(f"node dim {dim!r} is not an int in 0..{FEATURE_DIM - 1}")
         if type(threshold) not in (int, float) or not math.isfinite(threshold):
             raise ValueError(f"node threshold {threshold!r} is not a finite number")
         node.dim, node.threshold = dim, threshold
-        node.left = _tree_from_dict(obj["left"], n_classes)
-        node.right = _tree_from_dict(obj["right"], n_classes)
+        node.left = _tree_from_dict(obj["left"], n_classes, depth + 1)
+        node.right = _tree_from_dict(obj["right"], n_classes, depth + 1)
     return node
 
 
@@ -637,7 +646,7 @@ def load_classifier(path: str | Path) -> KNNModel | DecisionTreeModel:
             )
         classes = list(doc["classes"])
         return DecisionTreeModel(
-            root=_tree_from_dict(doc["payload"]["tree"], len(classes)), classes=classes)
+            root=_tree_from_dict(doc["payload"]["tree"], len(classes), 0), classes=classes)
     except KeyError as exc:
         raise ModelVersionMismatch(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError, BridgeGuardError) as exc:

@@ -14,7 +14,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .bench import format_bench_table, run_bench
+from .bench import MIN_CORPUS, format_bench_table, run_bench
 from .classify import CLASSIFIERS
 from .config import RunConfig, resolve_config
 from .errors import BridgeGuardError
@@ -249,7 +249,8 @@ def detect_cmd(inputs, model_dir, config_file, rpc_url, cache_dir, out_file, fmt
 @click.option("--manifest", "manifest_file", type=click.Path(exists=True), required=True)
 @click.option("--model-dir", type=click.Path(exists=True), required=True)
 @click.option("--limit", type=click.IntRange(min=1), default=None,
-              help="Bench only the first N transactions.")
+              help=f"Bench only the first N transactions; bench needs at least "
+                   f"{MIN_CORPUS}.")
 @click.option("--out", "out_file", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
 @_guarded

@@ -55,8 +55,7 @@ class SelfLoopPresent(BridgeGuardError):
 
 
 class MultiEdgePresent(BridgeGuardError):
-    """Motif census input must be a 0/1 adjacency matrix or an arc list
-    without repeats and with endpoints in 0..n-1."""
+    """Motif census input must be a square 0/1 adjacency matrix."""
 
 
 class GraphTooLarge(BridgeGuardError):

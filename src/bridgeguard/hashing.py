@@ -58,7 +58,12 @@ def _keccak_f1600(lanes: list[int]) -> list[int]:
     return lanes
 
 
-def _sponge_1600(data: bytes, suffix: int, out_len: int, rate_bytes: int = 136) -> bytes:
+_RATE = 136  # bytes: the 1088-bit rate of the 256-bit variants
+
+
+def _sponge_1600(data: bytes, suffix: int) -> bytes:
+    """The 32-byte digest of `data` with domain `suffix` at rate 136. The
+    digest fits in one rate block: the first 32 bytes of the final state."""
     state = bytearray(200)
 
     def permute() -> None:
@@ -70,33 +75,27 @@ def _sponge_1600(data: bytes, suffix: int, out_len: int, rate_bytes: int = 136) 
     offset = 0
     block = 0
     while offset < len(data):
-        block = min(len(data) - offset, rate_bytes)
+        block = min(len(data) - offset, _RATE)
         for i in range(block):
             state[i] ^= data[offset + i]
         offset += block
-        if block == rate_bytes:
+        if block == _RATE:
             permute()
             block = 0
     state[block] ^= suffix
-    state[rate_bytes - 1] ^= 0x80
+    state[_RATE - 1] ^= 0x80
     permute()
-
-    out = bytearray()
-    while len(out) < out_len:
-        out += state[:min(out_len - len(out), rate_bytes)]
-        if len(out) < out_len:
-            permute()
-    return bytes(out)
+    return bytes(state[:32])
 
 
 def keccak256(data: bytes) -> bytes:
     """Keccak-256 digest (EVM convention, multi-rate padding byte 0x01)."""
-    return _sponge_1600(data, 0x01, 32)
+    return _sponge_1600(data, 0x01)
 
 
 def sha3_256(data: bytes) -> bytes:
     """SHA3-256 via the same sponge; exists for cross-validation tests."""
-    return _sponge_1600(data, 0x06, 32)
+    return _sponge_1600(data, 0x06)
 
 
 def selector(signature: str) -> str:

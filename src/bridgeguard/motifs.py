@@ -5,14 +5,15 @@ census order `003 .. 300`: the empty triad, the single-arc and mutual-pair
 dyadic triads, and the 13 weakly connected classes. Each vertex triple is
 counted once, in its exact class, so the counts always partition C(n, 3).
 
-`motif_census_matrix` is the subquadratic census of Batagelj & Mrvar (2001),
-exact in O(m·Δ) time straight from the arc list; it never builds an n×n
-matrix. Each adjacent pair v < u adds its dyadic triads (the n − |S| − 2
-third vertices adjacent to neither, S = N(u) ∪ N(v) − {u, v}) and classifies
-every w ∈ S whose triple this pair is the first to reach, so each connected
+`_census` is the subquadratic census of Batagelj & Mrvar (2001), exact in
+O(m·Δ) time from a set of arcs; it never builds an n×n matrix. Each
+adjacent pair v < u adds its dyadic triads (the n − |S| − 2 third vertices
+adjacent to neither, S = N(u) ∪ N(v) − {u, v}) and classifies every
+w ∈ S whose triple this pair is the first to reach, so each connected
 triple is seen once. `003` is what remains of C(n, 3).
-`triad_census_bruteforce` classifies every triple by canonical form and
-exists as the independent oracle.
+`local_feature` runs it on an execution graph's arcs. `motif_census_matrix`
+runs it on a 0/1 adjacency matrix, and `triad_census_bruteforce`, the
+independent oracle, classifies every triple of one by canonical form.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from math import comb
 import numpy as np
 
 from .errors import GraphTooLarge, MultiEdgePresent, SelfLoopPresent
-from .xteg import XTEG, SimpleDigraph
+from .xteg import XTEG
 
 MOTIF_NAMES = (
     "003", "012", "102", "021D", "021U", "021C", "111D", "111U",
@@ -100,35 +101,23 @@ def classify_triad(code: int) -> int:
 _CODE_TO_CLASS = tuple(classify_triad(code) for code in range(64))
 
 
-def _arcs(g: SimpleDigraph | np.ndarray) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Vertex count and arc list of a census input, validated: a self-loop
-    is SelfLoopPresent; a repeated arc, an endpoint outside 0..n-1 or a
-    malformed adjacency is MultiEdgePresent."""
-    if not isinstance(g, SimpleDigraph):
-        a = np.asarray(g)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise MultiEdgePresent("adjacency must be square")
-        if not np.isin(a, (0, 1)).all():
-            raise MultiEdgePresent("adjacency entries must be 0/1")
-        if np.diagonal(a).any():
-            raise SelfLoopPresent("self-loops are not allowed")
-        src, dst = np.nonzero(a)
-        return a.shape[0], tuple(zip(src.tolist(), dst.tolist()))
-    n, seen = g.n, set()
-    for arc in g.arcs:
-        src, dst = arc
-        if not (0 <= src < n and 0 <= dst < n):
-            raise MultiEdgePresent(f"arc {arc} has an endpoint outside 0..{n - 1}")
-        if src == dst:
-            raise SelfLoopPresent(f"self-loop arc {arc}")
-        if arc in seen:
-            raise MultiEdgePresent(f"repeated arc {arc}")
-        seen.add(arc)
-    return n, g.arcs
+def _arcs(a: np.ndarray) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Vertex count and arc list of an adjacency matrix, validated: a
+    self-loop is SelfLoopPresent, a matrix that is not square or not 0/1 is
+    MultiEdgePresent."""
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise MultiEdgePresent("adjacency must be square")
+    if not np.isin(a, (0, 1)).all():
+        raise MultiEdgePresent("adjacency entries must be 0/1")
+    if np.diagonal(a).any():
+        raise SelfLoopPresent("self-loops are not allowed")
+    src, dst = np.nonzero(a)
+    return a.shape[0], tuple(zip(src.tolist(), dst.tolist()))
 
 
-def motif_census_matrix(g: SimpleDigraph | np.ndarray) -> LocalFeature:
-    return _census(*_arcs(g))
+def motif_census_matrix(a: np.ndarray) -> LocalFeature:
+    return _census(*_arcs(a))
 
 
 def _census(n: int, arcs) -> LocalFeature:
@@ -160,8 +149,8 @@ def _census(n: int, arcs) -> LocalFeature:
     return LocalFeature(counts=tuple(counts))
 
 
-def triad_census_bruteforce(g: SimpleDigraph | np.ndarray) -> LocalFeature:
-    n, arcs = _arcs(g)
+def triad_census_bruteforce(a: np.ndarray) -> LocalFeature:
+    n, arcs = _arcs(a)
     if n > 64:
         raise GraphTooLarge(f"brute force capped at 64 vertices, got {n}")
     arc_set = set(arcs)
@@ -176,8 +165,8 @@ def triad_census_bruteforce(g: SimpleDigraph | np.ndarray) -> LocalFeature:
 
 
 def local_feature(graph: XTEG) -> LocalFeature:
-    """Motif census of the graph's kind-free simple digraph: the arcs of
-    `to_simple_digraph`, which need neither sorting nor `_arcs`' checks."""
+    """Motif census of the graph's kind-free simple digraph: edge kinds and
+    multiplicities dropped, self-loops removed, parallel arcs merged."""
     return _census(len(graph.vertices),
                    {(e.src, e.dst) for e in graph.edges if e.src != e.dst})
 

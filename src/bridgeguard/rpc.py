@@ -13,7 +13,14 @@ from pathlib import Path
 import requests
 
 from .errors import MalformedTrace, RpcUnavailable, TraceUnsupported, TxNotFound
-from .ingest import TxRecord, _norm_quantity, read_json, record_from_document, write_json
+from .ingest import (
+    TxRecord,
+    _norm_hex,
+    _norm_quantity,
+    read_json,
+    record_from_document,
+    write_json,
+)
 
 _METHOD_NOT_FOUND = -32601
 
@@ -87,10 +94,13 @@ class RpcClient:
     def _cache_path(self, chain_id: int, tx_hash: str) -> Path | None:
         if self.cache_dir is None:
             return None
-        return self.cache_dir / str(chain_id) / f"{tx_hash.lower()}.json"
+        return self.cache_dir / str(chain_id) / f"{tx_hash}.json"
 
     def fetch_tx_record(self, tx_hash: str) -> TxRecord:
-        tx_hash = tx_hash.lower()
+        """The record of `tx_hash`, from the cache or the node. A hash that is
+        not 0x and 32 bytes of hex is MalformedTrace before any request or
+        cache access."""
+        tx_hash = _norm_hex(tx_hash, "tx hash", 32)
         chain_id = self.chain_id()
         cache_path = self._cache_path(chain_id, tx_hash)
         if cache_path is not None and cache_path.exists():

@@ -63,13 +63,6 @@ class XTEG:
     edges: list[XtegEdge]  # sorted by order
 
 
-@dataclass(frozen=True)
-class SimpleDigraph:
-    """Kind-free simple digraph over the same vertex ids (no self-loops)."""
-    n: int
-    arcs: tuple[tuple[int, int], ...]  # sorted, deduplicated
-
-
 def build_xteg(record: TxRecord) -> XTEG:
     """Build the execution graph: one edge per frame, one EMIT per log."""
     if record.root_frame is None:  # defensive; the parser already rejects this
@@ -135,12 +128,6 @@ def build_xteg(record: TxRecord) -> XTEG:
             edges.append(edge := XtegEdge(src, dst, kind, order))
             merged[key] = edge
     return XTEG(record.tx_hash, vertices, edges)
-
-
-def to_simple_digraph(graph: XTEG) -> SimpleDigraph:
-    """Drop edge kinds, multiplicities, and self-loops; dedupe arcs."""
-    arcs = sorted({(e.src, e.dst) for e in graph.edges if e.src != e.dst})
-    return SimpleDigraph(n=len(graph.vertices), arcs=tuple(arcs))
 
 
 def dump_xteg(graph: XTEG) -> str:

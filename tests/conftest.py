@@ -53,6 +53,16 @@ def random_digraph(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
     return a
 
 
+def xteg_adjacency(graph) -> np.ndarray:
+    """The 0/1 adjacency of an execution graph written out edge by edge: edge
+    kinds and multiplicities dropped, self-loops left out."""
+    a = np.zeros((len(graph.vertices),) * 2, dtype=np.int64)
+    for e in graph.edges:
+        if e.src != e.dst:
+            a[e.src, e.dst] = 1
+    return a
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240601)

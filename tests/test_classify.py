@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bridgeguard.classify import (
+    MAX_TREE_DEPTH,
     DecisionTreeModel,
     FeatureVector,
     KNNModel,
@@ -546,6 +547,32 @@ def test_dtree_settings_below_one_rejected(settings):
         dtree_train(samples, **settings)
 
 
+def _split_levels(root: TreeNode) -> int:
+    """The most splits on any root-to-leaf path, walked without recursion."""
+    deepest, stack = 0, [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if not node.is_leaf:
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+    return deepest
+
+
+@pytest.mark.parametrize("max_depth", [None, 10**6])
+def test_dtree_depth_is_bounded_so_every_tree_saves_and_loads(tmp_path, max_depth):
+    # Labels alternating along the one feature need one split per sample:
+    # unbounded, these 1500 samples would grow a chain 1499 levels deep.
+    samples = [_sample([float(i)], "Normal" if i % 2 == 0 else "AttackSrc", f"s{i}")
+               for i in range(1500)]
+    model = dtree_train(samples, max_depth=max_depth)
+    assert _split_levels(model.root) == MAX_TREE_DEPTH
+    path = tmp_path / "dtree.json"
+    save_classifier(model, path)
+    loaded = load_classifier(path)
+    assert ([dtree_predict(loaded, s.features) for s in samples]
+            == [dtree_predict(model, s.features) for s in samples])
+
+
 def test_dtree_min_samples_leaf_respected():
     samples = [_sample([float(i)], "Normal" if i < 6 else "AttackSrc", f"s{i}")
                for i in range(8)]
@@ -750,6 +777,24 @@ def test_malformed_knn_file_rejected_naming_it(tmp_path, section, key, value):
 
 
 _DROPPED = object()
+
+
+@pytest.mark.parametrize("splits", [MAX_TREE_DEPTH, MAX_TREE_DEPTH + 1])
+def test_dtree_file_deeper_than_the_bound_rejected(tmp_path, splits):
+    doc = _saved_dtree_doc(tmp_path)
+    counts = doc["payload"]["tree"]["counts"]
+    tree = {"counts": counts}
+    for _ in range(splits):
+        tree = {"counts": counts, "dim": 0, "threshold": 0.0,
+                "left": tree, "right": {"counts": counts}}
+    doc["payload"]["tree"] = tree
+    path = tmp_path / "classifier.json"
+    path.write_text(json.dumps(doc))
+    if splits <= MAX_TREE_DEPTH:
+        assert _split_levels(load_classifier(path).root) == splits
+    else:
+        with pytest.raises(ModelVersionMismatch, match="maximum depth"):
+            load_classifier(path)
 
 
 def _saved_dtree_doc(tmp_path) -> dict:

@@ -1,11 +1,12 @@
 import json
 import os
 import re
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
 
-from bridgeguard import cli
+from bridgeguard import cli, rpc
 from bridgeguard.cli import main
 from bridgeguard.ingest import json_text, load_manifest, record_from_document
 
@@ -171,6 +172,29 @@ def test_ingest_out_fails_only_the_record_too_deep_to_write(workspace, runner, t
     assert written == [payload["rows"][0]["tx_hash"] + ".json"]
 
 
+def test_detect_malformed_hash_fails_that_input_without_a_request(
+        workspace, runner, monkeypatch):
+    posts = []
+
+    class Session:
+        def post(self, *args, **kwargs):
+            posts.append(args)
+            raise AssertionError("no request for a malformed hash")
+
+    monkeypatch.setattr(rpc, "requests", SimpleNamespace(Session=Session))
+    attack = next(e for e in load_manifest(workspace["corpus"] / "manifest.jsonl").entries
+                  if e.label != "Normal")
+    result = runner.invoke(main, [
+        "detect", "0xabc", str(workspace["corpus"] / attack.source),
+        "--model-dir", str(workspace["model"]), "--rpc-url", "http://node",
+        "--format", "json",
+    ])
+    assert result.exit_code == 2, result.output
+    assert posts == []
+    assert "failed: 0xabc: tx hash: expected 32 bytes" in result.stderr
+    assert len(json.loads(result.stdout)["rows"]) == 1
+
+
 def test_detect_missing_model_is_fatal(runner, tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -292,6 +316,17 @@ def test_bench_too_small_corpus_fails(workspace, runner, tmp_path):
         "--model-dir", str(model_dir),
     ])
     assert result.exit_code == 1
+    assert result.output == "error: bench needs >= 100 transactions, got 10\n"
+
+    # --limit cuts the 132-transaction corpus below the same minimum
+    result = runner.invoke(main, [
+        "bench", "--manifest", str(corpus / "manifest.jsonl"),
+        "--model-dir", str(model_dir), "--limit", "50",
+    ])
+    assert result.exit_code == 1
+    assert result.output == "error: bench needs >= 100 transactions, got 50\n"
+    help_text = " ".join(runner.invoke(main, ["bench", "--help"]).output.split())
+    assert "bench needs at least 100." in help_text
 
 
 def test_bench_missing_trace_file_is_one_error_line(workspace, runner, tmp_path):

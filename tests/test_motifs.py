@@ -1,4 +1,3 @@
-import re
 from collections import Counter
 from math import comb
 from pathlib import Path
@@ -19,8 +18,8 @@ from bridgeguard.motifs import (
     triad_census_bruteforce,
 )
 from bridgeguard.synthgen import gen_attack_src, gen_normal_deposit
-from bridgeguard.xteg import SimpleDigraph, build_xteg, to_simple_digraph
-from conftest import random_digraph
+from bridgeguard.xteg import build_xteg
+from conftest import random_digraph, xteg_adjacency
 
 IDX = {name: i for i, name in enumerate(MOTIF_NAMES)}
 
@@ -93,20 +92,15 @@ def test_partition_invariant(seed, n):
     assert sum(motif_census_matrix(a).counts) == comb(n, 3)
 
 
-def _simple(a: np.ndarray) -> SimpleDigraph:
-    src, dst = np.nonzero(a)
-    return SimpleDigraph(n=a.shape[0], arcs=tuple(zip(src.tolist(), dst.tolist())))
-
-
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
        n=st.integers(min_value=0, max_value=20),
        density=st.floats(min_value=0.0, max_value=1.0))
 @example(seed=0, n=20, density=1.0)  # complete digraph: every triple is 300
 @example(seed=0, n=20, density=0.0)  # no arcs: every triple is 003
-def test_sparse_census_of_arc_list_equals_bruteforce(seed, n, density):
+def test_census_equals_bruteforce_from_empty_to_complete(seed, n, density):
     a = random_digraph(np.random.default_rng(seed), n, density)
-    census = motif_census_matrix(_simple(a))
+    census = motif_census_matrix(a)
     assert census.counts == triad_census_bruteforce(a).counts
     if density == 1.0:
         assert census.counts[IDX["300"]] == comb(n, 3)
@@ -114,14 +108,54 @@ def test_sparse_census_of_arc_list_equals_bruteforce(seed, n, density):
         assert census.counts[IDX["003"]] == comb(n, 3)
 
 
-def test_simple_digraph_input_validation():
-    with pytest.raises(SelfLoopPresent):
-        motif_census_matrix(SimpleDigraph(n=3, arcs=((0, 1), (2, 2))))
-    with pytest.raises(MultiEdgePresent, match="repeated"):
-        motif_census_matrix(SimpleDigraph(n=3, arcs=((0, 1), (0, 1))))
-    for arc in ((0, 3), (-1, 2)):
-        with pytest.raises(MultiEdgePresent, match=re.escape(str(arc))):
-            motif_census_matrix(SimpleDigraph(n=3, arcs=((0, 1), arc)))
+# --- hubs: the census's cost grows with a vertex's fan-out ---------------------
+
+HUB_KINDS = ("out", "in", "mutual", "mixed")
+# The class of every triple {hub, leaf, leaf} of a star whose leaves all
+# join the hub the same way.
+STAR_CLASS = {"out": "021D", "in": "021U", "mutual": "201"}
+
+
+def _with_hub(a: np.ndarray, kind: str, rng) -> np.ndarray:
+    """`a` with vertex 0 joined to every other vertex by an out-, in- or
+    mutual arc, or by a random one of the three ("mixed")."""
+    a = a.copy()
+    n = a.shape[0]
+    way = {"out": np.zeros(n - 1), "in": np.ones(n - 1), "mutual": np.full(n - 1, 2),
+           "mixed": rng.integers(0, 3, n - 1)}[kind]
+    a[0, 1:] = way != 1  # out or mutual
+    a[1:, 0] = way != 0  # in or mutual
+    return a
+
+
+@pytest.mark.parametrize("kind", HUB_KINDS)
+def test_hub_census_equals_bruteforce(rng, kind):
+    for n in (3, 4, 17, 40, 64):
+        star = _with_hub(np.zeros((n, n), dtype=np.int64), kind, rng)
+        hub = _with_hub(random_digraph(rng, n, float(rng.uniform(0.02, 0.3))), kind, rng)
+        star_counts, hub_counts = (motif_census_matrix(a).counts for a in (star, hub))
+        assert star_counts == triad_census_bruteforce(star).counts
+        assert hub_counts == triad_census_bruteforce(hub).counts
+        if kind in STAR_CLASS:
+            assert star_counts[IDX[STAR_CLASS[kind]]] == comb(n - 1, 2)
+            assert star_counts[IDX["003"]] == comb(n - 1, 3)
+
+
+@pytest.mark.parametrize("kind", HUB_KINDS)
+def test_hub_census_identities_at_n2000(rng, kind):
+    # Too large for the brute force: each triple is counted once (partition)
+    # and each arc lies in n - 2 triples (arc incidence).
+    n = 2000
+    star = _with_hub(np.zeros((n, n), dtype=np.int8), kind, rng)
+    hub = _with_hub(random_digraph(rng, n, 4000 / (n * (n - 1))).astype(np.int8), kind, rng)
+    star_counts, hub_counts = (motif_census_matrix(a).counts for a in (star, hub))
+    for a, counts in ((star, star_counts), (hub, hub_counts)):
+        assert sum(counts) == comb(n, 3)
+        incidence = sum(c * len(MOTIF_ARCS[name]) for c, name in zip(counts, MOTIF_NAMES))
+        assert incidence == int(a.sum(dtype=np.int64)) * (n - 2)
+    if kind in STAR_CLASS:
+        assert star_counts[IDX[STAR_CLASS[kind]]] == comb(n - 1, 2)
+        assert star_counts[IDX["003"]] == comb(n - 1, 3)
 
 
 def test_isomorphism_invariance(rng):
@@ -154,13 +188,13 @@ def test_local_feature_attack_chain_shorter_than_normal():
                  if name not in ("003", "012", "102")]
 
     def connected_total(graph):
-        counts = triad_census_bruteforce(to_simple_digraph(graph)).counts
+        counts = triad_census_bruteforce(xteg_adjacency(graph)).counts
         return sum(counts[i] for i in connected)
 
     assert connected_total(normal) > connected_total(attack)
     # and the pipeline's census agrees with the oracle on both graphs
     for graph in (normal, attack):
-        expected = triad_census_bruteforce(to_simple_digraph(graph)).counts
+        expected = triad_census_bruteforce(xteg_adjacency(graph)).counts
         assert local_feature(graph).counts == expected
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bridgeguard.errors import RpcUnavailable, TraceUnsupported, TxNotFound
+from bridgeguard.errors import MalformedTrace, RpcUnavailable, TraceUnsupported, TxNotFound
 from bridgeguard.ingest import record_from_document
 from bridgeguard import rpc
 from bridgeguard.rpc import RpcClient
@@ -83,6 +83,30 @@ def test_unknown_hash_raises_tx_not_found(tmp_path):
     client = RpcClient("http://node", cache_dir=tmp_path, session=FakeNode())
     with pytest.raises(TxNotFound):
         client.fetch_tx_record("0x" + "99" * 32)
+
+
+@pytest.mark.parametrize("tx_hash", ["0xabc", "0x" + "11" * 31, "0x" + "11" * 33,
+                                     "0x" + "zz" * 32, "0x../" + "11" * 30, "11" * 32])
+def test_malformed_hash_is_rejected_before_any_request_or_cache_access(
+        tmp_path, monkeypatch, tx_hash):
+    def no_file_access(*args, **kwargs):
+        raise AssertionError("cache touched for a malformed hash")
+
+    node = FakeNode()
+    client = RpcClient("http://node", cache_dir=tmp_path / "cache", session=node)
+    monkeypatch.setattr(rpc, "read_json", no_file_access)
+    monkeypatch.setattr(rpc, "write_json", no_file_access)
+    with pytest.raises(MalformedTrace, match="tx hash"):
+        client.fetch_tx_record(tx_hash)
+    assert node.calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_hash_is_read_in_any_case(tmp_path):
+    node = FakeNode()
+    client = RpcClient("http://node", cache_dir=tmp_path, session=node)
+    assert client.fetch_tx_record(TX.upper().replace("0X", "0x")).tx_hash == TX
+    assert [path.name for path in tmp_path.rglob("*.json")] == [f"{TX}.json"]
 
 
 def test_node_without_tracer_raises_trace_unsupported(tmp_path):

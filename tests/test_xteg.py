@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bridgeguard.errors import DisconnectedGraph, EmptyTrace
 from bridgeguard.ingest import CallFrame, flatten_frames, record_from_document
+from bridgeguard.motifs import local_feature, triad_census_bruteforce
 from bridgeguard.synthgen import gen_attack_tgt, gen_normal_deposit
 from bridgeguard.xteg import (
     ANONYMOUS,
@@ -21,9 +22,8 @@ from bridgeguard.xteg import (
     XtegEdge,
     build_xteg,
     dump_xteg,
-    to_simple_digraph,
 )
-from conftest import random_record, random_trace_doc
+from conftest import random_record, random_trace_doc, xteg_adjacency
 
 A = "0x" + "aa" * 20
 B = "0x" + "bb" * 20
@@ -68,8 +68,6 @@ def test_vertex_identity_merges_repeat_calls():
     assert len(graph.vertices) == 2
     loops = [e for e in graph.edges if e.src == e.dst]
     assert len(loops) == 1 and loops[0].multiplicity == 1
-    # self-loop dropped in the simple reduction
-    assert to_simple_digraph(graph).arcs == ((0, 1),)
 
 
 def test_sender_address_is_always_the_eoa_vertex():
@@ -147,25 +145,47 @@ def test_edge_order_reflects_execution_sequence():
     assert emits[1] > emits[0]
 
 
-def test_simple_digraph_equals_bruteforce_dedup(rng):
+def test_local_feature_equals_bruteforce_on_the_deduplicated_adjacency(rng):
     for _ in range(30):
-        record = random_record(rng)
-        graph = build_xteg(record)
-        expected = set()
-        for e in graph.edges:
-            if e.src != e.dst:
-                expected.add((e.src, e.dst))
-        simple = to_simple_digraph(graph)
-        assert simple.arcs == tuple(sorted(expected))
-        assert simple.n == len(graph.vertices)
+        graph = build_xteg(random_record(rng))
+        expected = triad_census_bruteforce(xteg_adjacency(graph)).counts
+        assert local_feature(graph).counts == expected
+
+
+def test_local_feature_drops_self_loops_and_merges_parallel_edges():
+    # B calls itself (a self-loop) and C twice (parallel CALL edges, merged
+    # into one of multiplicity 2), and the transfer leg B -> C also runs as
+    # a STATICCALL (a parallel edge of another kind).
+    c = "0x" + "cc" * 20
+    trace = {"type": "CALL", "from": A, "to": B, "input": "0xdeadbeef", "calls": [
+        {"type": "CALL", "from": B, "to": B, "input": "0xdeadbeef"},
+        {"type": "CALL", "from": B, "to": c, "input": "0x"},
+        {"type": "CALL", "from": B, "to": c, "input": "0x"},
+        {"type": "STATICCALL", "from": B, "to": c, "input": "0x"},
+    ]}
+    graph = build_xteg(record_from_document({"trace": trace, "logs": []}))
+    assert any(e.src == e.dst for e in graph.edges)
+    assert [e.multiplicity for e in graph.edges if e.kind == "CALL" and e.src == 1
+            and e.dst == 2] == [2]
+    expected = np.zeros((3, 3), dtype=np.int64)
+    expected[0, 1] = expected[1, 2] = 1
+    assert local_feature(graph).counts == triad_census_bruteforce(expected).counts
 
 
 def test_reciprocal_arcs_survive_simplification():
+    # B calls back the sender and emits a log: A <-> B plus B -> event.
     trace = {"type": "CALL", "from": A, "to": B, "input": "0xdeadbeef", "calls": [
         {"type": "CALL", "from": B, "to": A, "input": "0x", "value": "0x1"},
     ]}
-    graph = build_xteg(record_from_document({"trace": trace, "logs": []}))
-    assert set(to_simple_digraph(graph).arcs) == {(0, 1), (1, 0)}
+    logs = [{"address": B, "topics": ["0x" + "22" * 32], "data": "0x", "logIndex": 0}]
+    graph = build_xteg(record_from_document({"trace": trace, "logs": logs}))
+    mutual = np.zeros((3, 3), dtype=np.int64)
+    mutual[0, 1] = mutual[1, 0] = mutual[1, 2] = 1
+    one_way = mutual.copy()
+    one_way[1, 0] = 0
+    census = local_feature(graph).counts
+    assert census == triad_census_bruteforce(mutual).counts
+    assert census != triad_census_bruteforce(one_way).counts
 
 
 def test_dump_contains_vertices_and_edges():
