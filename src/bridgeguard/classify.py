@@ -40,29 +40,22 @@ Construction runs no search.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import (
-    BridgeGuardError,
     ClassTooSmall,
     DimensionMismatch,
     EmptyTrainingSet,
     InvalidConfig,
     KTooLarge,
     LengthMismatch,
-    ModelMissing,
-    ModelVersionMismatch,
 )
 from .features import FEATURE_DIM
 from .hashing import derive_seed
-from .ingest import LABELS, read_json, write_json
+from .ingest import LABELS
 from .motifs import LocalFeature
-
-CLASSIFIER_FORMAT_VERSION = 1
 
 ATTACK = "Attack"  # binary collapse of AttackSrc/AttackTgt
 BINARY_CLASSES = ("Normal", ATTACK)
@@ -330,8 +323,8 @@ def knn_predict(model: KNNModel, features) -> str:
 # --- decision tree -----------------------------------------------------------
 
 # The most levels below its root that a tree grows or loads, whatever
-# `max_depth` asks: growing, saving and loading each recurse once per level,
-# and this bound leaves them far inside Python's default recursion limit.
+# `max_depth` asks: growing recurses once per level, and this bound leaves it
+# far inside Python's default recursion limit.
 MAX_TREE_DEPTH = 256
 
 
@@ -562,92 +555,55 @@ def evaluate_binary(predictions: list[str], labels: list[str]) -> Metrics:
                     [collapse_attack(t) for t in labels], classes=BINARY_CLASSES)
 
 
-# --- serialization -----------------------------------------------------------
+# --- tree arrays ---------------------------------------------------------------
 
 
-def _tree_to_dict(node: TreeNode) -> dict:
-    out: dict = {"counts": node.counts.tolist()}
-    if not node.is_leaf:
-        out.update(dim=node.dim, threshold=node.threshold,
-                   left=_tree_to_dict(node.left), right=_tree_to_dict(node.right))
-    return out
+def tree_arrays(root: TreeNode) -> dict[str, np.ndarray]:
+    """The tree as pre-order node arrays: each split's left child is the
+    node after it, `right` the index of its right child; a leaf has dim -1
+    and right -1. `counts` holds one class histogram per node."""
+    nodes, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if not node.is_leaf:
+            stack += [node.right, node.left]
+    index = {id(node): i for i, node in enumerate(nodes)}
+    return {"dim": np.array([node.dim for node in nodes], dtype=np.int64),
+            "threshold": np.array([node.threshold for node in nodes], dtype=np.float64),
+            "right": np.array([-1 if node.is_leaf else index[id(node.right)]
+                               for node in nodes], dtype=np.int64),
+            "counts": np.stack([node.counts for node in nodes])}
 
 
-def _tree_from_dict(obj: dict, n_classes: int, depth: int) -> TreeNode:
-    """A saved tree whose root is `depth` levels down, checked so that
-    scoring cannot fail: a field of the wrong type or range, or a split
-    below MAX_TREE_DEPTH, raises ValueError, a missing field KeyError."""
-    counts = np.asarray(obj["counts"], dtype=np.float64)
-    if counts.shape != (n_classes,) or not (np.isfinite(counts) & (counts >= 0)).all():
-        raise ValueError(f"node counts {obj['counts']!r} are not {n_classes} "
-                         "finite, non-negative numbers")
-    node = TreeNode(counts=counts)
-    if obj.keys() & {"dim", "threshold", "left", "right"}:  # a split needs all four
+def tree_from_arrays(dim: np.ndarray, threshold: np.ndarray, right: np.ndarray,
+                     counts: np.ndarray) -> TreeNode:
+    """The tree `tree_arrays` gave, rebuilt without recursion and checked so
+    that scoring cannot fail: arrays that are not a pre-order tree, a split
+    dim outside the feature vector, a negative count, or a split below
+    MAX_TREE_DEPTH raise ValueError."""
+    n = len(counts)
+    if not n or len(dim) != n or len(threshold) != n or len(right) != n:
+        raise ValueError("tree arrays are empty or of unequal lengths")
+    if (counts < 0).any():
+        raise ValueError("tree counts are negative")
+    nodes = [TreeNode(counts=row) for row in np.asarray(counts, dtype=np.float64)]
+    dims, thresholds, rights = dim.tolist(), threshold.tolist(), right.tolist()
+    stack = [(0, 0)]  # (node, depth) in the order a pre-order walk visits them
+    for i, node in enumerate(nodes):
+        if not stack or stack[-1][0] != i:
+            raise ValueError(f"node {i} is not where a pre-order walk reaches it")
+        depth = stack.pop()[1]
+        if dims[i] == -1 and rights[i] == -1:  # a leaf
+            continue
+        if not 0 <= dims[i] < FEATURE_DIM or not i + 1 < rights[i] < n:
+            raise ValueError(f"node {i}: dim {dims[i]} is not in 0..{FEATURE_DIM - 1} "
+                             f"or right child {rights[i]} is not in {i + 2}..{n - 1}")
         if depth >= MAX_TREE_DEPTH:
             raise ValueError(f"tree splits below its maximum depth {MAX_TREE_DEPTH}")
-        dim, threshold = obj["dim"], obj["threshold"]
-        if type(dim) is not int or not 0 <= dim < FEATURE_DIM:  # bool is not int
-            raise ValueError(f"node dim {dim!r} is not an int in 0..{FEATURE_DIM - 1}")
-        if type(threshold) not in (int, float) or not math.isfinite(threshold):
-            raise ValueError(f"node threshold {threshold!r} is not a finite number")
-        node.dim, node.threshold = dim, threshold
-        node.left = _tree_from_dict(obj["left"], n_classes, depth + 1)
-        node.right = _tree_from_dict(obj["right"], n_classes, depth + 1)
-    return node
-
-
-def save_classifier(model: KNNModel | DecisionTreeModel, path: str | Path) -> None:
-    if isinstance(model, KNNModel):
-        doc = {
-            "version": CLASSIFIER_FORMAT_VERSION,
-            "kind": "knn",
-            "hyperparams": {"k": model.k},
-            "standardizer": {"mean": model.standardizer.mean.tolist(),
-                             "std": model.standardizer.std.tolist()},
-            "classes": model.classes,
-            "payload": {"x": model.x.tolist(), "y": model.y},
-        }
-    else:
-        doc = {
-            "version": CLASSIFIER_FORMAT_VERSION,
-            "kind": "dtree",
-            "hyperparams": {},  # none to keep; every classifier file has the section
-            "classes": model.classes,
-            "payload": {"tree": _tree_to_dict(model.root)},
-        }
-    write_json(path, doc)
-
-
-def load_classifier(path: str | Path) -> KNNModel | DecisionTreeModel:
-    """A saved classifier; keys that scoring does not read (the `seed`,
-    `max_depth` and `min_samples_leaf` of older files) are ignored."""
-    path = Path(path)
-    if not path.exists():
-        raise ModelMissing(str(path))
-    doc = read_json(path, ModelVersionMismatch)
-    if not isinstance(doc, dict):
-        raise ModelVersionMismatch(f"{path}: not a JSON object")
-    if doc.get("version") != CLASSIFIER_FORMAT_VERSION:
-        raise ModelVersionMismatch(f"{path}: classifier format {doc.get('version')}")
-    if doc.get("kind") not in CLASSIFIERS:
-        raise ModelVersionMismatch(f"{path}: unknown classifier kind {doc.get('kind')!r}")
-    try:
-        if not isinstance(doc["hyperparams"], dict):
-            raise TypeError("hyperparams is not an object")
-        if doc["kind"] == "knn":
-            return KNNModel(
-                k=doc["hyperparams"]["k"],
-                standardizer=Standardizer(
-                    mean=np.asarray(doc["standardizer"]["mean"], dtype=np.float64),
-                    std=np.asarray(doc["standardizer"]["std"], dtype=np.float64)),
-                x=np.asarray(doc["payload"]["x"], dtype=np.float64),
-                y=list(doc["payload"]["y"]),
-                classes=list(doc["classes"]),
-            )
-        classes = list(doc["classes"])
-        return DecisionTreeModel(
-            root=_tree_from_dict(doc["payload"]["tree"], len(classes), 0), classes=classes)
-    except KeyError as exc:
-        raise ModelVersionMismatch(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError, OverflowError, BridgeGuardError) as exc:
-        raise ModelVersionMismatch(f"{path}: malformed classifier ({exc})") from exc
+        node.dim, node.threshold = dims[i], thresholds[i]
+        node.left, node.right = nodes[i + 1], nodes[rights[i]]
+        stack += [(rights[i], depth + 1), (i + 1, depth + 1)]
+    if stack:
+        raise ValueError(f"node {stack[-1][0]} is the child of two splits")
+    return nodes[0]

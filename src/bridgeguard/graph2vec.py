@@ -111,23 +111,17 @@ differently.
 
 from __future__ import annotations
 
-import json
 import logging
 import time
-import zipfile
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
-from .config import field_error
-from .errors import EmptyCorpus, ModelVersionMismatch, TrainingDiverged
+from .errors import EmptyCorpus, TrainingDiverged
 from .features import EMBED_DIM
 from .hashing import derive_seed, derive_seeds
 from .wl import WLDocument
-
-MODEL_FORMAT_VERSION = 2  # 2: string arrays, loaded without pickle
 
 logger = logging.getLogger(__name__)
 
@@ -145,7 +139,10 @@ class _NoiseSampler:
     through a guide table (see the module docstring)."""
 
     def __init__(self, token_counts: np.ndarray) -> None:
-        cdf = np.cumsum(np.asarray(token_counts, dtype=np.float64) ** 0.75)
+        counts = np.asarray(token_counts, dtype=np.float64)
+        if (counts < 0).any():
+            raise ValueError("token counts must not be negative")
+        cdf = np.cumsum(counts ** 0.75)
         if not cdf.size or not cdf[-1] > 0:
             raise ValueError("noise distribution needs a positive token count")
         self.cdf = cdf / cdf[-1]
@@ -523,58 +520,3 @@ def infer_embedding(model: EmbeddingModel, doc: WLDocument) -> np.ndarray:
             np.subtract(d, grad, out=d)
     return d
 
-
-def save_model(model: EmbeddingModel, path: str | Path) -> None:
-    header = {
-        "version": MODEL_FORMAT_VERSION,
-        "dim": model.dim,
-        "seed": model.seed,
-        "params": {
-            "epochs": model.params.epochs,
-            "learning_rate": model.params.learning_rate,
-            "negative": model.params.negative,
-            "wl_iterations": model.params.wl_iterations,
-        },
-    }
-    np.savez(
-        path,
-        header=json.dumps(header),
-        tokens=np.array(sorted(model.vocab, key=model.vocab.get), dtype=str),
-        token_vectors=model.token_vectors,
-        graph_vectors=model.graph_vectors,
-        token_counts=model.token_counts,
-        doc_hashes=np.array(model.doc_hashes, dtype=str),
-    )
-
-
-def load_model(path: str | Path) -> EmbeddingModel:
-    """Read a model `save_model` wrote, unpickling nothing. A file that is not
-    a version-2 model raises ModelVersionMismatch naming it."""
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            header = json.loads(str(data["header"]))
-            if not isinstance(header, dict) or header.get("version") != MODEL_FORMAT_VERSION:
-                raise ModelVersionMismatch(f"{path}: model format is not {MODEL_FORMAT_VERSION}")
-            if not isinstance(header["dim"], int):
-                raise ModelVersionMismatch(f"{path}: dim {header['dim']!r} is not an integer")
-            params = TrainParams(**header["params"])
-            for key, value in asdict(params).items():
-                problem = field_error(key, value)  # TrainParams fields are RunConfig's
-                if problem:
-                    raise ModelVersionMismatch(f"{path}: params.{problem}")
-            for key in ("tokens", "doc_hashes"):
-                if data[key].dtype.kind != "U":
-                    raise ModelVersionMismatch(f"{path}: {key} is not an array of strings")
-            return EmbeddingModel(
-                dim=header["dim"],
-                vocab={token: i for i, token in enumerate(data["tokens"].tolist())},
-                token_vectors=data["token_vectors"],
-                graph_vectors=data["graph_vectors"],
-                token_counts=data["token_counts"],
-                doc_hashes=data["doc_hashes"].tolist(),
-                params=params,
-                seed=int(header["seed"]),
-            )
-    except (ValueError, KeyError, TypeError, EOFError, RecursionError,
-            zipfile.BadZipFile) as exc:
-        raise ModelVersionMismatch(f"{path}: not an embedding model ({exc})") from exc

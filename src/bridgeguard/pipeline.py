@@ -2,14 +2,16 @@
 
 The embedding model is always fit on training data only; test and detect
 inputs are embedded against the frozen model. A trained detector is saved
-as a bundle directory holding the embedding model, the classifier, and the
-resolved configuration. Training and evaluation prepare their corpus with
+as a bundle directory of two files: `bundle.json` holds the resolved
+configuration and its hash, `model.npz` every array of the embedding model
+and the classifier. Training and evaluation prepare their corpus with
 `prepare_corpus`, whose documents share equal WL tokens through one dict
 per call; `detect` prepares each record on its own and keeps nothing.
 """
 
 from __future__ import annotations
 
+import zipfile
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,37 +20,33 @@ import numpy as np
 
 from .classify import (
     CLASSIFIERS,
+    DecisionTreeModel,
     FeatureVector,
+    KNNModel,
     LabeledSample,
+    Standardizer,
     concat_features,
     dtree_train,
     evaluate,
     evaluate_binary,
     knn_train,
-    load_classifier,
-    save_classifier,
     split_indices,
+    tree_arrays,
+    tree_from_arrays,
 )
 from .config import RunConfig, config_from_dict
-from .errors import InvalidConfig, ModelMissing
-from .features import assemble_global, direction_flag, graph_stats
-from .graph2vec import (
-    EmbeddingModel,
-    TrainParams,
-    infer_embedding,
-    load_model,
-    save_model,
-    train_graph2vec,
-)
+from .errors import BridgeGuardError, InvalidConfig, ModelMissing, ModelVersionMismatch
+from .features import FEATURE_DIM, assemble_global, direction_flag, graph_stats
+from .graph2vec import EmbeddingModel, TrainParams, infer_embedding, train_graph2vec
 from .ingest import LABELS, TxRecord, read_json, write_json
 from .motifs import LocalFeature, local_feature
 from .wl import WLDocument, wl_document
 from .xteg import build_xteg
 
 BUNDLE_FILE = "bundle.json"
-EMBEDDING_FILE = "embedding.npz"
-CLASSIFIER_FILE = "classifier.json"
-BUNDLE_FORMAT_VERSION = 1
+MODEL_FILE = "model.npz"
+BUNDLE_FORMAT_VERSION = 2
+_BUNDLE_KEYS = ("version", "config", "config_hash")
 
 # The paper's stages, in pipeline order; `stage` hooks receive these names.
 STAGES = ("xteg_construction", "global_mining", "local_mining", "classification")
@@ -117,6 +115,11 @@ class DetectorBundle:
     config: RunConfig
 
 
+def _train_params(cfg: RunConfig) -> TrainParams:
+    return TrainParams(epochs=cfg.epochs, learning_rate=cfg.learning_rate,
+                       negative=cfg.negative, wl_iterations=cfg.wl_iterations)
+
+
 def _protocol_run(preps: list[PreparedTx], labels: list[str], cfg: RunConfig,
                   seed: int, kinds: tuple[str, ...]) -> tuple[EmbeddingModel, dict]:
     """One run of the evaluation protocol: a seeded stratified split,
@@ -129,10 +132,8 @@ def _protocol_run(preps: list[PreparedTx], labels: list[str], cfg: RunConfig,
         if kind not in CLASSIFIERS:
             raise InvalidConfig(f"unknown classifier {kind!r}; one of {', '.join(CLASSIFIERS)}")
     train_idx, test_idx = split_indices(labels, ratio=cfg.split_ratio, seed=seed)
-    params = TrainParams(epochs=cfg.epochs, learning_rate=cfg.learning_rate,
-                         negative=cfg.negative, wl_iterations=cfg.wl_iterations)
     model = train_graph2vec([preps[i].doc for i in train_idx],
-                            dim=cfg.embedding_dim, params=params, seed=seed)
+                            dim=cfg.embedding_dim, params=_train_params(cfg), seed=seed)
 
     def sample(i: int) -> LabeledSample:
         return LabeledSample(preps[i].record.tx_hash, feature_vector(preps[i], model),
@@ -205,10 +206,27 @@ def _mean_std(reports: list[dict]) -> dict:
 
 
 def save_bundle(bundle: DetectorBundle, out_dir: str | Path) -> Path:
+    """Write `bundle.json` (the format version, the config and its hash) and
+    `model.npz` (the embedding's and the classifier's arrays) to `out_dir`.
+    The config is the one home of every scalar: the embedding's training
+    params and seed, and KNN's k, must be the config's."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_model(bundle.embedding, out_dir / EMBEDDING_FILE)
-    save_classifier(bundle.classifier, out_dir / CLASSIFIER_FILE)
+    embedding, classifier = bundle.embedding, bundle.classifier
+    arrays = {
+        "tokens": np.array(sorted(embedding.vocab, key=embedding.vocab.get), dtype=str),
+        "token_vectors": embedding.token_vectors,
+        "graph_vectors": embedding.graph_vectors,
+        "token_counts": embedding.token_counts,
+        "doc_hashes": np.array(embedding.doc_hashes, dtype=str),
+        "classes": np.array(classifier.classes, dtype=str),
+    }
+    if isinstance(classifier, KNNModel):
+        arrays.update(x=classifier.x, y=np.array(classifier.y, dtype=str),
+                      mean=classifier.standardizer.mean, std=classifier.standardizer.std)
+    else:
+        arrays.update(tree_arrays(classifier.root))
+    np.savez(out_dir / MODEL_FILE, **arrays)
     write_json(out_dir / BUNDLE_FILE, {
         "version": BUNDLE_FORMAT_VERSION,
         "config": bundle.config.to_dict(),
@@ -217,23 +235,92 @@ def save_bundle(bundle: DetectorBundle, out_dir: str | Path) -> Path:
     return out_dir
 
 
+def _array(data, key: str, dtype: type, shape: tuple) -> np.ndarray:
+    """Array `key` of a model file, of `dtype` (for str, any string dtype)
+    and of `shape`, where None is any length; a float array must be finite."""
+    if key not in data:
+        raise ValueError(f"missing array {key!r}")
+    value = data[key]
+    if ((value.dtype.kind != "U" if dtype is str else value.dtype != dtype)
+            or value.ndim != len(shape)
+            or any(want not in (None, got) for got, want in zip(value.shape, shape))):
+        raise ValueError(f"{key} is a {value.dtype} array of shape {value.shape}, not "
+                         f"{dtype.__name__} of shape {shape}")
+    if dtype is np.float64 and not np.isfinite(value).all():
+        raise ValueError(f"{key} is not finite")
+    return value
+
+
+def _model_from_arrays(data, cfg: RunConfig) -> tuple[EmbeddingModel, object]:
+    """The embedding and classifier of a model file's arrays, with every
+    scalar taken from `cfg`."""
+    dim = cfg.embedding_dim
+    tokens = _array(data, "tokens", str, (None,)).tolist()
+    embedding = EmbeddingModel(
+        dim=dim,
+        vocab={token: i for i, token in enumerate(tokens)},
+        token_vectors=_array(data, "token_vectors", np.float64, (None, dim)),
+        graph_vectors=_array(data, "graph_vectors", np.float64, (None, dim)),
+        token_counts=_array(data, "token_counts", np.int64, (None,)),
+        doc_hashes=_array(data, "doc_hashes", str, (None,)).tolist(),
+        params=_train_params(cfg),
+        seed=cfg.seed,
+    )
+    classes = _array(data, "classes", str, (None,)).tolist()
+    if not classes or len(set(classes)) != len(classes):
+        raise ValueError(f"classes {classes} are not distinct labels")
+    if cfg.classifier == "knn":
+        classifier = KNNModel(
+            k=cfg.k,
+            standardizer=Standardizer(mean=_array(data, "mean", np.float64, (FEATURE_DIM,)),
+                                      std=_array(data, "std", np.float64, (FEATURE_DIM,))),
+            x=_array(data, "x", np.float64, (None, FEATURE_DIM)),
+            y=_array(data, "y", str, (None,)).tolist(),
+            classes=classes)
+    else:
+        root = tree_from_arrays(_array(data, "dim", np.int64, (None,)),
+                                _array(data, "threshold", np.float64, (None,)),
+                                _array(data, "right", np.int64, (None,)),
+                                _array(data, "counts", np.float64, (None, len(classes))))
+        classifier = DecisionTreeModel(root=root, classes=classes)
+    return embedding, classifier
+
+
 def load_bundle(model_dir: str | Path) -> DetectorBundle:
+    """The detector `save_bundle` wrote to `model_dir`, checked once so that
+    `detect` gives every record a label or a typed error. A bundle of
+    another format raises ModelVersionMismatch asking for a retrain; so do
+    a config that does not match its hash, and arrays that are missing, of
+    the wrong dtype or shape, not finite or not consistent, naming the
+    file. `model.npz` is read without unpickling anything."""
     model_dir = Path(model_dir)
-    meta_path = model_dir / BUNDLE_FILE
+    meta_path, model_path = model_dir / BUNDLE_FILE, model_dir / MODEL_FILE
     if not meta_path.exists():
         raise ModelMissing(f"no detector bundle at {model_dir}")
     meta = read_json(meta_path, ModelMissing)
     if not isinstance(meta, dict):
         raise ModelMissing(f"{meta_path}: not a JSON object")
     if meta.get("version") != BUNDLE_FORMAT_VERSION:
-        raise ModelMissing(f"unsupported bundle version {meta.get('version')}")
-    if "config" not in meta:
-        raise ModelMissing(f"{meta_path}: missing key 'config'")
-    return DetectorBundle(
-        embedding=load_model(model_dir / EMBEDDING_FILE),
-        classifier=load_classifier(model_dir / CLASSIFIER_FILE),
-        config=config_from_dict(meta["config"], meta_path),
-    )
+        raise ModelVersionMismatch(
+            f"{meta_path}: bundle format {meta.get('version')!r} is not "
+            f"{BUNDLE_FORMAT_VERSION}; retrain the detector")
+    for key in _BUNDLE_KEYS:
+        if key not in meta:
+            raise ModelMissing(f"{meta_path}: missing key '{key}'")
+    if len(meta) > len(_BUNDLE_KEYS):
+        raise ModelMissing(f"{meta_path}: unknown keys {sorted(set(meta) - set(_BUNDLE_KEYS))}")
+    cfg = config_from_dict(meta["config"], meta_path)
+    if meta["config_hash"] != cfg.config_hash():
+        raise ModelVersionMismatch(f"{meta_path}: config_hash {meta['config_hash']!r} "
+                                   f"is not the config's, {cfg.config_hash()}")
+    if not model_path.exists():
+        raise ModelMissing(f"no {MODEL_FILE} in {model_dir}")
+    try:
+        with np.load(model_path, allow_pickle=False) as data:
+            embedding, classifier = _model_from_arrays(data, cfg)
+    except (ValueError, TypeError, EOFError, zipfile.BadZipFile, BridgeGuardError) as exc:
+        raise ModelVersionMismatch(f"{model_path}: not a model file ({exc})") from exc
+    return DetectorBundle(embedding=embedding, classifier=classifier, config=cfg)
 
 
 def detect(bundle: DetectorBundle, records: list[TxRecord],

@@ -10,8 +10,6 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-import requests
-
 from .errors import MalformedTrace, RpcUnavailable, TraceUnsupported, TxNotFound
 from .ingest import (
     TxRecord,
@@ -29,13 +27,18 @@ class RpcClient:
     """Minimal JSON-RPC client for trace-by-hash and receipt retrieval.
 
     `session` only needs a requests-compatible ``post``; tests inject fakes.
+    `requests` is imported only to build the default session, so a command
+    that makes no request does not pay for its import.
     """
 
     def __init__(self, endpoint: str, cache_dir: str | Path | None = None,
                  session=None, timeout: float = 30.0):
         self.endpoint = endpoint
         self.cache_dir = Path(cache_dir) if cache_dir else None
-        self.session = session if session is not None else requests.Session()
+        if session is None:
+            import requests
+            session = requests.Session()
+        self.session = session
         self.timeout = timeout
         self._chain_id: int | None = None
         self._next_id = 0

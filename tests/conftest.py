@@ -1,7 +1,31 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from bridgeguard.classify import KNNModel, LabeledSample, knn_train
+from bridgeguard.config import RunConfig
+from bridgeguard.features import FEATURE_DIM
+from bridgeguard.graph2vec import TrainParams, train_graph2vec
 from bridgeguard.ingest import record_from_document
+from bridgeguard.pipeline import MODEL_FILE, DetectorBundle
+from bridgeguard.wl import WLDocument
+
+# Any JSON value, for a field that should hold something else.
+JSON_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+def json_slots(node):
+    """(container, key) of every value nested in a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in list(items):
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from json_slots(value)
 
 
 def random_trace_doc(rng: np.random.Generator, max_frames: int = 200,
@@ -66,3 +90,28 @@ def xteg_adjacency(graph) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240601)
+
+
+def tiny_bundle(embedding=None, classifier=None) -> DetectorBundle:
+    """A detector bundle whose config holds the embedding's training params
+    and seed and the classifier's kind and k. By default the embedding is a
+    two-token one trained for one epoch, the classifier a one-row KNN."""
+    if embedding is None:
+        embedding = train_graph2vec([WLDocument(("a", "b"))], params=TrainParams(epochs=1))
+    if classifier is None:
+        classifier = knn_train([LabeledSample("t", np.zeros(FEATURE_DIM), "Normal")], k=1)
+    params = embedding.params
+    cfg = RunConfig(epochs=params.epochs, learning_rate=params.learning_rate,
+                    negative=params.negative, wl_iterations=params.wl_iterations,
+                    seed=embedding.seed, k=getattr(classifier, "k", 5),
+                    classifier="knn" if isinstance(classifier, KNNModel) else "dtree")
+    return DetectorBundle(embedding=embedding, classifier=classifier, config=cfg)
+
+
+def rewrite_model(model_dir, **arrays) -> None:
+    """Replace arrays of the `model.npz` in `model_dir`; None deletes one."""
+    path = model_dir / MODEL_FILE
+    with np.load(path) as data:
+        saved = {key: data[key] for key in data.files}
+    saved.update(arrays)
+    np.savez(path, **{key: value for key, value in saved.items() if value is not None})

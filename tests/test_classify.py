@@ -26,12 +26,14 @@ from bridgeguard.classify import (
     knn_neighbor_stats,
     knn_predict,
     knn_train,
-    load_classifier,
-    save_classifier,
     split_dataset,
     split_indices,
+    tree_arrays,
+    tree_from_arrays,
 )
+from bridgeguard.config import RunConfig
 from bridgeguard.errors import (
+    BridgeGuardError,
     ClassTooSmall,
     DimensionMismatch,
     EmptyTrainingSet,
@@ -44,6 +46,8 @@ from bridgeguard.errors import (
 from bridgeguard.features import FEATURE_DIM, assemble_global
 from bridgeguard.ingest import LABELS
 from bridgeguard.motifs import LocalFeature
+from bridgeguard.pipeline import BUNDLE_FILE, MODEL_FILE, load_bundle, save_bundle
+from conftest import rewrite_model, tiny_bundle
 
 
 def _sample(values, label, tag="t"):
@@ -438,12 +442,10 @@ def test_threshold_admits_every_squared_sum_with_the_same_sqrt(t):
 
 
 def test_reloaded_knn_scores_bit_equal(tmp_path, rng):
-    samples = _blobs(rng, n_per_class=30)
+    samples = _blobs(rng, n_per_class=30, dim=FEATURE_DIM)
     model = knn_train(samples, k=5)
-    path = tmp_path / "knn.json"
-    save_classifier(model, path)
-    loaded = load_classifier(path)
-    for probe in rng.normal(4.0, 6.0, (50, 5)):
+    loaded = _reloaded(tmp_path, model)
+    for probe in rng.normal(4.0, 6.0, (50, FEATURE_DIM)):
         assert knn_neighbor_stats(loaded, probe) == knn_neighbor_stats(model, probe)
         for a, b in zip(loaded.neighbors(probe), model.neighbors(probe)):
             assert np.array_equal(a, b)
@@ -566,9 +568,7 @@ def test_dtree_depth_is_bounded_so_every_tree_saves_and_loads(tmp_path, max_dept
                for i in range(1500)]
     model = dtree_train(samples, max_depth=max_depth)
     assert _split_levels(model.root) == MAX_TREE_DEPTH
-    path = tmp_path / "dtree.json"
-    save_classifier(model, path)
-    loaded = load_classifier(path)
+    loaded = _reloaded(tmp_path, model)
     assert ([dtree_predict(loaded, s.features) for s in samples]
             == [dtree_predict(model, s.features) for s in samples])
 
@@ -648,64 +648,85 @@ def test_binary_collapse():
     assert metrics.per_class["Attack"].recall == 1.0
 
 
-# --- serialization ----------------------------------------------------------------------
+# --- persistence ------------------------------------------------------------------
+# A classifier is saved as arrays of a bundle's model.npz; its kind and k
+# are settings of the bundle's config.
+
+
+def _reloaded(tmp_path, classifier):
+    """`classifier` saved in a bundle and loaded back."""
+    model_dir = save_bundle(tiny_bundle(classifier=classifier), tmp_path / "model")
+    return load_bundle(model_dir).classifier
+
+
+def _saved(tmp_path, kind):
+    """The directory of a bundle holding a KNN (k=3) or a tree fit on six
+    samples."""
+    samples = _blobs(np.random.default_rng(11), n_per_class=3, dim=FEATURE_DIM)
+    classifier = knn_train(samples, k=3) if kind == "knn" else dtree_train(samples)
+    return save_bundle(tiny_bundle(classifier=classifier), tmp_path / "model")
+
+
+def _set_setting(model_dir, key, value) -> None:
+    """Set a config key of the bundle in `model_dir` (or, for key None, the
+    whole config), with the hash of the result, so that the value is what
+    loading checks."""
+    path = model_dir / BUNDLE_FILE
+    meta = json.loads(path.read_text())
+    if key is None:
+        meta["config"] = value
+    else:
+        meta["config"][key] = value
+        meta["config_hash"] = RunConfig(**meta["config"]).config_hash()
+    path.write_text(json.dumps(meta))
 
 
 def test_classifier_round_trip(tmp_path, rng):
-    samples = _blobs(rng, n_per_class=12)
+    samples = _blobs(rng, n_per_class=12, dim=FEATURE_DIM)
     knn = knn_train(samples, k=3)
-    path = tmp_path / "knn.json"
-    save_classifier(knn, path)
-    loaded = load_classifier(path)
-    probe = rng.normal(2.0, 3.0, 5)
+    loaded = _reloaded(tmp_path / "knn", knn)
+    probe = rng.normal(2.0, 3.0, FEATURE_DIM)
     assert knn_predict(loaded, probe) == knn_predict(knn, probe)
+    assert (loaded.k, loaded.classes, loaded.y) == (knn.k, knn.classes, knn.y)
 
     tree = dtree_train(samples, max_depth=4)
-    tree_path = tmp_path / "dtree.json"
-    save_classifier(tree, tree_path)
-    loaded_tree = load_classifier(tree_path)
+    loaded_tree = _reloaded(tmp_path / "dtree", tree)
     assert dtree_predict(loaded_tree, probe) == dtree_predict(tree, probe)
+    saved, reloaded = tree_arrays(tree.root), tree_arrays(loaded_tree.root)
+    assert all(np.array_equal(saved[key], reloaded[key]) for key in saved)
 
     with pytest.raises(ModelMissing):
-        load_classifier(tmp_path / "missing.json")
+        load_bundle(tmp_path / "missing")
 
 
-# classifier.json as written before scoring-only state was trimmed: the KNN
-# and tree hyperparameters carry a seed, and the tree its growth limits.
-_OLDER_KNN_DOC = {
-    "version": 1, "kind": "knn", "hyperparams": {"k": 3, "seed": 7},
-    "standardizer": {"mean": [1.0, 0.0], "std": [2.0, 1.0]},
-    "classes": ["Normal", "AttackSrc"],
-    "payload": {"x": [[0.0, 0.0], [0.5, 0.0], [0.0, 2.0], [3.0, 3.0]],
-                "y": ["Normal", "Normal", "AttackSrc", "AttackSrc"]},
-}
-_OLDER_DTREE_DOC = {
-    "version": 1, "kind": "dtree",
-    "hyperparams": {"max_depth": 16, "min_samples_leaf": 1, "seed": 7},
-    "classes": ["Normal", "AttackSrc"],
-    "payload": {"tree": {"counts": [3.0, 1.0], "dim": 1, "threshold": 0.5,
-                         "left": {"counts": [3.0, 0.0]},
-                         "right": {"counts": [0.0, 1.0]}}},
-}
+def test_tree_arrays_are_pre_order_with_right_child_indices():
+    leaf = lambda *counts: TreeNode(counts=np.array(counts))
+    inner = TreeNode(counts=np.array([1.0, 2.0]), dim=3, threshold=0.5,
+                     left=leaf(1.0, 0.0), right=leaf(0.0, 2.0))
+    root = TreeNode(counts=np.array([4.0, 2.0]), dim=0, threshold=-1.0,
+                    left=inner, right=leaf(3.0, 0.0))
+    arrays = tree_arrays(root)
+    assert arrays["dim"].tolist() == [0, 3, -1, -1, -1]
+    assert arrays["right"].tolist() == [4, 3, -1, -1, -1]
+    assert arrays["threshold"].tolist() == [-1.0, 0.5, 0.0, 0.0, 0.0]
+    assert arrays["counts"].tolist() == [[4, 2], [1, 2], [1, 0], [0, 2], [3, 0]]
+    rebuilt = tree_from_arrays(**arrays)
+    assert (rebuilt.right.counts.tolist(), rebuilt.left.right.counts.tolist()) == (
+        [3.0, 0.0], [0.0, 2.0])
 
 
-@pytest.mark.parametrize("doc, query, scores", [
-    # Standardized query (0, 0): distances 0, 0.5 and 2 to the first three rows.
-    (_OLDER_KNN_DOC, [1.0, 0.0], {"Normal": {"count": 2, "sum_distance": 0.5},
-                                  "AttackSrc": {"count": 1, "sum_distance": 2.0}}),
-    (_OLDER_DTREE_DOC, [0.0, 0.25], {"Normal": 1.0, "AttackSrc": 0.0}),
-    (_OLDER_DTREE_DOC, [0.0, 0.75], {"Normal": 0.0, "AttackSrc": 1.0}),
-], ids=["knn", "dtree-left", "dtree-right"])
-def test_classifier_file_of_the_older_format_loads(tmp_path, doc, query, scores):
-    older = tmp_path / "older.json"
-    older.write_text(json.dumps(doc))
-    model = load_classifier(older)
-    assert model.scores(np.array(query)) == scores
-    resaved = tmp_path / "resaved.json"
-    save_classifier(model, resaved)
-    assert json.loads(resaved.read_text())["hyperparams"] == (
-        {"k": 3} if doc["kind"] == "knn" else {})
-    assert load_classifier(resaved).scores(np.array(query)) == scores
+@pytest.mark.parametrize("dim, right, problem", [
+    ([0, 0, -1, -1], [3, 3, -1, -1], "child of two splits"),
+    ([0, -1, -1, -1], [2, -1, -1, -1], "node 3 is not where"),
+    ([0, 0, -1, -1, -1], [4, 1, -1, -1, -1], "right child 1"),
+    ([0, -1, -1], [3, -1, -1], "right child 3"),
+    ([-1, -1], [1, -1], "dim -1 is not in"),
+], ids=["shared-child", "unreached-node", "child-pointing-backwards",
+        "child-past-the-end", "leaf-with-right-child"])
+def test_arrays_that_are_not_a_pre_order_tree_rejected(dim, right, problem):
+    n = len(dim)
+    with pytest.raises(ValueError, match=problem):
+        tree_from_arrays(np.array(dim), np.zeros(n), np.array(right), np.ones((n, 2)))
 
 
 @pytest.mark.parametrize("content", [
@@ -714,134 +735,125 @@ def test_classifier_file_of_the_older_format_loads(tmp_path, doc, query, scores)
     ' "payload": {"tree": {"counts": [1]}}}',
 ])
 def test_classifier_file_that_is_not_a_classifier_rejected(tmp_path, content):
-    path = tmp_path / "classifier.json"
-    path.write_text(content)
-    with pytest.raises(ModelVersionMismatch, match="classifier.json"):
-        load_classifier(path)
+    # The classifier's file is model.npz: text there, a classifier of the
+    # older JSON format among it, is no model.
+    model_dir = save_bundle(tiny_bundle(), tmp_path / "model")
+    (model_dir / MODEL_FILE).write_text(content)
+    with pytest.raises(ModelVersionMismatch, match=MODEL_FILE):
+        load_bundle(model_dir)
 
 
-@pytest.mark.parametrize("doc, key", [
-    ({"version": 1, "kind": "knn"}, "hyperparams"),
-    ({"version": 1, "kind": "knn", "hyperparams": {"k": 3, "seed": 0}}, "standardizer"),
-    ({"version": 1, "kind": "dtree", "classes": ["Normal"],
-      "hyperparams": {"max_depth": 2, "min_samples_leaf": 1, "seed": 0}}, "payload"),
-    ({"version": 1, "kind": "dtree", "classes": ["Normal"],
-      "hyperparams": {"max_depth": 2, "min_samples_leaf": 1, "seed": 0},
-      "payload": {"tree": {"dim": 0}}}, "counts"),
+@pytest.mark.parametrize("kind, file, key", [
+    ("knn", BUNDLE_FILE, "config"),  # k is a setting
+    ("knn", MODEL_FILE, "mean"),
+    ("dtree", MODEL_FILE, "right"),
+    ("dtree", MODEL_FILE, "counts"),
 ], ids=["knn-hyperparams", "knn-standardizer", "dtree-payload", "dtree-node-counts"])
-def test_classifier_missing_key_rejected_naming_it(tmp_path, doc, key):
-    path = tmp_path / "classifier.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ModelVersionMismatch, match=f"classifier.json: missing key '{key}'"):
-        load_classifier(path)
+def test_classifier_missing_key_rejected_naming_it(tmp_path, kind, file, key):
+    model_dir = _saved(tmp_path, kind)
+    if file == BUNDLE_FILE:
+        meta = json.loads((model_dir / file).read_text())
+        del meta[key]
+        (model_dir / file).write_text(json.dumps(meta))
+    else:
+        rewrite_model(model_dir, **{key: None})
+    with pytest.raises(BridgeGuardError, match=rf"{file}: .*missing (key|array) '{key}'"):
+        load_bundle(model_dir)
 
 
-def _saved_knn_doc(tmp_path) -> dict:
-    rng = np.random.default_rng(11)
-    path = tmp_path / "valid.json"
-    save_classifier(knn_train(_blobs(rng, n_per_class=3, dim=2), k=3), path)
-    return json.loads(path.read_text())
+def _with(index, value):
+    """A copy of its array with `index` set to `value`."""
+    def change(array):
+        array = array.copy()
+        array[index] = value
+        return array
+    return change
 
 
-@pytest.mark.parametrize("section, key, value", [
-    ("hyperparams", None, []),
-    ("standardizer", None, []),
-    ("payload", None, "x"),
-    ("payload", "x", [1.0, 2.0]),
-    ("payload", "x", [[1.0, 2.0]] * 5 + [[1.0]]),
-    ("payload", "x", [[1.0, 2.0, 3.0]] * 6),
-    ("payload", "x", [[1.0, 2.0]] * 5),
-    ("payload", "x", [[1.0, 2.0]] * 5 + [[1.0, 1e999]]),
-    ("payload", "y", ["Normal"] * 5 + ["Unknown"]),
-    ("standardizer", "std", [1.0]),
-    ("standardizer", "std", [1.0, 0.0]),
-    ("hyperparams", "k", 0),
-    ("hyperparams", "k", 7),
-    ("hyperparams", "k", 2.5),
-    ("hyperparams", "k", "3"),
-    ("hyperparams", "k", True),
+_SIX_ROWS = (6, FEATURE_DIM)
+
+
+@pytest.mark.parametrize("key, value, named", [
+    (None, [], BUNDLE_FILE),
+    ("mean", np.ones((FEATURE_DIM, 1)), MODEL_FILE),
+    ("x", np.array("x"), MODEL_FILE),
+    ("x", np.ones(6), MODEL_FILE),
+    ("x", np.array([np.ones(FEATURE_DIM)] * 5 + [np.ones(1)], dtype=object), MODEL_FILE),
+    ("x", np.ones((6, FEATURE_DIM + 1)), MODEL_FILE),
+    ("x", np.ones((5, FEATURE_DIM)), MODEL_FILE),
+    ("x", np.where(np.eye(*_SIX_ROWS) > 0, np.inf, 1.0), MODEL_FILE),
+    ("y", np.array(["Normal"] * 5 + ["Unknown"]), MODEL_FILE),
+    ("std", np.ones(FEATURE_DIM - 1), MODEL_FILE),
+    ("std", np.zeros(FEATURE_DIM), MODEL_FILE),
+    ("k", 0, BUNDLE_FILE),
+    ("k", 7, MODEL_FILE),
+    ("k", 2.5, BUNDLE_FILE),
+    ("k", "3", BUNDLE_FILE),
+    ("k", True, BUNDLE_FILE),
 ], ids=["hyperparams-list", "standardizer-list", "payload-string", "x-one-dim",
         "x-ragged", "x-wider-than-standardizer", "x-fewer-rows-than-labels",
         "x-not-finite", "y-label-outside-classes", "std-shorter-than-mean",
         "std-zero", "k-zero", "k-above-rows", "k-float", "k-string", "k-bool"])
-def test_malformed_knn_file_rejected_naming_it(tmp_path, section, key, value):
-    doc = _saved_knn_doc(tmp_path)
-    if key is None:
-        doc[section] = value
+def test_malformed_knn_file_rejected_naming_it(tmp_path, key, value, named):
+    model_dir = _saved(tmp_path, "knn")
+    if key in (None, "k"):
+        _set_setting(model_dir, key, value)
     else:
-        doc[section][key] = value
-    path = tmp_path / "classifier.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ModelVersionMismatch, match="classifier.json"):
-        load_classifier(path)
-
-
-_DROPPED = object()
+        rewrite_model(model_dir, **{key: value})
+    with pytest.raises(BridgeGuardError, match=named):
+        load_bundle(model_dir)
 
 
 @pytest.mark.parametrize("splits", [MAX_TREE_DEPTH, MAX_TREE_DEPTH + 1])
 def test_dtree_file_deeper_than_the_bound_rejected(tmp_path, splits):
-    doc = _saved_dtree_doc(tmp_path)
-    counts = doc["payload"]["tree"]["counts"]
-    tree = {"counts": counts}
+    counts = np.array([3.0, 3.0])
+    root = TreeNode(counts=counts)
     for _ in range(splits):
-        tree = {"counts": counts, "dim": 0, "threshold": 0.0,
-                "left": tree, "right": {"counts": counts}}
-    doc["payload"]["tree"] = tree
-    path = tmp_path / "classifier.json"
-    path.write_text(json.dumps(doc))
+        root = TreeNode(counts=counts, dim=0, threshold=0.0, left=root,
+                        right=TreeNode(counts=counts))
+    tree = DecisionTreeModel(root=root, classes=["Normal", "AttackSrc"])
+    model_dir = save_bundle(tiny_bundle(classifier=tree), tmp_path / "model")
     if splits <= MAX_TREE_DEPTH:
-        assert _split_levels(load_classifier(path).root) == splits
+        assert _split_levels(load_bundle(model_dir).classifier.root) == splits
     else:
         with pytest.raises(ModelVersionMismatch, match="maximum depth"):
-            load_classifier(path)
+            load_bundle(model_dir)
 
 
-def _saved_dtree_doc(tmp_path) -> dict:
-    rng = np.random.default_rng(11)
-    path = tmp_path / "valid.json"
-    save_classifier(dtree_train(_blobs(rng, n_per_class=3, dim=2)), path)
-    return json.loads(path.read_text())
-
-
-@pytest.mark.parametrize("node, key, value", [
-    ("root", "dim", 99),
-    ("root", "dim", FEATURE_DIM),
-    ("root", "dim", -1),
-    ("root", "dim", 1.5),
-    ("root", "dim", True),
-    ("root", "dim", "0"),
-    ("root", "threshold", "x"),
-    ("root", "threshold", None),
-    ("root", "threshold", True),
-    ("root", "threshold", math.nan),
-    ("root", "threshold", math.inf),
-    ("root", "threshold", 10**400),
-    ("root", "counts", [3.0]),
-    ("root", "counts", [3.0, 3.0, 0.0]),
-    ("root", "counts", [3.0, -1.0]),
-    ("root", "counts", [3.0, math.nan]),
-    ("root", "counts", ["a", "b"]),
-    ("leaf", "counts", [3.0]),
-    ("leaf", "dim", 0),
-    ("root", "left", _DROPPED),
-    ("root", "right", _DROPPED),
+# The saved tree is a root split and two leaves: dim [d, -1, -1], right
+# [2, -1, -1].
+@pytest.mark.parametrize("key, change", [
+    ("dim", _with(0, 99)),
+    ("dim", _with(0, FEATURE_DIM)),
+    ("dim", _with(0, -1)),
+    ("dim", lambda a: a.astype(float)),
+    ("dim", lambda a: a.astype(bool)),
+    ("dim", lambda a: a.astype(str)),
+    ("threshold", lambda a: a.astype(str)),
+    ("threshold", lambda a: np.array([None] * a.size, dtype=object)),
+    ("threshold", lambda a: a.astype(bool)),
+    ("threshold", _with(0, math.nan)),
+    ("threshold", _with(0, math.inf)),
+    ("threshold", lambda a: np.full(a.size, np.longdouble("1e400"))),
+    ("counts", lambda a: a[:, :1]),
+    ("counts", lambda a: np.hstack([a, a[:, :1]])),
+    ("counts", _with((0, 1), -1.0)),
+    ("counts", _with((0, 1), math.nan)),
+    ("counts", lambda a: a.astype(str)),
+    ("counts", lambda a: a[:-1]),
+    ("dim", _with(1, 0)),
+    ("right", _with(0, 1)),
+    ("right", _with(0, -1)),
 ], ids=["dim-out-of-range", "dim-equals-feature-dim", "dim-negative", "dim-float",
         "dim-bool", "dim-string", "threshold-string", "threshold-null", "threshold-bool",
         "threshold-nan", "threshold-infinite", "threshold-overflows-a-float",
         "counts-short", "counts-long", "counts-negative", "counts-nan", "counts-strings",
         "leaf-counts-short", "leaf-with-dim-only", "left-child-missing", "right-child-missing"])
-def test_malformed_dtree_file_rejected_naming_it(tmp_path, node, key, value):
-    doc = _saved_dtree_doc(tmp_path)
-    target = doc["payload"]["tree"]
-    assert "left" in target  # the root is a split
-    while node == "leaf" and "left" in target:
-        target = target["left"]
-    if value is _DROPPED:
-        del target[key]
-    else:
-        target[key] = value
-    path = tmp_path / "classifier.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ModelVersionMismatch, match="classifier.json"):
-        load_classifier(path)
+def test_malformed_dtree_file_rejected_naming_it(tmp_path, key, change):
+    model_dir = _saved(tmp_path, "dtree")
+    with np.load(model_dir / MODEL_FILE) as data:
+        assert data["right"].tolist() == [2, -1, -1]  # the root is a split
+        array = data[key]
+    rewrite_model(model_dir, **{key: change(array)})
+    with pytest.raises(ModelVersionMismatch, match=MODEL_FILE):
+        load_bundle(model_dir)

@@ -1,14 +1,21 @@
 import json
 import os
 import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from bridgeguard import cli, rpc
+import bridgeguard
+from bridgeguard import cli
 from bridgeguard.cli import main
 from bridgeguard.ingest import json_text, load_manifest, record_from_document
+from conftest import rewrite_model
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +58,8 @@ def test_synth_wrote_reproducible_corpus(workspace):
 
 def test_train_wrote_bundle_and_metrics(workspace):
     model_dir = workspace["model"]
-    for name in ("bundle.json", "embedding.npz", "classifier.json", "metrics.json"):
-        assert (model_dir / name).exists()
+    assert sorted(path.name for path in model_dir.iterdir()) == [
+        "bundle.json", "metrics.json", "model.npz"]
     metrics = json.loads((model_dir / "metrics.json").read_text())
     assert "config_hash" in metrics and "config" in metrics
     rows = metrics["metrics"]["per_class"]
@@ -181,7 +188,7 @@ def test_detect_malformed_hash_fails_that_input_without_a_request(
             posts.append(args)
             raise AssertionError("no request for a malformed hash")
 
-    monkeypatch.setattr(rpc, "requests", SimpleNamespace(Session=Session))
+    monkeypatch.setitem(sys.modules, "requests", SimpleNamespace(Session=Session))
     attack = next(e for e in load_manifest(workspace["corpus"] / "manifest.jsonl").entries
                   if e.label != "Normal")
     result = runner.invoke(main, [
@@ -193,6 +200,49 @@ def test_detect_malformed_hash_fails_that_input_without_a_request(
     assert posts == []
     assert "failed: 0xabc: tx hash: expected 32 bytes" in result.stderr
     assert len(json.loads(result.stdout)["rows"]) == 1
+
+
+def test_importing_the_cli_does_not_import_requests():
+    # Only an RPC client that builds its own session imports requests.
+    code = "import sys, bridgeguard.cli; print('requests' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(bridgeguard.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout == "False\n"
+
+
+@pytest.fixture(scope="module")
+def dtree_model(workspace, runner):
+    model_dir = workspace["root"] / "dtree-model"
+    result = runner.invoke(main, [
+        "train", "--manifest", str(workspace["corpus"] / "manifest.jsonl"),
+        "--model-dir", str(model_dir), "--config", str(workspace["config"]),
+        "--classifier", "dtree",
+    ])
+    assert result.exit_code == 0, result.output
+    return model_dir
+
+
+@pytest.mark.parametrize("classes", [
+    np.array([0, 1, 2]),
+    np.array(["Normal", "Normal", "AttackTgt"]),
+], ids=["not-strings", "duplicate"])
+def test_detect_with_tree_classes_that_are_not_distinct_strings_is_one_error_line(
+        workspace, runner, dtree_model, tmp_path, classes):
+    # A tree file whose classes held a list once ended detect in a traceback.
+    model_dir = tmp_path / "model"
+    shutil.copytree(dtree_model, model_dir)
+    with np.load(model_dir / "model.npz") as data:
+        assert data["classes"].tolist() == ["Normal", "AttackSrc", "AttackTgt"]
+    rewrite_model(model_dir, classes=classes)
+    entry = load_manifest(workspace["corpus"] / "manifest.jsonl").entries[0]
+    result = runner.invoke(main, ["detect", str(workspace["corpus"] / entry.source),
+                                  "--model-dir", str(model_dir)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "model.npz" in lines[0] and "classes" in lines[0]
 
 
 def test_detect_missing_model_is_fatal(runner, tmp_path):

@@ -14,6 +14,8 @@ from bridgeguard import graph2vec
 from bridgeguard.errors import (
     BridgeGuardError,
     EmptyCorpus,
+    InvalidConfig,
+    ModelMissing,
     ModelVersionMismatch,
     TrainingDiverged,
 )
@@ -23,12 +25,12 @@ from bridgeguard.graph2vec import (
     _pcg64_states,
     _Streams,
     infer_embedding,
-    load_model,
-    save_model,
     train_graph2vec,
 )
 from bridgeguard.hashing import derive_seed
+from bridgeguard.pipeline import BUNDLE_FILE, MODEL_FILE, load_bundle, save_bundle
 from bridgeguard.wl import WLDocument
+from conftest import rewrite_model, tiny_bundle
 
 FAST = TrainParams(epochs=30)
 
@@ -140,33 +142,38 @@ def test_no_negatives_trains_and_infers():
     assert np.isfinite(infer_embedding(model, _doc("a", "zz"))).all()
 
 
+def _saved(tmp_path, model):
+    """The directory of a bundle that holds `model`."""
+    return save_bundle(tiny_bundle(embedding=model), tmp_path / "model")
+
+
+def _rewrite_meta(model_dir, edit) -> None:
+    """Apply `edit` to the bundle.json document in `model_dir`."""
+    path = model_dir / BUNDLE_FILE
+    meta = json.loads(path.read_text())
+    edit(meta)
+    path.write_text(json.dumps(meta))
+
+
 def test_model_round_trip_and_version_check(tmp_path):
     corpus = [_doc("a", "b"), _doc("c", "d")]
     model = train_graph2vec(corpus, params=FAST, seed=4)
-    path = tmp_path / "embedding.npz"
-    save_model(model, path)
-    loaded = load_model(path)
+    model_dir = _saved(tmp_path, model)
+    loaded = load_bundle(model_dir).embedding
     assert np.array_equal(loaded.graph_vectors, model.graph_vectors)
     assert np.array_equal(loaded.token_vectors, model.token_vectors)
+    assert np.array_equal(loaded.token_counts, model.token_counts)
     assert loaded.vocab == model.vocab
-    assert loaded.params == model.params
+    assert loaded.doc_hashes == model.doc_hashes
+    assert (loaded.params, loaded.seed) == (model.params, model.seed)
     assert np.array_equal(infer_embedding(loaded, _doc("a", "b")),
                           model.graph_vectors[0])
     miss = _doc("a", "c", "zz")
     assert np.array_equal(infer_embedding(loaded, miss), infer_embedding(model, miss))
 
-    # corrupt the version field
-    import json
-
-    import numpy as np_
-    with np_.load(path, allow_pickle=True) as data:
-        arrays = {k: data[k] for k in data.files}
-    header = json.loads(str(arrays["header"]))
-    header["version"] = 999
-    arrays["header"] = json.dumps(header)
-    np_.savez(path, **arrays)
-    with pytest.raises(ModelVersionMismatch):
-        load_model(path)
+    _rewrite_meta(model_dir, lambda meta: meta.update(version=999))
+    with pytest.raises(ModelVersionMismatch, match="bundle format 999 .* retrain"):
+        load_bundle(model_dir)
 
 
 _UNPICKLED = []
@@ -187,73 +194,71 @@ class _Payload:
 
 @pytest.mark.parametrize("version", [1, 2])
 def test_object_arrays_are_never_unpickled(tmp_path, version):
-    # Version 1 stored tokens and hashes as pickled object arrays.
-    path = tmp_path / "embedding.npz"
-    save_model(train_graph2vec([_doc("a", "b")], params=FAST, seed=4), path)
-    with np.load(path) as data:
-        arrays = {key: data[key] for key in data.files}
-    header = json.loads(str(arrays["header"]))
-    header["version"] = version
-    arrays.update(header=json.dumps(header), tokens=np.array([_Payload()] * 2, dtype=object),
-                  doc_hashes=arrays["doc_hashes"].astype(object))
-    np.savez(path, **arrays)
-    with pytest.raises(ModelVersionMismatch, match="embedding.npz"):
-        load_model(path)
+    # Bundle format 1 is rejected before any array is read; format 2 refuses
+    # to unpickle an object array.
+    model_dir = _saved(tmp_path, train_graph2vec([_doc("a", "b")], params=FAST, seed=4))
+    with np.load(model_dir / MODEL_FILE) as data:
+        doc_hashes = data["doc_hashes"]
+    rewrite_model(model_dir, tokens=np.array([_Payload()] * 2, dtype=object),
+                  doc_hashes=doc_hashes.astype(object))
+    _rewrite_meta(model_dir, lambda meta: meta.update(version=version))
+    with pytest.raises(ModelVersionMismatch, match=BUNDLE_FILE if version == 1 else MODEL_FILE):
+        load_bundle(model_dir)
     assert _UNPICKLED == []
 
 
-@pytest.mark.parametrize("field, value, named", [
-    ("params", [], None),
-    ("params", {"epochs": 1, "window": 3}, "window"),
-    ("dim", [16], "dim"),
-    ("dim", "16", "dim"),
-    ("dim", 16.5, "dim"),
-    ("seed", [], None),
-    # Training params load only inside RunConfig's ranges; out of them, every
-    # miss would raise an untyped error or give NaN vectors.
-    ("params", {"negative": -1}, "params.negative"),
-    ("params", {"epochs": "100"}, "params.epochs"),
-    ("params", {"epochs": 1.5}, "params.epochs"),
-    ("params", {"epochs": 0}, "params.epochs"),
-    ("params", {"epochs": True}, "params.epochs"),
-    ("params", {"learning_rate": float("nan")}, "params.learning_rate"),
-    ("params", {"learning_rate": 0}, "params.learning_rate"),
-    ("params", {"wl_iterations": 0}, "params.wl_iterations"),
+def _set_setting(key, value):
+    def edit(meta):
+        if key is None:
+            meta["config"] = value
+        else:
+            meta["config"][key] = value
+    return edit
+
+
+# The embedding's header (its dim, seed and training params) is the config
+# in bundle.json, checked as settings: out of RunConfig's ranges, every miss
+# would raise an untyped error or give NaN vectors.
+@pytest.mark.parametrize("key, value, named", [
+    (None, [], None),
+    ("window", 3, "window"),
+    ("embedding_dim", [16], "embedding_dim"),
+    ("embedding_dim", "16", "embedding_dim"),
+    ("embedding_dim", 16.5, "embedding_dim"),
+    ("seed", [], "seed"),
+    ("negative", -1, "negative"),
+    ("epochs", "100", "epochs"),
+    ("epochs", 1.5, "epochs"),
+    ("epochs", 0, "epochs"),
+    ("epochs", True, "epochs"),
+    ("learning_rate", float("nan"), "learning_rate"),
+    ("learning_rate", 0, "learning_rate"),
+    ("wl_iterations", 0, "wl_iterations"),
 ], ids=["params-list", "params-unknown-key", "dim-list", "dim-string", "dim-float",
         "seed-list", "negative-below-0", "epochs-string", "epochs-float", "epochs-0",
         "epochs-bool", "learning-rate-nan", "learning-rate-0", "wl-iterations-0"])
-def test_header_field_of_the_wrong_type_rejected_naming_it(tmp_path, field, value, named):
-    path = tmp_path / "embedding.npz"
-    save_model(train_graph2vec([_doc("a", "b")], params=FAST, seed=4), path)
-    with np.load(path) as data:
-        arrays = {key: data[key] for key in data.files}
-    header = json.loads(str(arrays["header"]))
-    header[field] = value
-    arrays["header"] = json.dumps(header)
-    np.savez(path, **arrays)
-    with pytest.raises(ModelVersionMismatch, match="embedding.npz") as caught:
-        load_model(path)
+def test_header_field_of_the_wrong_type_rejected_naming_it(tmp_path, key, value, named):
+    model_dir = _saved(tmp_path, train_graph2vec([_doc("a", "b")], params=FAST, seed=4))
+    _rewrite_meta(model_dir, _set_setting(key, value))
+    with pytest.raises(InvalidConfig, match=BUNDLE_FILE) as caught:
+        load_bundle(model_dir)
     assert named is None or named in str(caught.value)
 
 
 def test_header_nested_deeper_than_the_decoder_recurses_rejected_naming_it(tmp_path):
-    path = tmp_path / "embedding.npz"
-    save_model(train_graph2vec([_doc("a", "b")], params=FAST, seed=4), path)
-    with np.load(path) as data:
-        arrays = {key: data[key] for key in data.files}
-    arrays["header"] = "[" * 100000 + "]" * 100000
-    np.savez(path, **arrays)
-    with pytest.raises(ModelVersionMismatch, match="embedding.npz"):
-        load_model(path)
+    model_dir = _saved(tmp_path, train_graph2vec([_doc("a", "b")], params=FAST, seed=4))
+    (model_dir / BUNDLE_FILE).write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(ModelMissing, match=BUNDLE_FILE):
+        load_bundle(model_dir)
 
 
 @pytest.mark.parametrize("content", [b"not a model", b"", b"PK\x03\x04truncated"],
                          ids=["text", "empty", "truncated-zip"])
 def test_file_that_is_not_a_model_rejected_naming_it(tmp_path, content):
-    path = tmp_path / "embedding.npz"
-    path.write_bytes(content)
-    with pytest.raises(ModelVersionMismatch, match="embedding.npz"):
-        load_model(path)
+    model_dir = _saved(tmp_path, train_graph2vec([_doc("a", "b")], params=FAST, seed=4))
+    (model_dir / MODEL_FILE).write_bytes(content)
+    with pytest.raises(ModelVersionMismatch, match=MODEL_FILE):
+        load_bundle(model_dir)
 
 
 def test_vectors_have_requested_dim_and_are_finite():
@@ -276,14 +281,10 @@ def test_vectors_have_requested_dim_and_are_finite():
 def test_model_with_inconsistent_arrays_rejected_naming_it(tmp_path, key, value):
     # A two-token, one-document model whose noise distribution or array
     # shapes are broken; sampling from it could pick a missing token row.
-    path = tmp_path / "embedding.npz"
-    save_model(train_graph2vec([_doc("a", "b")], params=FAST, seed=4), path)
-    with np.load(path) as data:
-        arrays = {key: data[key] for key in data.files}
-    arrays[key] = value
-    np.savez(path, **arrays)
-    with pytest.raises(ModelVersionMismatch, match="embedding.npz"):
-        load_model(path)
+    model_dir = _saved(tmp_path, train_graph2vec([_doc("a", "b")], params=FAST, seed=4))
+    rewrite_model(model_dir, **{key: value})
+    with pytest.raises(ModelVersionMismatch, match=MODEL_FILE):
+        load_bundle(model_dir)
 
 
 # --- the guide-table noise sampler ----------------------------------------

@@ -34,7 +34,7 @@ from bridgeguard.ingest import (
 )
 from bridgeguard.rpc import RpcClient
 from bridgeguard.xteg import XTEG, build_xteg
-from conftest import random_trace_doc
+from conftest import JSON_JUNK, json_slots, random_trace_doc
 
 A = "0x" + "aa" * 20
 B = "0x" + "bb" * 20
@@ -202,31 +202,13 @@ def test_logs_that_are_not_a_list_rejected(logs):
                                   logs=logs))
 
 
-# Any JSON value, for a field that should hold something else.
-_JUNK = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
-    | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=6)
-
-
-def _slots(node):
-    """(container, key) of every value nested in a JSON document."""
-    items = node.items() if isinstance(node, dict) else enumerate(node)
-    for key, value in list(items):
-        yield node, key
-        if isinstance(value, (dict, list)):
-            yield from _slots(value)
-
-
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1), data=st.data())
 def test_any_document_gives_a_graph_or_a_typed_error(seed, data):
     # A valid document with one value, anywhere in it, replaced by any JSON.
     doc = random_trace_doc(np.random.default_rng(seed), max_frames=4)
-    container, key = data.draw(st.sampled_from(list(_slots(doc))))
-    container[key] = data.draw(_JUNK)
+    container, key = data.draw(st.sampled_from(list(json_slots(doc))))
+    container[key] = data.draw(JSON_JUNK)
     try:
         graph = build_xteg(record_from_document(doc))
     except BridgeGuardError:
@@ -268,8 +250,8 @@ def test_any_rpc_reply_gives_a_record_or_a_typed_error(seed, data):
     tx = "0x" + "11" * 32
     intact = RpcClient("http://node.invalid", session=_FakeNode(json.loads(json.dumps(replies))))
     assert len(build_xteg(intact.fetch_tx_record(tx)).vertices) >= 2
-    container, key = data.draw(st.sampled_from(list(_slots(replies))))
-    container[key] = data.draw(_JUNK)
+    container, key = data.draw(st.sampled_from(list(json_slots(replies))))
+    container[key] = data.draw(JSON_JUNK)
     client = RpcClient("http://node.invalid", session=_FakeNode(replies))
     try:
         graph = build_xteg(client.fetch_tx_record(tx))
@@ -480,7 +462,7 @@ _FRAME_TYPE = st.sampled_from(["call", "Call", "STATICCALL", "create2", "JUMP", 
 def _typed_slots(doc):
     """(container, key, kind) of every hex, quantity and frame-type value."""
     slots = []
-    for container, key in _slots(doc):
+    for container, key in json_slots(doc):
         value = container[key]
         if key in _HEX_KEYS or (isinstance(container, list) and isinstance(value, str)):
             slots.append((container, key, "hex"))

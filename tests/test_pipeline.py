@@ -2,20 +2,29 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgeguard import pipeline
 from bridgeguard.bench import STAGES, run_bench
 from bridgeguard.classify import (
+    CLASSIFIERS,
     dtree_leaf_distribution,
     dtree_predict,
     knn_neighbor_stats,
     knn_predict,
+    split_indices,
 )
 from bridgeguard.config import RunConfig
-from bridgeguard.errors import InvalidConfig, ModelMissing
+from bridgeguard.errors import (
+    BridgeGuardError,
+    InvalidConfig,
+    ModelMissing,
+    ModelVersionMismatch,
+)
 from bridgeguard.pipeline import (
     BUNDLE_FILE,
-    CLASSIFIER_FILE,
+    MODEL_FILE,
     _mean_std,
     detect,
     feature_vector,
@@ -26,6 +35,7 @@ from bridgeguard.pipeline import (
     train_detector,
 )
 from bridgeguard.synthgen import GenConfig, gen_attack_tgt, gen_dataset
+from conftest import JSON_JUNK, json_slots
 
 FAST = dict(epochs=25, runs=2)
 
@@ -101,11 +111,14 @@ def test_bundle_round_trip_and_detection(small_corpus, tmp_path):
     save_bundle(bundle, tmp_path / "model")
     loaded = load_bundle(tmp_path / "model")
 
-    probes = records[:8]
+    probes = records[:8] + [gen_attack_tgt(seed=10_000, noise=(0.4, 2)).record]
     original = detect(bundle, probes)
-    reloaded = detect(loaded, probes)
-    assert [r["label"] for r in original] == [r["label"] for r in reloaded]
+    assert detect(loaded, probes) == original
     assert all(set(r) == {"tx_hash", "label", "scores"} for r in original)
+    assert loaded.config == cfg
+    assert (loaded.embedding.params, loaded.embedding.seed) == (
+        bundle.embedding.params, bundle.embedding.seed)
+    assert sorted(p.name for p in (tmp_path / "model").iterdir()) == [BUNDLE_FILE, MODEL_FILE]
 
     with pytest.raises(ModelMissing):
         load_bundle(tmp_path / "nope")
@@ -211,7 +224,7 @@ def test_load_bundle_rejects_unknown_config_key(small_corpus, tmp_path):
             load_bundle(tmp_path / "model")
 
 
-@pytest.mark.parametrize("key", ["config"])
+@pytest.mark.parametrize("key", ["config", "config_hash"])
 def test_load_bundle_missing_key_rejected_naming_it(small_corpus, tmp_path, key):
     records, labels = small_corpus
     bundle, _ = train_detector(records[:40], labels[:40], RunConfig(seed=2, epochs=5))
@@ -224,9 +237,7 @@ def test_load_bundle_missing_key_rejected_naming_it(small_corpus, tmp_path, key)
         load_bundle(tmp_path / "model")
 
 
-def test_load_bundle_reads_the_older_format(small_corpus, tmp_path):
-    # Older bundles also record the kind as `classifier_kind`, and their
-    # classifier.json carries hyperparameters that scoring never reads.
+def test_load_bundle_rejects_the_older_format_asking_to_retrain(small_corpus, tmp_path):
     records, labels = small_corpus
     cfg = RunConfig(seed=2, epochs=5, classifier="dtree")
     bundle, _ = train_detector(records[:40], labels[:40], cfg)
@@ -234,15 +245,103 @@ def test_load_bundle_reads_the_older_format(small_corpus, tmp_path):
     meta_path = tmp_path / "model" / BUNDLE_FILE
     meta = json.loads(meta_path.read_text())
     assert set(meta) == {"version", "config", "config_hash"}
-    meta_path.write_text(json.dumps({**meta, "classifier_kind": "dtree"}))
-    classifier_path = tmp_path / "model" / CLASSIFIER_FILE
-    doc = json.loads(classifier_path.read_text())
-    doc["hyperparams"] = {"max_depth": 16, "min_samples_leaf": 1, "seed": 2}
-    classifier_path.write_text(json.dumps(doc))
 
-    loaded = load_bundle(tmp_path / "model")
-    assert loaded.config == cfg
-    assert detect(loaded, records) == detect(bundle, records)
+    # Format 1 kept embedding.npz and classifier.json, and older bundles
+    # also recorded the kind as `classifier_kind`.
+    meta_path.write_text(json.dumps({**meta, "version": 1, "classifier_kind": "dtree"}))
+    with pytest.raises(ModelVersionMismatch, match="bundle format 1 is not 2; retrain"):
+        load_bundle(tmp_path / "model")
+    meta_path.write_text(json.dumps({**meta, "classifier_kind": "dtree"}))
+    with pytest.raises(ModelMissing, match=r"unknown keys \['classifier_kind'\]"):
+        load_bundle(tmp_path / "model")
+
+
+def test_config_that_does_not_match_its_hash_rejected(small_corpus, tmp_path):
+    records, labels = small_corpus
+    bundle, _ = train_detector(records[:40], labels[:40], RunConfig(seed=2, epochs=5))
+    save_bundle(bundle, tmp_path / "model")
+    meta_path = tmp_path / "model" / BUNDLE_FILE
+    meta = json.loads(meta_path.read_text())
+    meta["config"]["k"] = 3  # valid, but not the k the bundle's hash is of
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ModelVersionMismatch, match="config_hash"):
+        load_bundle(tmp_path / "model")
+
+
+@pytest.fixture(scope="module")
+def saved_bundles(small_corpus, tmp_path_factory):
+    """Per classifier kind, the bundle.json document and model.npz arrays of
+    a detector trained on part of the small corpus."""
+    records, labels = small_corpus
+    saved = {}
+    for kind in ("knn", "dtree"):
+        cfg = RunConfig(seed=2, epochs=5, classifier=kind)
+        bundle, _ = train_detector(records[:40], labels[:40], cfg)
+        model_dir = save_bundle(bundle, tmp_path_factory.mktemp(kind))
+        with np.load(model_dir / MODEL_FILE) as data:
+            arrays = {key: data[key] for key in data.files}
+        saved[kind] = (json.loads((model_dir / BUNDLE_FILE).read_text()), arrays)
+    return saved
+
+
+def _as(array: np.ndarray, dtype) -> np.ndarray:
+    """`array` cast to `dtype`, or ones of its shape where the values do not cast."""
+    try:
+        return array.astype(dtype)
+    except ValueError:
+        return np.ones(array.shape, dtype=dtype)
+
+
+def _with_entry(array: np.ndarray, index: int, value) -> np.ndarray:
+    """A copy of `array` with flat entry `index` set to `value`."""
+    array = array.copy()
+    if array.size:
+        array.flat[index % array.size] = value
+    return array
+
+
+def _junk_arrays(array: np.ndarray):
+    """`array` with another dtype or shape, a NaN, an object dtype, or one
+    entry set to a small integer: for `right`, a child index out of range or
+    pointing backwards."""
+    index = st.integers(0, 2**16)
+    return st.one_of(
+        st.sampled_from([bool, np.int32, np.int64, np.float32, np.float64, np.longdouble,
+                         "U3"]).map(lambda dtype: _as(array, dtype)),
+        st.sampled_from([array.reshape(-1), array[:-1], array[..., None], array[:0],
+                         np.asarray(array.flat[0] if array.size else 0)]),
+        index.map(lambda i: _with_entry(_as(array, np.float64), i, np.nan)),
+        st.just(array.astype(object)),
+        st.tuples(index, st.integers(-3, array.size + 3)).map(
+            lambda iv: _with_entry(array, *iv)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["knn", "dtree"]), in_json=st.booleans(), data=st.data())
+def test_any_bundle_gives_a_label_or_a_typed_error(saved_bundles, tmp_path_factory,
+                                                  small_corpus, kind, in_json, data):
+    # A saved bundle with one value of bundle.json replaced by any JSON, or
+    # one array of model.npz by junk.
+    meta, arrays = saved_bundles[kind]
+    meta, arrays = json.loads(json.dumps(meta)), dict(arrays)
+    if in_json:
+        container, key = data.draw(st.sampled_from(list(json_slots(meta))))
+        container[key] = data.draw(JSON_JUNK)
+    else:
+        key = data.draw(st.sampled_from(sorted(arrays)))
+        arrays[key] = data.draw(_junk_arrays(arrays[key]))
+    model_dir = tmp_path_factory.getbasetemp() / "fuzzed-bundle"
+    model_dir.mkdir(exist_ok=True)
+    (model_dir / BUNDLE_FILE).write_text(json.dumps(meta))
+    np.savez(model_dir / MODEL_FILE, **arrays)
+    records = [small_corpus[0][0], gen_attack_tgt(seed=10_000, noise=(0.4, 2)).record]
+    try:
+        bundle = load_bundle(model_dir)
+        rows = detect(bundle, records)
+    except BridgeGuardError:
+        return
+    assert all(row["label"] in bundle.classifier.classes for row in rows)
 
 
 @pytest.mark.parametrize("kind, oracle_label, oracle_scores", [
@@ -267,3 +366,23 @@ def test_detect_and_bench_share_the_classification_path(small_corpus, kind,
     assert all(report.stage_ms[s] >= 0 for s in STAGES)
     assert report.total_ms == pytest.approx(sum(report.stage_ms.values()))
     assert 0 < report.median_total_ms
+
+
+def test_saved_bundle_detects_as_the_trained_one_on_the_default_corpus(tmp_path):
+    # Both kinds, fit in one protocol run on GenConfig(4000, 0.005, 2024):
+    # after a save and a load, every vector, label and score is unchanged
+    # on all the held-out records.
+    samples, _ = gen_dataset(GenConfig(n_normal=4000, attack_rate=0.005, seed=2024))
+    records, labels = [s.record for s in samples], [s.label for s in samples]
+    cfg = RunConfig()
+    model, fitted = pipeline._protocol_run(pipeline.prepare_corpus(records, cfg), labels,
+                                           cfg, cfg.seed, CLASSIFIERS)
+    _, test_idx = split_indices(labels, ratio=cfg.split_ratio, seed=cfg.seed)
+    held_out = [records[i] for i in test_idx]
+    assert len(held_out) == 1206
+    for kind, (classifier, _) in fitted.items():
+        bundle = pipeline.DetectorBundle(model, classifier, RunConfig(classifier=kind))
+        loaded = load_bundle(save_bundle(bundle, tmp_path / kind))
+        assert np.array_equal(loaded.embedding.token_vectors, model.token_vectors)
+        assert np.array_equal(loaded.embedding.graph_vectors, model.graph_vectors)
+        assert detect(loaded, held_out) == detect(bundle, held_out)
