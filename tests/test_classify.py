@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from unittest import mock
@@ -19,6 +20,7 @@ from bridgeguard.classify import (
     _label_order,
     collapse_attack,
     concat_features,
+    dtree_leaf_distribution,
     dtree_predict,
     dtree_train,
     evaluate,
@@ -453,6 +455,45 @@ def test_reloaded_knn_scores_bit_equal(tmp_path, rng):
 
 
 # --- decision tree --------------------------------------------------------------
+
+
+def _golden_tree_samples(seed: int) -> list[LabeledSample]:
+    """Seeded 37-dim samples of three unbalanced classes that overlap, with
+    integer-valued columns (as the census's are) so that cuts meet ties."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 1.0, (90, FEATURE_DIM))
+    x[:, 20:] = np.round(x[:, 20:] * 2.0)
+    score = x[:, 0] + 0.5 * x[:, 3] - 0.4 * x[:, 25] + rng.normal(0.0, 0.7, 90)
+    labels = np.where(score > 1.2, "AttackTgt", np.where(score < -1.6, "AttackSrc", "Normal"))
+    return [LabeledSample(f"g{i}", row, str(label))
+            for i, (row, label) in enumerate(zip(x, labels))]
+
+
+def _tree_arrays(model) -> dict[str, np.ndarray]:
+    return tree_arrays(model.root)
+
+
+def test_golden_trees_and_leaf_distributions_unchanged():
+    # One SHA-256 over 36 seeded trees: each tree's pre-order arrays, bytes
+    # and dtypes, then the leaf distribution of 40 seeded queries.
+    digest = hashlib.sha256()
+    for seed in range(12):
+        samples = _golden_tree_samples(seed)
+        queries = np.random.default_rng(1000 + seed).normal(0.0, 1.5, (40, FEATURE_DIM))
+        queries[:, 20:] = np.round(queries[:, 20:])
+        for settings in ({}, {"max_depth": 3},
+                         {"min_samples_leaf": 4, "class_weighting": True}):
+            model = dtree_train(samples, **settings)
+            digest.update(repr(model.classes).encode())
+            for key, array in sorted(_tree_arrays(model).items()):
+                digest.update(f"{key}:{array.dtype.str}{array.shape}".encode())
+                digest.update(array.tobytes())
+            for query in queries:
+                dist = dtree_leaf_distribution(model, query)
+                digest.update(repr(list(dist)).encode())
+                digest.update(np.array(list(dist.values())).tobytes())
+    assert digest.hexdigest() == (
+        "ee15a428577fd50e919d8be56a9bdcbe62c38cdd607ab8e8f673fd09976febfc")
 
 
 def test_dtree_pure_class_single_leaf():

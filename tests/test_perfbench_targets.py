@@ -82,3 +82,12 @@ def test_capture_holds_the_vector_and_census_detect_computes():
     assert captured.tobytes() == expected.tobytes()
     _, counts = capture.census[record.tx_hash]
     assert len(counts) == len(MOTIF_NAMES)
+
+
+def test_train_eval_protocol_matches_its_pinned_digest(tmp_path):
+    """The benchmark's `train-eval` workload scores knn and dtree under one
+    protocol run; its metrics must hash to the digest pinned for seed 2024."""
+    setup = workloads.setup_train_eval(2024, tmp_path)
+    report, _ = workloads.eval_protocol(setup.manifest)
+    assert checks.metrics_digest(report) == \
+        checks.load_reference("train-eval", 2024)["metrics_digest"]
