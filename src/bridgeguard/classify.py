@@ -36,6 +36,12 @@ statistics, direction flag and census match a training transaction's is
 one. The first such query of a distinct row runs the search and the model
 keeps its answer, so every later query of that row costs one dict lookup.
 Construction runs no search.
+
+The decision tree is held, scored and stored as four pre-order node arrays,
+the ones a bundle's `model.npz` holds: `dim`, `threshold`, `right` and
+`counts`. Growing appends each node to them in pre-order; scoring walks them
+from node 0. `DecisionTreeModel` checks them once, at construction, so that
+no walk can fail.
 """
 
 from __future__ import annotations
@@ -329,22 +335,45 @@ MAX_TREE_DEPTH = 256
 
 
 @dataclass
-class TreeNode:
-    counts: np.ndarray  # weighted class histogram at this node
-    dim: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
-@dataclass
 class DecisionTreeModel:
-    root: TreeNode
+    """A tree as pre-order node arrays: each split's left child is the node
+    after it and `right[i]` the index of its right child; a leaf has dim -1
+    and right -1. Row i of `counts` is node i's weighted class histogram.
+    The arrays must not be modified in place: they are checked once, at
+    construction."""
+    dim: np.ndarray  # int64: split feature, -1 at a leaf
+    threshold: np.ndarray  # float64: a query goes left when its value is <= this
+    right: np.ndarray  # int64: right child, -1 at a leaf
+    counts: np.ndarray  # float64, (nodes, classes)
     classes: list[str]
+
+    def __post_init__(self) -> None:
+        """Arrays that are not a pre-order tree, a split dim outside the
+        feature vector, a negative count, or a split below MAX_TREE_DEPTH
+        raise ValueError."""
+        n = len(self.counts)
+        if (not n or np.shape(self.counts) != (n, len(self.classes))
+                or any(np.shape(a) != (n,) for a in (self.dim, self.threshold, self.right))):
+            raise ValueError("tree arrays are empty, of unequal lengths, or counts "
+                             "without one column per class")
+        if (self.counts < 0).any():
+            raise ValueError("tree counts are negative")
+        dims, rights = self.dim.tolist(), self.right.tolist()
+        stack = [(0, 0)]  # (node, depth) in the order a pre-order walk visits them
+        for i in range(n):
+            if not stack or stack[-1][0] != i:
+                raise ValueError(f"node {i} is not where a pre-order walk reaches it")
+            depth = stack.pop()[1]
+            if dims[i] == -1 and rights[i] == -1:  # a leaf
+                continue
+            if not 0 <= dims[i] < FEATURE_DIM or not i + 1 < rights[i] < n:
+                raise ValueError(f"node {i}: dim {dims[i]} is not in 0..{FEATURE_DIM - 1} "
+                                 f"or right child {rights[i]} is not in {i + 2}..{n - 1}")
+            if depth >= MAX_TREE_DEPTH:
+                raise ValueError(f"tree splits below its maximum depth {MAX_TREE_DEPTH}")
+            stack += [(rights[i], depth + 1), (i + 1, depth + 1)]
+        if stack:
+            raise ValueError(f"node {stack[-1][0]} is the child of two splits")
 
     def scores(self, features) -> dict[str, float]:
         return dtree_leaf_distribution(self, features)
@@ -403,21 +432,23 @@ def _best_split(x: np.ndarray, y: np.ndarray, w: np.ndarray, n_classes: int,
 
 
 def _grow(x: np.ndarray, y: np.ndarray, w: np.ndarray, n_classes: int,
-          depth: int, max_depth: int, min_leaf: int) -> TreeNode:
+          depth: int, max_depth: int, min_leaf: int, nodes: list[list]) -> None:
+    """Append the subtree of these samples to `nodes` in pre-order, one
+    [dim, threshold, right, counts] entry per node."""
     counts = np.zeros(n_classes)
     np.add.at(counts, y, w)
-    node = TreeNode(counts=counts)
+    node = [-1, 0.0, -1, counts]
+    nodes.append(node)
     if depth >= max_depth or len(np.unique(y)) <= 1:
-        return node
+        return
     found = _best_split(x, y, w, n_classes, min_leaf)
     if found is None:
-        return node
+        return
     dim, threshold = found
     mask = x[:, dim] <= threshold
-    node.dim, node.threshold = dim, threshold
-    node.left = _grow(x[mask], y[mask], w[mask], n_classes, depth + 1, max_depth, min_leaf)
-    node.right = _grow(x[~mask], y[~mask], w[~mask], n_classes, depth + 1, max_depth, min_leaf)
-    return node
+    _grow(x[mask], y[mask], w[mask], n_classes, depth + 1, max_depth, min_leaf, nodes)
+    node[:3] = dim, threshold, len(nodes)
+    _grow(x[~mask], y[~mask], w[~mask], n_classes, depth + 1, max_depth, min_leaf, nodes)
 
 
 def dtree_train(train: list[LabeledSample], max_depth: int | None = None,
@@ -440,18 +471,24 @@ def dtree_train(train: list[LabeledSample], max_depth: int | None = None,
     else:
         w = np.ones(y.size)
     limit = MAX_TREE_DEPTH if max_depth is None else min(max_depth, MAX_TREE_DEPTH)
-    root = _grow(x, y, w, len(classes), 0, limit, min_samples_leaf)
-    return DecisionTreeModel(root=root, classes=classes)
+    nodes: list[list] = []
+    _grow(x, y, w, len(classes), 0, limit, min_samples_leaf, nodes)
+    dim, threshold, right, counts = zip(*nodes)
+    return DecisionTreeModel(dim=np.array(dim, dtype=np.int64),
+                             threshold=np.array(threshold, dtype=np.float64),
+                             right=np.array(right, dtype=np.int64),
+                             counts=np.stack(counts), classes=classes)
 
 
 def dtree_leaf_distribution(model: DecisionTreeModel, features) -> dict[str, float]:
     q = _values(features)
-    node = model.root
-    while not node.is_leaf:
-        node = node.left if q[node.dim] <= node.threshold else node.right
-    total = node.counts.sum()
-    return {c: float(node.counts[i] / total) if total else 0.0
-            for i, c in enumerate(model.classes)}
+    i = 0
+    while model.right[i] != -1:
+        i = i + 1 if q[model.dim[i]] <= model.threshold[i] else model.right[i]
+    counts = model.counts[i]
+    total = counts.sum()
+    return {c: float(counts[j] / total) if total else 0.0
+            for j, c in enumerate(model.classes)}
 
 
 def dtree_predict(model: DecisionTreeModel, features) -> str:
@@ -553,57 +590,3 @@ def collapse_attack(label: str) -> str:
 def evaluate_binary(predictions: list[str], labels: list[str]) -> Metrics:
     return evaluate([collapse_attack(p) for p in predictions],
                     [collapse_attack(t) for t in labels], classes=BINARY_CLASSES)
-
-
-# --- tree arrays ---------------------------------------------------------------
-
-
-def tree_arrays(root: TreeNode) -> dict[str, np.ndarray]:
-    """The tree as pre-order node arrays: each split's left child is the
-    node after it, `right` the index of its right child; a leaf has dim -1
-    and right -1. `counts` holds one class histogram per node."""
-    nodes, stack = [], [root]
-    while stack:
-        node = stack.pop()
-        nodes.append(node)
-        if not node.is_leaf:
-            stack += [node.right, node.left]
-    index = {id(node): i for i, node in enumerate(nodes)}
-    return {"dim": np.array([node.dim for node in nodes], dtype=np.int64),
-            "threshold": np.array([node.threshold for node in nodes], dtype=np.float64),
-            "right": np.array([-1 if node.is_leaf else index[id(node.right)]
-                               for node in nodes], dtype=np.int64),
-            "counts": np.stack([node.counts for node in nodes])}
-
-
-def tree_from_arrays(dim: np.ndarray, threshold: np.ndarray, right: np.ndarray,
-                     counts: np.ndarray) -> TreeNode:
-    """The tree `tree_arrays` gave, rebuilt without recursion and checked so
-    that scoring cannot fail: arrays that are not a pre-order tree, a split
-    dim outside the feature vector, a negative count, or a split below
-    MAX_TREE_DEPTH raise ValueError."""
-    n = len(counts)
-    if not n or len(dim) != n or len(threshold) != n or len(right) != n:
-        raise ValueError("tree arrays are empty or of unequal lengths")
-    if (counts < 0).any():
-        raise ValueError("tree counts are negative")
-    nodes = [TreeNode(counts=row) for row in np.asarray(counts, dtype=np.float64)]
-    dims, thresholds, rights = dim.tolist(), threshold.tolist(), right.tolist()
-    stack = [(0, 0)]  # (node, depth) in the order a pre-order walk visits them
-    for i, node in enumerate(nodes):
-        if not stack or stack[-1][0] != i:
-            raise ValueError(f"node {i} is not where a pre-order walk reaches it")
-        depth = stack.pop()[1]
-        if dims[i] == -1 and rights[i] == -1:  # a leaf
-            continue
-        if not 0 <= dims[i] < FEATURE_DIM or not i + 1 < rights[i] < n:
-            raise ValueError(f"node {i}: dim {dims[i]} is not in 0..{FEATURE_DIM - 1} "
-                             f"or right child {rights[i]} is not in {i + 2}..{n - 1}")
-        if depth >= MAX_TREE_DEPTH:
-            raise ValueError(f"tree splits below its maximum depth {MAX_TREE_DEPTH}")
-        node.dim, node.threshold = dims[i], thresholds[i]
-        node.left, node.right = nodes[i + 1], nodes[rights[i]]
-        stack += [(rights[i], depth + 1), (i + 1, depth + 1)]
-    if stack:
-        raise ValueError(f"node {stack[-1][0]} is the child of two splits")
-    return nodes[0]

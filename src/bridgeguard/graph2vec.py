@@ -131,7 +131,6 @@ class TrainParams:
     epochs: int = 100
     learning_rate: float = 0.025  # linearly decayed over epochs
     negative: int = 5
-    wl_iterations: int = 2
 
 
 class _NoiseSampler:

@@ -31,8 +31,6 @@ from .classify import (
     evaluate_binary,
     knn_train,
     split_indices,
-    tree_arrays,
-    tree_from_arrays,
 )
 from .config import RunConfig, config_from_dict
 from .errors import BridgeGuardError, InvalidConfig, ModelMissing, ModelVersionMismatch
@@ -117,7 +115,7 @@ class DetectorBundle:
 
 def _train_params(cfg: RunConfig) -> TrainParams:
     return TrainParams(epochs=cfg.epochs, learning_rate=cfg.learning_rate,
-                       negative=cfg.negative, wl_iterations=cfg.wl_iterations)
+                       negative=cfg.negative)
 
 
 def _protocol_run(preps: list[PreparedTx], labels: list[str], cfg: RunConfig,
@@ -225,7 +223,8 @@ def save_bundle(bundle: DetectorBundle, out_dir: str | Path) -> Path:
         arrays.update(x=classifier.x, y=np.array(classifier.y, dtype=str),
                       mean=classifier.standardizer.mean, std=classifier.standardizer.std)
     else:
-        arrays.update(tree_arrays(classifier.root))
+        arrays.update(dim=classifier.dim, threshold=classifier.threshold,
+                      right=classifier.right, counts=classifier.counts)
     np.savez(out_dir / MODEL_FILE, **arrays)
     write_json(out_dir / BUNDLE_FILE, {
         "version": BUNDLE_FORMAT_VERSION,
@@ -278,11 +277,12 @@ def _model_from_arrays(data, cfg: RunConfig) -> tuple[EmbeddingModel, object]:
             y=_array(data, "y", str, (None,)).tolist(),
             classes=classes)
     else:
-        root = tree_from_arrays(_array(data, "dim", np.int64, (None,)),
-                                _array(data, "threshold", np.float64, (None,)),
-                                _array(data, "right", np.int64, (None,)),
-                                _array(data, "counts", np.float64, (None, len(classes))))
-        classifier = DecisionTreeModel(root=root, classes=classes)
+        classifier = DecisionTreeModel(
+            dim=_array(data, "dim", np.int64, (None,)),
+            threshold=_array(data, "threshold", np.float64, (None,)),
+            right=_array(data, "right", np.int64, (None,)),
+            counts=_array(data, "counts", np.float64, (None, None)),
+            classes=classes)
     return embedding, classifier
 
 

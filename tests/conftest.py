@@ -102,8 +102,8 @@ def tiny_bundle(embedding=None, classifier=None) -> DetectorBundle:
         classifier = knn_train([LabeledSample("t", np.zeros(FEATURE_DIM), "Normal")], k=1)
     params = embedding.params
     cfg = RunConfig(epochs=params.epochs, learning_rate=params.learning_rate,
-                    negative=params.negative, wl_iterations=params.wl_iterations,
-                    seed=embedding.seed, k=getattr(classifier, "k", 5),
+                    negative=params.negative, seed=embedding.seed,
+                    k=getattr(classifier, "k", 5),
                     classifier="knn" if isinstance(classifier, KNNModel) else "dtree")
     return DetectorBundle(embedding=embedding, classifier=classifier, config=cfg)
 

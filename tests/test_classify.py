@@ -15,7 +15,6 @@ from bridgeguard.classify import (
     KNNModel,
     LabeledSample,
     Standardizer,
-    TreeNode,
     _admit_sqrt_ties,
     _label_order,
     collapse_attack,
@@ -30,8 +29,6 @@ from bridgeguard.classify import (
     knn_train,
     split_dataset,
     split_indices,
-    tree_arrays,
-    tree_from_arrays,
 )
 from bridgeguard.config import RunConfig
 from bridgeguard.errors import (
@@ -55,6 +52,17 @@ from conftest import rewrite_model, tiny_bundle
 def _sample(values, label, tag="t"):
     return LabeledSample(tx_hash=tag, features=np.asarray(values, dtype=float),
                          label=label)
+
+
+def _tree(dim, right, counts, threshold=None,
+          classes=("Normal", "AttackSrc")) -> DecisionTreeModel:
+    """The tree of these pre-order node arrays; every threshold 0 unless given."""
+    n = len(dim)
+    return DecisionTreeModel(
+        dim=np.array(dim, dtype=np.int64),
+        threshold=np.zeros(n) if threshold is None else np.array(threshold, dtype=np.float64),
+        right=np.array(right, dtype=np.int64),
+        counts=np.array(counts, dtype=np.float64), classes=list(classes))
 
 
 def _blobs(rng, n_per_class=40, dim=5, spread=8.0):
@@ -138,8 +146,7 @@ def test_split_dataset_takes_the_samples_at_split_indices(rng):
 def test_class_order_puts_labels_first_then_other_names_for_splits_and_tree_ties():
     assert _label_order({"Zeta", "AttackTgt", "Alpha", "Normal"}) == [
         "Normal", "AttackTgt", "Alpha", "Zeta"]
-    tree = DecisionTreeModel(root=TreeNode(counts=np.array([1.0, 1.0, 1.0])),
-                             classes=["Other", "AttackTgt", "Normal"])
+    tree = _tree([-1], [-1], [[1.0, 1.0, 1.0]], classes=["Other", "AttackTgt", "Normal"])
     assert tree.label(tree.scores([0.0] * FEATURE_DIM)) == "Normal"
 
 
@@ -470,7 +477,7 @@ def _golden_tree_samples(seed: int) -> list[LabeledSample]:
 
 
 def _tree_arrays(model) -> dict[str, np.ndarray]:
-    return tree_arrays(model.root)
+    return {key: getattr(model, key) for key in ("dim", "threshold", "right", "counts")}
 
 
 def test_golden_trees_and_leaf_distributions_unchanged():
@@ -499,7 +506,7 @@ def test_golden_trees_and_leaf_distributions_unchanged():
 def test_dtree_pure_class_single_leaf():
     samples = [_sample([i], "AttackTgt", f"s{i}") for i in range(5)]
     model = dtree_train(samples)
-    assert model.root.is_leaf
+    assert (model.dim.tolist(), model.right.tolist()) == ([-1], [-1])
     assert dtree_predict(model, np.array([99.0])) == "AttackTgt"
 
 
@@ -507,9 +514,8 @@ def test_dtree_one_dimensional_separable_depth_one():
     samples = [_sample([x], "Normal", f"n{x}") for x in (-3.0, -2.0, -1.0)]
     samples += [_sample([x], "AttackSrc", f"a{x}") for x in (1.0, 2.0, 3.0)]
     model = dtree_train(samples)
-    root = model.root
-    assert not root.is_leaf and root.left.is_leaf and root.right.is_leaf
-    assert root.dim == 0 and root.threshold == 0.0  # midpoint of -1 and 1
+    assert (model.dim.tolist(), model.right.tolist()) == ([0, -1, -1], [2, -1, -1])
+    assert model.threshold[0] == 0.0  # midpoint of -1 and 1
     for s in samples:
         assert dtree_predict(model, s.features) == s.label
 
@@ -532,31 +538,20 @@ def test_dtree_deterministic_and_gain_positive(rng):
     samples = _blobs(rng, n_per_class=20, spread=3.0)
     m1 = dtree_train(samples, max_depth=5)
     m2 = dtree_train(samples, max_depth=5)
-
-    def signature(node):
-        if node.is_leaf:
-            return ("leaf", tuple(node.counts.tolist()))
-        return (node.dim, node.threshold, signature(node.left), signature(node.right))
-
-    assert signature(m1.root) == signature(m2.root)
+    for key, array in _tree_arrays(m1).items():
+        assert array.tobytes() == _tree_arrays(m2)[key].tobytes()
 
     def gini(counts):
         total = counts.sum()
         p = counts / total
         return 1 - (p * p).sum()
 
-    def check_strict_reduction(node):
-        if node.is_leaf:
-            return
-        parent_impurity = gini(node.counts)
-        n = node.counts.sum()
-        child = (node.left.counts.sum() * gini(node.left.counts)
-                 + node.right.counts.sum() * gini(node.right.counts)) / n
-        assert child < parent_impurity
-        check_strict_reduction(node.left)
-        check_strict_reduction(node.right)
-
-    check_strict_reduction(m1.root)
+    splits = np.flatnonzero(m1.right != -1)
+    assert splits.size
+    for i in splits:
+        left, right = m1.counts[i + 1], m1.counts[m1.right[i]]
+        child = (left.sum() * gini(left) + right.sum() * gini(right)) / m1.counts[i].sum()
+        assert child < gini(m1.counts[i])
 
 
 def test_dtree_invariant_under_monotone_transform(rng):
@@ -590,15 +585,14 @@ def test_dtree_settings_below_one_rejected(settings):
         dtree_train(samples, **settings)
 
 
-def _split_levels(root: TreeNode) -> int:
-    """The most splits on any root-to-leaf path, walked without recursion."""
-    deepest, stack = 0, [(root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        deepest = max(deepest, depth)
-        if not node.is_leaf:
-            stack += [(node.left, depth + 1), (node.right, depth + 1)]
-    return deepest
+def _split_levels(model: DecisionTreeModel) -> int:
+    """The most splits on any root-to-leaf path: in pre-order, a split's
+    children come after it."""
+    depth = [0] * len(model.dim)
+    for i, right in enumerate(model.right.tolist()):
+        if right != -1:
+            depth[i + 1] = depth[right] = depth[i] + 1
+    return max(depth)
 
 
 @pytest.mark.parametrize("max_depth", [None, 10**6])
@@ -608,7 +602,7 @@ def test_dtree_depth_is_bounded_so_every_tree_saves_and_loads(tmp_path, max_dept
     samples = [_sample([float(i)], "Normal" if i % 2 == 0 else "AttackSrc", f"s{i}")
                for i in range(1500)]
     model = dtree_train(samples, max_depth=max_depth)
-    assert _split_levels(model.root) == MAX_TREE_DEPTH
+    assert _split_levels(model) == MAX_TREE_DEPTH
     loaded = _reloaded(tmp_path, model)
     assert ([dtree_predict(loaded, s.features) for s in samples]
             == [dtree_predict(model, s.features) for s in samples])
@@ -618,17 +612,11 @@ def test_dtree_min_samples_leaf_respected():
     samples = [_sample([float(i)], "Normal" if i < 6 else "AttackSrc", f"s{i}")
                for i in range(8)]
     model = dtree_train(samples, min_samples_leaf=3)
-
-    def check(node, n_total):
-        if node.is_leaf:
-            assert n_total >= 3 or n_total == node.counts.sum()
-            return
-        check(node.left, node.left.counts.sum())
-        check(node.right, node.right.counts.sum())
-        assert node.left.counts.sum() >= 3
-        assert node.right.counts.sum() >= 3
-
-    check(model.root, model.root.counts.sum())
+    splits = np.flatnonzero(model.right != -1)
+    assert splits.size
+    for i in splits:
+        assert model.counts[i + 1].sum() >= 3  # the left child
+        assert model.counts[model.right[i]].sum() >= 3
 
 
 # --- evaluation -------------------------------------------------------------------
@@ -733,27 +721,31 @@ def test_classifier_round_trip(tmp_path, rng):
     tree = dtree_train(samples, max_depth=4)
     loaded_tree = _reloaded(tmp_path / "dtree", tree)
     assert dtree_predict(loaded_tree, probe) == dtree_predict(tree, probe)
-    saved, reloaded = tree_arrays(tree.root), tree_arrays(loaded_tree.root)
-    assert all(np.array_equal(saved[key], reloaded[key]) for key in saved)
+    assert loaded_tree.classes == tree.classes
+    for key, array in _tree_arrays(tree).items():
+        reloaded = getattr(loaded_tree, key)
+        assert (reloaded.dtype, reloaded.tobytes()) == (array.dtype, array.tobytes())
 
     with pytest.raises(ModelMissing):
         load_bundle(tmp_path / "missing")
 
 
 def test_tree_arrays_are_pre_order_with_right_child_indices():
-    leaf = lambda *counts: TreeNode(counts=np.array(counts))
-    inner = TreeNode(counts=np.array([1.0, 2.0]), dim=3, threshold=0.5,
-                     left=leaf(1.0, 0.0), right=leaf(0.0, 2.0))
-    root = TreeNode(counts=np.array([4.0, 2.0]), dim=0, threshold=-1.0,
-                    left=inner, right=leaf(3.0, 0.0))
-    arrays = tree_arrays(root)
-    assert arrays["dim"].tolist() == [0, 3, -1, -1, -1]
-    assert arrays["right"].tolist() == [4, 3, -1, -1, -1]
-    assert arrays["threshold"].tolist() == [-1.0, 0.5, 0.0, 0.0, 0.0]
-    assert arrays["counts"].tolist() == [[4, 2], [1, 2], [1, 0], [0, 2], [3, 0]]
-    rebuilt = tree_from_arrays(**arrays)
-    assert (rebuilt.right.counts.tolist(), rebuilt.left.right.counts.tolist()) == (
-        [3.0, 0.0], [0.0, 2.0])
+    # Feature 0 cuts off three Normal samples at -1.0; feature 3 then parts
+    # the rest at 0.5: a root split whose left child is a split.
+    samples = [_sample([0.0, 0.0, 0.0, 1.0], "Normal", f"n{i}") for i in range(3)]
+    samples += [_sample([-2.0, 0.0, 0.0, 0.0], "Normal", "m"),
+                _sample([-2.0, 0.0, 0.0, 1.0], "AttackSrc", "a0"),
+                _sample([-2.0, 0.0, 0.0, 1.0], "AttackSrc", "a1")]
+    model = dtree_train(samples)
+    assert model.classes == ["Normal", "AttackSrc"]
+    assert model.dim.tolist() == [0, 3, -1, -1, -1]
+    assert model.right.tolist() == [4, 3, -1, -1, -1]
+    assert model.threshold.tolist() == [-1.0, 0.5, 0.0, 0.0, 0.0]
+    assert model.counts.tolist() == [[4, 2], [1, 2], [1, 0], [0, 2], [3, 0]]
+    # Each query ends at the leaf of its side: node 4, then node 3.
+    assert model.scores([0.0, 0.0, 0.0, 0.0]) == {"Normal": 1.0, "AttackSrc": 0.0}
+    assert model.scores([-2.0, 0.0, 0.0, 1.0]) == {"Normal": 0.0, "AttackSrc": 1.0}
 
 
 @pytest.mark.parametrize("dim, right, problem", [
@@ -762,12 +754,12 @@ def test_tree_arrays_are_pre_order_with_right_child_indices():
     ([0, 0, -1, -1, -1], [4, 1, -1, -1, -1], "right child 1"),
     ([0, -1, -1], [3, -1, -1], "right child 3"),
     ([-1, -1], [1, -1], "dim -1 is not in"),
+    ([], [], "empty"),
 ], ids=["shared-child", "unreached-node", "child-pointing-backwards",
-        "child-past-the-end", "leaf-with-right-child"])
+        "child-past-the-end", "leaf-with-right-child", "no-nodes"])
 def test_arrays_that_are_not_a_pre_order_tree_rejected(dim, right, problem):
-    n = len(dim)
     with pytest.raises(ValueError, match=problem):
-        tree_from_arrays(np.array(dim), np.zeros(n), np.array(right), np.ones((n, 2)))
+        _tree(dim, right, np.ones((len(dim), 2)))
 
 
 @pytest.mark.parametrize("content", [
@@ -847,16 +839,22 @@ def test_malformed_knn_file_rejected_naming_it(tmp_path, key, value, named):
 
 @pytest.mark.parametrize("splits", [MAX_TREE_DEPTH, MAX_TREE_DEPTH + 1])
 def test_dtree_file_deeper_than_the_bound_rejected(tmp_path, splits):
-    counts = np.array([3.0, 3.0])
-    root = TreeNode(counts=counts)
-    for _ in range(splits):
-        root = TreeNode(counts=counts, dim=0, threshold=0.0, left=root,
-                        right=TreeNode(counts=counts))
-    tree = DecisionTreeModel(root=root, classes=["Normal", "AttackSrc"])
-    model_dir = save_bundle(tiny_bundle(classifier=tree), tmp_path / "model")
+    # A chain of splits, each the left child of the one before: nodes
+    # 0..splits-1 split, node `splits` is the deepest leaf, and split i's
+    # right child is the leaf at 2 * splits - i.
+    n = 2 * splits + 1
+    chain = {"dim": np.array([0] * splits + [-1] * (splits + 1)),
+             "threshold": np.zeros(n),
+             "right": np.array([n - 1 - i for i in range(splits)] + [-1] * (splits + 1)),
+             "counts": np.full((n, 2), 3.0)}
+    model_dir = save_bundle(tiny_bundle(classifier=_tree([-1], [-1], [[3.0, 3.0]])),
+                            tmp_path / "model")
+    rewrite_model(model_dir, **chain)
     if splits <= MAX_TREE_DEPTH:
-        assert _split_levels(load_bundle(model_dir).classifier.root) == splits
+        assert _split_levels(load_bundle(model_dir).classifier) == splits
     else:
+        with pytest.raises(ValueError, match="maximum depth"):
+            _tree(**chain)
         with pytest.raises(ModelVersionMismatch, match="maximum depth"):
             load_bundle(model_dir)
 
