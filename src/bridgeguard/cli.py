@@ -18,10 +18,10 @@ from .bench import MIN_CORPUS, format_bench_table, run_bench
 from .classify import CLASSIFIERS
 from .config import RunConfig, resolve_config
 from .errors import BridgeGuardError
+from .hashing import canonical_json
 from .ingest import (
     TxRecord,
     flatten_frames,
-    json_text,
     load_corpus,
     load_trace_file,
     record_to_document,
@@ -53,7 +53,7 @@ def _guarded(command):
 
 
 def _emit(payload: dict, fmt: str, table: str) -> None:
-    click.echo(json_text(payload) if fmt == "json" else table)
+    click.echo(canonical_json(payload) if fmt == "json" else table)
 
 
 def _each_input(inputs, cfg: RunConfig, work) -> list[tuple[str, str]]:

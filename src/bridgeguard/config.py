@@ -6,9 +6,9 @@ artifact so results are attributable to exact settings.
 
 from __future__ import annotations
 
-import math
 import os
 import re
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -62,7 +62,8 @@ _RANGES = {
     "epochs": (lambda v: v >= 1, ">= 1"),
     "negative": (lambda v: v >= 0, ">= 0"),
     "embedding_dim": (lambda v: v == EMBED_DIM, f"{EMBED_DIM} (the embedding block's width)"),
-    "learning_rate": (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
+    # Compared exactly, so NaN, inf and an int too large for a float all fail.
+    "learning_rate": (lambda v: 0 < v <= sys.float_info.max, "finite and > 0"),
     "classifier": (lambda v: v in CLASSIFIERS, f"one of {', '.join(CLASSIFIERS)}"),
     "k": (lambda v: v >= 1, ">= 1"),
     "max_depth": (lambda v: v is None or v >= 1, ">= 1 or null"),

@@ -7,8 +7,9 @@ here. The permutation and sponge are shared with SHA3; only the domain
 suffix byte differs (0x01 for keccak, 0x06 for SHA3), which the tests exploit
 to cross-validate against hashlib.
 
-`canonical_json` is the one JSON text that is hashed: the config hash
-(`json_hash64`) and a trace document's derived tx hash both take it.
+`canonical_json` is the toolkit's one JSON text: every file it writes, its
+`--format json` output, the config hash (`json_hash64`) and a trace
+document's derived tx hash all take it.
 
 Every RNG seed is `derive_seed(seed, *parts)`: blake2b-64 of the base seed
 and its context parts. `derive_seeds(seed, parts, lasts)` gives the seeds of
@@ -21,6 +22,8 @@ from __future__ import annotations
 import hashlib
 import json
 from typing import Iterable
+
+from .errors import MalformedTrace
 
 _MASK64 = (1 << 64) - 1
 
@@ -121,10 +124,15 @@ def stable_hash64(text: str) -> str:
 
 
 def canonical_json(payload: object) -> str:
-    """The canonical JSON text of `payload`: sorted keys, no whitespace.
-    Content hashes are taken of this text, so equal payloads hash equally
-    wherever they are written."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """The canonical JSON text of `payload`: sorted keys, no whitespace, no
+    final newline, from the C encoder. Content hashes are taken of this
+    text, so equal payloads hash equally wherever they are written. The
+    encoder recurses once per nesting level: a payload nesting deeper than
+    that allows raises MalformedTrace."""
+    try:
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    except RecursionError as exc:
+        raise MalformedTrace(f"document nests too deep to write as JSON ({exc})") from exc
 
 
 def json_hash64(payload: object) -> str:

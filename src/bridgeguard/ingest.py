@@ -9,8 +9,9 @@ produces the same document shape, so both share this parser.
 
 The parser walks the call tree with an explicit stack, not by recursion, and
 accepts frames down to the EVM's call-depth limit, `MAX_CALL_DEPTH` = 1024
-(the root frame is depth 0); a deeper frame raises MalformedTrace. JSON
-decoding still recurses, so a file can fail to decode before that depth.
+(the root frame is depth 0); a deeper frame raises MalformedTrace. The one
+JSON decode (`decode_json`) and the one encode (`hashing.canonical_json`)
+still recurse, so a file can fail to decode, or a record to encode, first.
 
 `CallFrame`, `LogEntry` and `TxRecord` are slotted dataclasses, built
 positionally on the parse path. A file is read as bytes and decoded once.
@@ -224,15 +225,8 @@ def _derived_tx_hash(doc: dict) -> str:
 def record_from_document(doc: object, chain_id: int | None = None) -> TxRecord:
     """Parse one trace document (the file/RPC wire shape) into a TxRecord.
     A frame deeper than MAX_CALL_DEPTH raises MalformedTrace, and so does a
-    document without `tx_hash` whose derived hash's JSON nests deeper than
-    the encoder recurses."""
-    try:
-        return _record_from_document(doc, chain_id)
-    except RecursionError as exc:
-        raise MalformedTrace(f"call tree nests too deep to parse ({exc})") from exc
-
-
-def _record_from_document(doc: object, chain_id: int | None) -> TxRecord:
+    document without `tx_hash` whose derived hash's canonical JSON nests
+    deeper than the encoder recurses."""
     if not isinstance(doc, dict):
         raise MalformedTrace("document is not a JSON object")
     trace = doc.get("trace")
@@ -271,17 +265,22 @@ def _record_from_document(doc: object, chain_id: int | None) -> TxRecord:
     )
 
 
-def read_json(path: str | Path, error: type[BridgeGuardError]) -> object:
-    """The JSON document in the UTF-8 file at `path`, read as bytes and
-    decoded once. A file that does not decode, or nests deeper than the
-    decoder's recursion allows, raises `error` naming the path; an OSError
-    passes through."""
-    with open(path, "rb") as f:
-        raw = f.read()
+def decode_json(raw: bytes, error: type[BridgeGuardError], where: object) -> object:
+    """The JSON document in the UTF-8 bytes `raw`: the toolkit's one JSON
+    decode. Bytes that do not decode, or nest deeper than the decoder's
+    recursion allows, raise `error` naming `where`."""
     try:
         return json.loads(raw.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # ValueError: JSON and UTF-8
-        raise error(f"{path}: invalid JSON ({exc})") from exc
+        raise error(f"{where}: invalid JSON ({exc})") from exc
+
+
+def read_json(path: str | Path, error: type[BridgeGuardError]) -> object:
+    """The JSON document in the UTF-8 file at `path`, read as bytes and
+    decoded once by `decode_json`, which raises `error` naming the path; an
+    OSError passes through."""
+    with open(path, "rb") as f:
+        return decode_json(f.read(), error, path)
 
 
 def load_trace_file(path: str | Path, chain_id: int | None = None) -> TxRecord:
@@ -361,20 +360,11 @@ def record_to_document(record: TxRecord) -> dict:
     }
 
 
-def json_text(payload: object) -> str:
-    """`payload` as the toolkit's JSON text: sorted keys, one-space indent,
-    no final newline. Files (`write_json`) and `--format json` output use it.
-    A payload nesting deeper than the encoder recurses raises MalformedTrace."""
-    try:
-        return json.dumps(payload, indent=1, sort_keys=True)
-    except RecursionError as exc:
-        raise MalformedTrace(f"document nests too deep to write as JSON ({exc})") from exc
-
-
 def write_json(path: str | Path, payload: object) -> None:
-    """Write `payload` as `json_text` and a final newline, creating the
-    parent directory. Every JSON file the toolkit writes goes through here."""
-    text = json_text(payload) + "\n"
+    """Write `payload` as `canonical_json` and a final newline, creating the
+    parent directory; every JSON file but the manifest is written here. A
+    payload too deep to encode raises MalformedTrace before any file opens."""
+    text = canonical_json(payload) + "\n"
     try:
         f = open(path, "w")
     except FileNotFoundError:  # only then: a mkdir per file slows corpus writes
@@ -424,13 +414,10 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     seen_sources = set()
     with open(path, "rb") as f:
         for lineno, raw in enumerate(f, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # ValueError: JSON and UTF-8
-                raise InvalidConfig(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+            raw = raw.strip()
+            if not raw:
+                continue
+            obj = decode_json(raw, InvalidConfig, f"{path}:{lineno}")
             if not isinstance(obj, dict):
                 raise InvalidConfig(f"{path}:{lineno}: not a JSON object")
             label = obj.get("label")
@@ -468,6 +455,6 @@ def load_corpus(manifest_path: str | Path) -> tuple[list[TxRecord], list[str]]:
 def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
     with open(path, "w") as f:
         for entry in manifest.entries:
-            f.write(json.dumps(
+            f.write(canonical_json(
                 {"source": entry.source, "label": entry.label, "chain_id": entry.chain_id}
             ) + "\n")

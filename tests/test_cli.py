@@ -14,7 +14,8 @@ from click.testing import CliRunner
 import bridgeguard
 from bridgeguard import cli
 from bridgeguard.cli import main
-from bridgeguard.ingest import json_text, load_manifest, record_from_document
+from bridgeguard.hashing import canonical_json
+from bridgeguard.ingest import load_manifest, record_from_document
 from conftest import rewrite_model
 
 
@@ -284,7 +285,7 @@ def test_ingest_summarizes_and_dumps(workspace, runner):
     rows = json.loads(result.output)["rows"]
     assert rows[0]["frames"] >= 1
     # --format json prints the text the JSON files hold: one format, one home.
-    assert result.output == json_text(json.loads(result.output)) + "\n"
+    assert result.output == canonical_json(json.loads(result.output)) + "\n"
 
 
 def test_ingest_partial_failure(runner, workspace, tmp_path):
@@ -417,8 +418,10 @@ def test_bad_manifest_line_is_one_error_line_naming_it(runner, tmp_path, content
     ({"embedding_dim": 8}, "embedding_dim"),
     ({"epochs": -1}, "epochs"),
     ({"learning_rate": float("nan")}, "learning_rate"),
+    ({"learning_rate": 10**400}, "learning_rate"),  # too large for a float
     ({"learning_rate": 1e300, "epochs": 3}, "diverged"),
-], ids=["wl-iterations", "negative", "embedding-dim", "epochs", "nan-rate", "diverges"])
+], ids=["wl-iterations", "negative", "embedding-dim", "epochs", "nan-rate", "huge-int-rate",
+        "diverges"])
 def test_bad_training_setting_is_one_error_line(workspace, runner, tmp_path, settings, names):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(settings))

@@ -100,6 +100,7 @@ def test_default_config_hash_is_stable():
     ("signatures", {"0x" + "ab" * 31: "deposit"}), ("signatures", {"0x" + "ab" * 32: "Deposit"}),
     ("signatures", {"ab" * 33: "withdrawal"}), ("signatures", {"0x" + "ab" * 32: None}),
     ("seed", -1),
+    pytest.param("learning_rate", 10**400, id="learning_rate-int-too-large-for-a-float"),
 ])
 def test_value_out_of_range_rejected_naming_key(key, value):
     with pytest.raises(InvalidConfig, match=f"c.json: {key} must be "):

@@ -233,10 +233,12 @@ def _set_setting(key, value):
     ("epochs", True, "epochs"),
     ("learning_rate", float("nan"), "learning_rate"),
     ("learning_rate", 0, "learning_rate"),
+    ("learning_rate", 10**400, "learning_rate"),  # an int too large for a float
     ("wl_iterations", 0, "wl_iterations"),
 ], ids=["params-list", "params-unknown-key", "dim-list", "dim-string", "dim-float",
         "seed-list", "negative-below-0", "epochs-string", "epochs-float", "epochs-0",
-        "epochs-bool", "learning-rate-nan", "learning-rate-0", "wl-iterations-0"])
+        "epochs-bool", "learning-rate-nan", "learning-rate-0", "learning-rate-huge-int",
+        "wl-iterations-0"])
 def test_header_field_of_the_wrong_type_rejected_naming_it(tmp_path, key, value, named):
     model_dir = _saved(tmp_path, train_graph2vec([_doc("a", "b")], params=FAST, seed=4))
     _rewrite_meta(model_dir, _set_setting(key, value))

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bridgeguard.errors import BridgeGuardError, EmptyTrace, InvalidConfig, MalformedTrace
-from bridgeguard.hashing import keccak256
+from bridgeguard.hashing import canonical_json, keccak256
 from bridgeguard.ingest import (
     FRAME_KINDS,
     LABELS,
@@ -308,7 +308,7 @@ def test_write_json_is_the_one_file_policy(tmp_path):
     path = tmp_path / "new" / "dir" / "out.json"
     payload = {"b": [1, 2.5], "a": {"z": None, "y": "0x01"}}
     write_json(path, payload)  # creates the parent directories
-    assert path.read_text() == json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    assert path.read_text() == canonical_json(payload) + "\n"
     write_json(path, [])  # overwrites
     assert path.read_text() == "[]\n"
 
@@ -585,6 +585,15 @@ def test_deepest_accepted_record_writes_back():
     assert _frame_fields(again) == _frame_fields(record)
     assert (again.tx_hash, again.logs, again.sender) == (record.tx_hash, record.logs,
                                                          record.sender)
+
+
+def test_deepest_chain_without_tx_hash_is_too_deep_to_hash():
+    # The derived tx hash takes the document's canonical JSON, whose encoder
+    # recurses; the deepest chain the parser accepts nests deeper than that.
+    doc = _chain_document(MAX_CALL_DEPTH)
+    del doc["tx_hash"]
+    with pytest.raises(MalformedTrace, match="nests too deep"):
+        record_from_document(doc)
 
 
 def test_record_too_deep_to_encode_raises_malformed_trace(tmp_path):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from bridgeguard.errors import MalformedTrace, RpcUnavailable, TraceUnsupported, TxNotFound
+from bridgeguard.hashing import canonical_json
 from bridgeguard.ingest import record_from_document
 from bridgeguard import rpc
 from bridgeguard.rpc import RpcClient
@@ -247,4 +248,4 @@ def test_cache_entry_is_written_by_the_one_json_writer(tmp_path):
     RpcClient("http://node", cache_dir=tmp_path, session=FakeNode()).fetch_tx_record(TX)
     (entry,) = [path for path in tmp_path.rglob("*") if path.is_file()]
     text = entry.read_text()
-    assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
+    assert text == canonical_json(json.loads(text)) + "\n"

@@ -161,19 +161,20 @@ def test_write_corpus_round_trips(tmp_path):
 
 
 def test_written_bytes_are_pinned(tmp_path):
-    # Trace files are the benchmark's inputs; their bytes, the sidecar's, the
-    # manifest's and the derived hashes stay as they are.
+    # Trace files are the benchmark's inputs. Every file holds its documents'
+    # `canonical_json` text, one per line in the manifest, so these bytes and
+    # the derived hashes move only with the generator or that one encoding.
     cfg = GenConfig(n_normal=8, attack_rate=0.25, seed=11)
     samples, manifest = gen_dataset(cfg)
     write_corpus(samples, manifest, tmp_path, cfg)
     traces = sorted((tmp_path / "traces").iterdir())
     assert len(traces) == 10
     digest = hashlib.sha256(b"".join(path.read_bytes() for path in traces)).hexdigest()
-    assert digest == "2ec694cbae55f71e03cb1676475a6d6f6a72eb280629df431fa197d3d4eea766"
+    assert digest == "2d19682d58665d967ab5b85c2f05af0dcac9e57d5fc490e9c40139606cd88893"
     assert hashlib.sha256((tmp_path / "gen_config.json").read_bytes()).hexdigest() == (
-        "890a463935e2b9f758f0dc2c4de585478982d86089232a530a44539566562885")
+        "9051e014de3bcdea7d41d9411aaea1ced0ba4424185aa68da08809d980db9c6d")
     assert hashlib.sha256((tmp_path / "manifest.jsonl").read_bytes()).hexdigest() == (
-        "26f2fdf34f2c60114eec075bdd75b809379d92bb27b4474ced162245662e13cb")
+        "6e313baddeac509d127bc9526ebdd3dc91730b268f3aa46fff644c93520c6773")
     assert gen_config_hash(cfg) == "7e22d8a2a2977b9f"
     doc = {"trace": {"type": "CALL", "from": "0x" + "ab" * 20, "to": "0x" + "cd" * 20,
                      "input": "0x", "value": "0x0"}, "logs": []}
