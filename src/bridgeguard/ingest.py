@@ -15,11 +15,13 @@ still recurse, so a file can fail to decode, or a record to encode, first.
 
 `CallFrame`, `LogEntry` and `TxRecord` are slotted dataclasses, built
 positionally on the parse path. A file is read as bytes and decoded once.
-Every frame stores its kind's object from `FRAME_KINDS`. The records of one
-corpus (`load_corpus`, and `synthgen.gen_dataset`) share their repeated
-addresses, selectors and topics through one `share_strings` dict per call;
-nothing is cached per process, so labelling one input at a time keeps
-nothing of it.
+Every frame stores its kind's object from `FRAME_KINDS`. The parser puts
+each address, selector and topic it makes through a string table, the
+`strings` dict of `record_from_document` and `load_trace_file`. A corpus
+(`load_corpus`, `synthgen.gen_dataset`) is parsed through one table per
+call, so its records hold each repeated value once. A call given no table
+gets a fresh one; nothing is cached per process. Error messages render
+foreign values with `bounded_repr`, which any nesting survives.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import reprlib
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -92,6 +96,13 @@ class DatasetManifest:
 
 # --- hex normalization ---------------------------------------------------
 
+# `repr` for error messages, but six levels deep at most (containers are cut at
+# reprlib's default widths): a list nested 5000 deep is "[[[[[[[...]]]]]]]",
+# where `repr` raises RecursionError (3.10-3.12) or renders every level (3.13).
+_BOUNDED_REPR = reprlib.Repr()
+_BOUNDED_REPR.maxstring = _BOUNDED_REPR.maxlong = _BOUNDED_REPR.maxother = sys.maxsize
+bounded_repr = _BOUNDED_REPR.repr
+
 
 # The whole hex values `_norm_hex` accepts, by byte count (None: any). ASCII
 # only: `\d` would admit other scripts' digits, and `$` a trailing newline.
@@ -111,7 +122,8 @@ def _norm_hex(value: object, name: str, nbytes: int | None = None) -> str:
     if type(value) is str and _HEX_VALUE[nbytes](value):
         return value.lower()
     if not isinstance(value, str) or not value.startswith("0x"):
-        raise MalformedTrace(f"{name}: expected 0x-prefixed hex string, got {value!r}")
+        raise MalformedTrace(f"{name}: expected 0x-prefixed hex string, "
+                             f"got {bounded_repr(value)}")
     body = value[2:].lower()
     if not _HEX_VALUE[None]("0x" + body):
         raise MalformedTrace(f"{name}: non-hex characters in {value!r}")
@@ -120,13 +132,15 @@ def _norm_hex(value: object, name: str, nbytes: int | None = None) -> str:
     return "0x" + body
 
 
-def _norm_address(value: object, name: str, seen: dict[str, str]) -> str:
-    """`_norm_hex(value, name, 20)`, remembered in `seen`: one document names
-    the same few addresses many times, and the hex check is most of their
-    parse."""
+def _norm_address(value: object, name: str, seen: dict[str, str], share) -> str:
+    """`_norm_hex(value, name, 20)` put through `share`, a string table's
+    `setdefault`, and remembered in `seen`: one document names the same few
+    addresses many times, and the hex check is most of their parse. The
+    table also holds topics and selectors, so it cannot stand in for `seen`."""
     norm = seen.get(value) if type(value) is str else None
     if norm is None:
-        norm = seen[value] = _norm_hex(value, name, 20)
+        norm = _norm_hex(value, name, 20)
+        norm = seen[value] = share(norm, norm)
     return norm
 
 
@@ -144,7 +158,7 @@ def _norm_quantity(value: object, name: str) -> int:
         except ValueError:  # more decimal digits than int() converts
             pass
     raise MalformedTrace(f"{name}: expected a non-negative integer or a hex or decimal "
-                         f"quantity, got {value!r}")
+                         f"quantity, got {bounded_repr(value)}")
 
 
 # --- trace document parsing ----------------------------------------------
@@ -152,11 +166,11 @@ def _norm_quantity(value: object, name: str) -> int:
 MAX_CALL_DEPTH = 1024  # the EVM's call-depth limit; the root frame is depth 0
 
 
-def _parse_calls(trace: object, addresses: dict[str, str]) -> CallFrame:
+def _parse_calls(trace: object, addresses: dict[str, str], share) -> CallFrame:
     """The call tree under `trace`, walked in pre-order with an explicit
     stack: frames are checked, numbered and raise their first error in the
     order a recursive descent would visit them. `addresses` is the
-    document's `_norm_address` memo."""
+    document's `_norm_address` memo, `share` its string table's `setdefault`."""
     root = None
     order = 0
     # (node, depth, the parent's children list; None for the root)
@@ -171,18 +185,21 @@ def _parse_calls(trace: object, addresses: dict[str, str]) -> CallFrame:
         raw_kind = node.get("type")
         kind = _FRAME_KIND.get(raw_kind.upper()) if isinstance(raw_kind, str) else None
         if kind is None:
-            raise MalformedTrace(f"unknown frame type {raw_kind!r} at depth {depth}")
+            raise MalformedTrace(f"unknown frame type {bounded_repr(raw_kind)} "
+                                 f"at depth {depth}")
 
-        caller = _norm_address(node.get("from"), "from", addresses)
+        caller = _norm_address(node.get("from"), "from", addresses, share)
         # CREATE* report the created address in `to`; SELFDESTRUCT the refund
         # beneficiary, which some tracers omit entirely.
         to = node.get("to")
-        callee = ZERO_ADDRESS if to in (None, "") else _norm_address(to, "to", addresses)
+        callee = (share(ZERO_ADDRESS, ZERO_ADDRESS) if to in (None, "")
+                  else _norm_address(to, "to", addresses, share))
 
         raw_input = node.get("input", "0x")
         input_hex = _norm_hex(raw_input, "input") if raw_input is not None else "0x"
+        selector = input_hex[2:10]
         frame = CallFrame(kind, caller, callee,
-                          input_hex[2:10] if len(input_hex) >= 10 else None,
+                          share(selector, selector) if len(selector) == 8 else None,
                           _norm_quantity(node.get("value"), "value"), depth, order, [],
                           bool(node.get("error") or node.get("revertReason")))
         order += 1
@@ -200,16 +217,18 @@ def _parse_calls(trace: object, addresses: dict[str, str]) -> CallFrame:
     return root
 
 
-def _parse_log(entry: object, position: int, addresses: dict[str, str]) -> LogEntry:
+def _parse_log(entry: object, position: int, addresses: dict[str, str],
+               share) -> LogEntry:
     if not isinstance(entry, dict):
         raise MalformedTrace(f"log #{position} is not an object")
     topics = entry.get("topics", [])
     if not isinstance(topics, list):
         raise MalformedTrace(f"log #{position}: topics must be a list")
     norm_topics = [_norm_hex(t, "topic", 32) for t in topics]
+    norm_topics = list(map(share, norm_topics, norm_topics))
     data = entry.get("data", "0x")
     return LogEntry(
-        _norm_address(entry.get("address"), "log address", addresses),
+        _norm_address(entry.get("address"), "log address", addresses, share),
         norm_topics[0] if norm_topics else None,
         norm_topics[1:],
         _norm_hex(data, "log data") if data is not None else "0x",
@@ -222,23 +241,27 @@ def _derived_tx_hash(doc: dict) -> str:
     return "0x" + hashlib.blake2b(canonical.encode(), digest_size=32).hexdigest()
 
 
-def record_from_document(doc: object, chain_id: int | None = None) -> TxRecord:
+def record_from_document(doc: object, chain_id: int | None = None,
+                         strings: dict[str, str] | None = None) -> TxRecord:
     """Parse one trace document (the file/RPC wire shape) into a TxRecord.
     A frame deeper than MAX_CALL_DEPTH raises MalformedTrace, and so does a
     document without `tx_hash` whose derived hash's canonical JSON nests
-    deeper than the encoder recurses."""
+    deeper than the encoder recurses. Its addresses, selectors and topics
+    are the first equal strings in the table `strings` (None: a fresh one),
+    which gains the ones it lacks."""
     if not isinstance(doc, dict):
         raise MalformedTrace("document is not a JSON object")
     trace = doc.get("trace")
     if trace is None or trace == {}:
         raise EmptyTrace("document has no root frame")
+    share = ({} if strings is None else strings).setdefault
     addresses: dict[str, str] = {}
-    root = _parse_calls(trace, addresses)
+    root = _parse_calls(trace, addresses, share)
 
     raw_logs = doc.get("logs") or []
     if not isinstance(raw_logs, list):
         raise MalformedTrace("`logs` must be a list")
-    logs = [_parse_log(entry, i, addresses) for i, entry in enumerate(raw_logs)]
+    logs = [_parse_log(entry, i, addresses, share) for i, entry in enumerate(raw_logs)]
     seen = set()
     for log in logs:
         if log.log_index in seen:
@@ -247,7 +270,7 @@ def record_from_document(doc: object, chain_id: int | None = None) -> TxRecord:
     logs.sort(key=lambda log: log.log_index)
 
     sender = doc.get("sender")
-    sender = (_norm_address(sender, "sender", addresses) if sender is not None
+    sender = (_norm_address(sender, "sender", addresses, share) if sender is not None
               else root.caller)
     if sender != root.caller:
         raise MalformedTrace("sender does not match root frame caller")
@@ -283,33 +306,12 @@ def read_json(path: str | Path, error: type[BridgeGuardError]) -> object:
         return decode_json(f.read(), error, path)
 
 
-def load_trace_file(path: str | Path, chain_id: int | None = None) -> TxRecord:
-    """Load one transaction's trace document plus receipt logs from disk."""
-    return record_from_document(read_json(path, MalformedTrace), chain_id=chain_id)
-
-
-def share_strings(record: TxRecord, strings: dict[str, str]) -> None:
-    """Replace `record`'s sender, callers, callees, selectors, emitters and
-    topics by the first equal string in `strings`, adding the ones it lacks.
-    A corpus repeats a few thousand such values over all its records, so
-    records passed through one dict hold each of them once. The dict lives
-    as long as the caller keeps it; nothing is kept per process."""
-    share = strings.setdefault
-    record.sender = share(record.sender, record.sender)
-    stack = [record.root_frame]
-    while stack:
-        frame = stack.pop()
-        frame.caller = share(frame.caller, frame.caller)
-        frame.callee = share(frame.callee, frame.callee)
-        if frame.selector is not None:
-            frame.selector = share(frame.selector, frame.selector)
-        stack += frame.children
-    for log in record.logs:
-        log.emitter = share(log.emitter, log.emitter)
-        if log.topic0 is not None:
-            log.topic0 = share(log.topic0, log.topic0)
-        if log.topics_rest:
-            log.topics_rest = [share(topic, topic) for topic in log.topics_rest]
+def load_trace_file(path: str | Path, chain_id: int | None = None,
+                    strings: dict[str, str] | None = None) -> TxRecord:
+    """Load one transaction's trace document plus receipt logs from disk,
+    sharing strings through `strings` as `record_from_document` does."""
+    return record_from_document(read_json(path, MalformedTrace), chain_id=chain_id,
+                                strings=strings)
 
 
 # --- serialization (round-trip format) ------------------------------------
@@ -388,23 +390,6 @@ def flatten_frames(record: TxRecord) -> list[CallFrame]:
     return out
 
 
-def validate_record(record: TxRecord) -> None:
-    """Assert the structural invariants of a normalized record."""
-    if record.root_frame.depth != 0:
-        raise MalformedTrace("root frame depth must be 0")
-    if record.root_frame.caller != record.sender:
-        raise MalformedTrace("root frame caller must equal sender")
-    frames = flatten_frames(record)
-    for pos, frame in enumerate(frames):
-        if frame.order != pos:
-            raise MalformedTrace(f"frame order {frame.order} != pre-order position {pos}")
-        for child in frame.children:
-            if child.depth != frame.depth + 1:
-                raise MalformedTrace("child depth must be parent depth + 1")
-        if frame.selector is not None and len(frame.selector) != 8:
-            raise MalformedTrace("selector must be 4 bytes when present")
-
-
 # --- dataset manifest ------------------------------------------------------
 
 
@@ -439,16 +424,13 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
 def load_corpus(manifest_path: str | Path) -> tuple[list[TxRecord], list[str]]:
     """The records and labels a manifest lists, in its order. A relative
-    source resolves against the manifest's directory. The records share
-    their repeated strings through one `share_strings` dict."""
+    source resolves against the manifest's directory. The records are
+    parsed through one string table, so they share their repeated strings."""
     root = Path(manifest_path).parent
     entries = load_manifest(manifest_path).entries
     strings: dict[str, str] = {}
-    records = []
-    for entry in entries:
-        record = load_trace_file(root / entry.source, chain_id=entry.chain_id)
-        share_strings(record, strings)
-        records.append(record)
+    records = [load_trace_file(root / entry.source, chain_id=entry.chain_id, strings=strings)
+               for entry in entries]
     return records, [entry.label for entry in entries]
 
 

@@ -5,8 +5,8 @@ inputs are embedded against the frozen model. A trained detector is saved
 as a bundle directory of two files: `bundle.json` holds the resolved
 configuration and its hash, `model.npz` every array of the embedding model
 and the classifier. Training and evaluation prepare their corpus with
-`prepare_corpus`, whose documents share equal WL tokens through one dict
-per call; `detect` prepares each record on its own and keeps nothing.
+`prepare_corpus`, whose documents share equal WL tokens through one string
+table per call; `detect` prepares each record on its own and keeps nothing.
 """
 
 from __future__ import annotations
@@ -68,13 +68,15 @@ class PreparedTx:
     census: LocalFeature
 
 
-def prepare(record: TxRecord, cfg: RunConfig, stage=_no_stage) -> PreparedTx:
+def prepare(record: TxRecord, cfg: RunConfig, stage=_no_stage,
+            strings: dict[str, str] | None = None) -> PreparedTx:
     """`stage(name)` gives a context manager entered around each stage's
-    work, for timing; the default does nothing."""
+    work, for timing; the default does nothing. `strings` is the string
+    table of the WL document's tokens (see `wl_document`)."""
     with stage("xteg_construction"):
         graph = build_xteg(record)
     with stage("global_mining"):
-        doc = wl_document(graph, cfg.wl_iterations)
+        doc = wl_document(graph, cfg.wl_iterations, strings)
         stats = graph_stats(graph)
         flag = direction_flag(record.logs, cfg.signatures or None)
     with stage("local_mining"):
@@ -84,16 +86,10 @@ def prepare(record: TxRecord, cfg: RunConfig, stage=_no_stage) -> PreparedTx:
 
 def prepare_corpus(records: list[TxRecord], cfg: RunConfig) -> list[PreparedTx]:
     """`prepare` of each record, in order, with equal WL tokens stored once:
-    each document's tokens are rebuilt through one dict, which lives only as
+    every document is built through one string table, which lives only as
     long as this call."""
-    tokens: dict[str, str] = {}
-    share = tokens.setdefault
-    preps = []
-    for record in records:
-        prep = prepare(record, cfg)
-        prep.doc = WLDocument(tuple([share(token, token) for token in prep.doc.tokens]))
-        preps.append(prep)
-    return preps
+    strings: dict[str, str] = {}
+    return [prepare(record, cfg, strings=strings) for record in records]
 
 
 def feature_vector(prep: PreparedTx, model: EmbeddingModel,

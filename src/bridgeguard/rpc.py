@@ -15,6 +15,7 @@ from .ingest import (
     TxRecord,
     _norm_hex,
     _norm_quantity,
+    bounded_repr,
     read_json,
     record_from_document,
     write_json,
@@ -90,7 +91,7 @@ class RpcClient:
                     raise MalformedTrace("eth_chainId: null")
                 self._chain_id = _norm_quantity(result, "eth_chainId")
             except MalformedTrace as exc:
-                raise RpcUnavailable(f"eth_chainId: result {result!r} is not a "
+                raise RpcUnavailable(f"eth_chainId: result {bounded_repr(result)} is not a "
                                      "chain id") from exc
         return self._chain_id
 

@@ -11,9 +11,10 @@ attached so classes are not separable by vertex count alone.
 Everything is a pure function of (config, seed): addresses, amounts, noise
 placement, and the final corpus order all derive from the seed. Bridge
 contract addresses stay fixed per corpus, mirroring real deployments.
-`gen_dataset` passes each record through one `ingest.share_strings` dict,
-so a corpus stores each repeated address, selector and topic once; the dict
-is dropped when the call returns.
+`gen_dataset` parses every record through one string table (the `strings`
+parameter of the `gen_*` functions, passed on to
+`ingest.record_from_document`), so a corpus stores each repeated address,
+selector and topic once; the table is dropped when the call returns.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .ingest import (
     record_from_document,
     record_to_document,
     save_manifest,
-    share_strings,
     write_json,
 )
 
@@ -151,7 +151,7 @@ def _apply_noise(trace: dict, rng: np.random.Generator,
 
 def _finish(trace: dict, logs: list[dict], label: str, template_id: str,
             seed: int, chain_id: int, noise: tuple[float, int],
-            env: BridgeEnv) -> SynthTx:
+            env: BridgeEnv, strings: dict[str, str] | None = None) -> SynthTx:
     rng = np.random.default_rng(derive_seed(seed, "noise"))
     _apply_noise(trace, rng, noise, env)
     doc = {
@@ -162,11 +162,13 @@ def _finish(trace: dict, logs: list[dict], label: str, template_id: str,
         "trace": trace,
         "logs": logs,
     }
-    return SynthTx(record=record_from_document(doc), label=label, template_id=template_id)
+    return SynthTx(record=record_from_document(doc, strings=strings), label=label,
+                   template_id=template_id)
 
 
 def gen_normal_deposit(seed: int, noise: tuple[float, int] = NOISE_OFF,
-                       env: BridgeEnv | None = None) -> SynthTx:
+                       env: BridgeEnv | None = None,
+                       strings: dict[str, str] | None = None) -> SynthTx:
     """Source-chain deposit: full lock chain plus Lock and Deposit events."""
     env = env or BridgeEnv.from_seed(derive_seed(seed, "env"))
     rng = np.random.default_rng(derive_seed(seed, "amounts"))
@@ -180,11 +182,12 @@ def gen_normal_deposit(seed: int, noise: tuple[float, int] = NOISE_OFF,
     logs = [_log(env.token, TOPIC_LOCK, 0, amount),
             _log(env.router, TOPIC_DEPOSIT, 1, amount)]
     return _finish(trace, logs, "Normal", "normal_deposit", seed,
-                   SOURCE_CHAIN_ID, noise, env)
+                   SOURCE_CHAIN_ID, noise, env, strings)
 
 
 def gen_normal_withdrawal(seed: int, noise: tuple[float, int] = NOISE_OFF,
-                          env: BridgeEnv | None = None) -> SynthTx:
+                          env: BridgeEnv | None = None,
+                          strings: dict[str, str] | None = None) -> SynthTx:
     """Target-chain withdrawal: release chain plus Unlock and Withdrawal events."""
     env = env or BridgeEnv.from_seed(derive_seed(seed, "env"))
     rng = np.random.default_rng(derive_seed(seed, "amounts"))
@@ -199,11 +202,12 @@ def gen_normal_withdrawal(seed: int, noise: tuple[float, int] = NOISE_OFF,
     logs = [_log(env.token, TOPIC_UNLOCK, 0, amount),
             _log(env.router, TOPIC_WITHDRAWAL, 1, amount)]
     return _finish(trace, logs, "Normal", "normal_withdrawal", seed,
-                   TARGET_CHAIN_ID, noise, env)
+                   TARGET_CHAIN_ID, noise, env, strings)
 
 
 def gen_attack_src(seed: int, noise: tuple[float, int] = NOISE_OFF,
-                   env: BridgeEnv | None = None) -> SynthTx:
+                   env: BridgeEnv | None = None,
+                   strings: dict[str, str] | None = None) -> SynthTx:
     """Source-chain attack: deposit event without the token-transfer subcall."""
     env = env or BridgeEnv.from_seed(derive_seed(seed, "env"))
     rng = np.random.default_rng(derive_seed(seed, "amounts"))
@@ -212,11 +216,12 @@ def gen_attack_src(seed: int, noise: tuple[float, int] = NOISE_OFF,
     trace = _node("CALL", attacker, env.router, _calldata(SEL_DEPOSIT, 1, amount))
     logs = [_log(env.router, TOPIC_DEPOSIT, 0, amount)]
     return _finish(trace, logs, "AttackSrc", "attack_src", seed,
-                   SOURCE_CHAIN_ID, noise, env)
+                   SOURCE_CHAIN_ID, noise, env, strings)
 
 
 def gen_attack_tgt(seed: int, noise: tuple[float, int] = NOISE_OFF,
-                   env: BridgeEnv | None = None) -> SynthTx:
+                   env: BridgeEnv | None = None,
+                   strings: dict[str, str] | None = None) -> SynthTx:
     """Target-chain attack: contract creation, forced mint, self-destruct."""
     env = env or BridgeEnv.from_seed(derive_seed(seed, "env"))
     rng = np.random.default_rng(derive_seed(seed, "amounts"))
@@ -231,7 +236,7 @@ def gen_attack_tgt(seed: int, noise: tuple[float, int] = NOISE_OFF,
                   [router_leg, destruct])
     logs = [_log(env.token, TOPIC_UNLOCK, 0, amount)]
     return _finish(trace, logs, "AttackTgt", "attack_tgt", seed,
-                   TARGET_CHAIN_ID, noise, env)
+                   TARGET_CHAIN_ID, noise, env, strings)
 
 
 def gen_dataset(cfg: GenConfig) -> tuple[list[SynthTx], DatasetManifest]:
@@ -244,18 +249,15 @@ def gen_dataset(cfg: GenConfig) -> tuple[list[SynthTx], DatasetManifest]:
 
     samples: list[SynthTx] = []
     strings: dict[str, str] = {}
-
-    def add(tx: SynthTx) -> None:
-        share_strings(tx.record, strings)
-        samples.append(tx)
-
     for i in range(cfg.n_normal):
         gen = gen_normal_deposit if i % 2 == 0 else gen_normal_withdrawal
-        add(gen(derive_seed(cfg.seed, "normal", i), cfg.noise, env))
+        samples.append(gen(derive_seed(cfg.seed, "normal", i), cfg.noise, env, strings))
     for i in range(n_src):
-        add(gen_attack_src(derive_seed(cfg.seed, "attack-src", i), cfg.noise, env))
+        samples.append(gen_attack_src(derive_seed(cfg.seed, "attack-src", i),
+                                      cfg.noise, env, strings))
     for i in range(n_tgt):
-        add(gen_attack_tgt(derive_seed(cfg.seed, "attack-tgt", i), cfg.noise, env))
+        samples.append(gen_attack_tgt(derive_seed(cfg.seed, "attack-tgt", i),
+                                      cfg.noise, env, strings))
 
     rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
     order = rng.permutation(len(samples))

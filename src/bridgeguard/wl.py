@@ -6,6 +6,10 @@ are invariant under address relabeling). Each iteration hashes the label
 together with the sorted in/out neighbor labels, edge kinds included.
 Merged-edge multiplicity is ignored. The multiset over iterations 0..k is
 the graph's document: exactly |V| * (k + 1) tokens.
+
+Given a string table, `strings`, each token is the first equal string in it,
+which gains the ones it lacks: `pipeline.prepare_corpus` passes one per
+corpus. Without one, nothing is shared or kept.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ class WLDocument:
         return stable_hash64("\x1e".join(self.tokens))
 
 
-def wl_document(graph: XTEG, iterations: int = 2) -> WLDocument:
+def wl_document(graph: XTEG, iterations: int = 2,
+                strings: dict[str, str] | None = None) -> WLDocument:
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     # Each vertex's neighbours as (prefix, neighbour id): a neighbourhood
@@ -49,4 +54,7 @@ def wl_document(graph: XTEG, iterations: int = 2) -> WLDocument:
                   for label, adj in zip(labels, adjacent)]
         tokens += [f"{it}:{label}" for label in labels]
 
-    return WLDocument(tokens=tuple(sorted(tokens)))
+    tokens.sort()
+    if strings is not None:
+        tokens = map(strings.setdefault, tokens, tokens)
+    return WLDocument(tokens=tuple(tokens))

@@ -4,9 +4,10 @@ from hypothesis import strategies as st
 
 from bridgeguard.classify import KNNModel, LabeledSample, knn_train
 from bridgeguard.config import RunConfig
+from bridgeguard.errors import MalformedTrace
 from bridgeguard.features import FEATURE_DIM
 from bridgeguard.graph2vec import TrainParams, train_graph2vec
-from bridgeguard.ingest import record_from_document
+from bridgeguard.ingest import flatten_frames, record_from_document
 from bridgeguard.pipeline import MODEL_FILE, DetectorBundle
 from bridgeguard.wl import WLDocument
 
@@ -17,6 +18,14 @@ JSON_JUNK = st.recursive(
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6)
+
+
+def nest(value, depth: int):
+    """`value` inside `depth` one-item lists: a value built in memory can nest
+    deeper than `repr` or a JSON decoder recurses."""
+    for _ in range(depth):
+        value = [value]
+    return value
 
 
 def json_slots(node):
@@ -69,6 +78,23 @@ def random_trace_doc(rng: np.random.Generator, max_frames: int = 200,
 
 def random_record(rng: np.random.Generator, max_frames: int = 30):
     return record_from_document(random_trace_doc(rng, max_frames=max_frames))
+
+
+def validate_record(record) -> None:
+    """Assert the structural invariants of a normalized record."""
+    if record.root_frame.depth != 0:
+        raise MalformedTrace("root frame depth must be 0")
+    if record.root_frame.caller != record.sender:
+        raise MalformedTrace("root frame caller must equal sender")
+    frames = flatten_frames(record)
+    for pos, frame in enumerate(frames):
+        if frame.order != pos:
+            raise MalformedTrace(f"frame order {frame.order} != pre-order position {pos}")
+        for child in frame.children:
+            if child.depth != frame.depth + 1:
+                raise MalformedTrace("child depth must be parent depth + 1")
+        if frame.selector is not None and len(frame.selector) != 8:
+            raise MalformedTrace("selector must be 4 bytes when present")
 
 
 def random_digraph(rng: np.random.Generator, n: int, p: float) -> np.ndarray:

@@ -29,12 +29,11 @@ from bridgeguard.ingest import (
     record_from_document,
     record_to_document,
     save_manifest,
-    validate_record,
     write_json,
 )
 from bridgeguard.rpc import RpcClient
 from bridgeguard.xteg import XTEG, build_xteg
-from conftest import JSON_JUNK, json_slots, random_trace_doc
+from conftest import JSON_JUNK, json_slots, nest, random_trace_doc, validate_record
 
 A = "0x" + "aa" * 20
 B = "0x" + "bb" * 20
@@ -214,6 +213,32 @@ def test_any_document_gives_a_graph_or_a_typed_error(seed, data):
     except BridgeGuardError:
         return
     assert isinstance(graph, XTEG)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), data=st.data())
+def test_any_document_built_in_memory_gives_a_record_or_a_typed_error(seed, data):
+    # A valid document with one value, anywhere in it or at an optional
+    # top-level key, replaced by any JSON value, which may nest 5000 deep:
+    # deeper than a file could decode, as a caller can build it in memory.
+    doc = random_trace_doc(np.random.default_rng(seed), max_frames=4)
+    slots = list(json_slots(doc)) + [(doc, key) for key in ("tx_hash", "sender",
+                                                            "block_number")]
+    container, key = data.draw(st.sampled_from(slots))
+    container[key] = data.draw(st.builds(nest, JSON_JUNK, st.sampled_from([0, 1, 5000])))
+    try:
+        record = record_from_document(doc)
+    except BridgeGuardError:
+        return
+    assert isinstance(record, TxRecord)
+
+
+@pytest.mark.parametrize("key", ["from", "value", "type"])
+def test_deep_frame_value_renders_bounded_in_the_error(key):
+    trace = {"type": "CALL", "from": A, "to": B, "input": "0x"}
+    trace[key] = nest([], 5000)
+    with pytest.raises(MalformedTrace, match=re.escape(" [[[[[[[...]]]]]]]")):
+        record_from_document(_doc(trace))
 
 
 class _FakeNode:

@@ -7,6 +7,7 @@ from bridgeguard.hashing import canonical_json
 from bridgeguard.ingest import record_from_document
 from bridgeguard import rpc
 from bridgeguard.rpc import RpcClient
+from conftest import nest
 
 A = "0x" + "aa" * 20
 B = "0x" + "bb" * 20
@@ -212,7 +213,8 @@ def test_chain_id_reads_the_reply_by_the_quantity_rule(result, chain):
     assert client.chain_id() == chain
 
 
-@pytest.mark.parametrize("result", ["zz", {"id": 1}, None, True, 1.5, " 0x1 ", "-0x5"])
+@pytest.mark.parametrize("result", ["zz", {"id": 1}, None, True, 1.5, " 0x1 ", "-0x5",
+                                    nest([], 5000)])
 def test_unparseable_chain_id_raises_rpc_unavailable(result):
     # The reply is read by the ingest quantity rule, but null is no chain id.
     client = RpcClient("http://node", session=ScriptedNode("eth_chainId", {"result": result}))

@@ -1,12 +1,15 @@
 """One string table per corpus, and none per process.
 
-`gen_dataset` and `load_corpus` pass each record through one
-`ingest.share_strings` dict, and `pipeline.prepare_corpus` rebuilds each WL
-document's tokens through one dict, so a corpus stores each repeated
+`gen_dataset` and `load_corpus` parse every record with one table, the
+`strings` parameter of `ingest.record_from_document`, and
+`pipeline.prepare_corpus` builds every WL document with one table, the
+`strings` parameter of `wl.wl_document`. So a corpus stores each repeated
 address, selector, topic and token once, and every frame stores its kind's
 object from `FRAME_KINDS`. The tables live only as long as those calls: the
 single-transaction path (`load_trace_file` + `detect`) keeps nothing per
 input, and nothing uses `sys.intern`, whose strings CPython 3.12 never frees.
+The parser's per-document address memo stays apart from the table, so a
+topic or selector in the table is never taken for a checked address.
 """
 
 import gc
@@ -19,6 +22,7 @@ import tracemalloc
 import pytest
 
 from bridgeguard.config import RunConfig
+from bridgeguard.errors import MalformedTrace
 from bridgeguard.ingest import (
     FRAME_KINDS,
     flatten_frames,
@@ -98,6 +102,37 @@ def test_loaded_records_share_their_strings(corpus):
     records, labels = load_corpus(manifest)
     assert labels == [s.label for s in samples]
     _assert_records_share(records)
+
+
+def test_addresses_spelt_in_two_cases_load_as_one_object(tmp_path):
+    address = "0x" + "ab" * 20
+    for name, spelling in [("lower.json", address), ("upper.json", "0x" + "AB" * 20)]:
+        (tmp_path / name).write_text(json.dumps({"trace": {
+            "type": "CALL", "from": spelling, "to": "0x" + "cd" * 20}}))
+    (tmp_path / "manifest.jsonl").write_text(
+        '{"source":"lower.json","label":"Normal"}\n{"source":"upper.json","label":"Normal"}\n')
+    lower, upper = load_corpus(tmp_path / "manifest.jsonl")[0]
+    assert lower.sender == address
+    assert upper.sender is lower.sender
+    assert upper.root_frame.callee is lower.root_frame.callee
+
+
+@pytest.mark.parametrize("shared, error", [
+    ("0x" + "ef" * 32, "expected 20 bytes"),  # a topic
+    ("a9059cbb", "expected 0x-prefixed hex string"),  # a selector
+], ids=["topic", "selector"])
+def test_a_shared_topic_or_selector_is_not_taken_for_an_address(shared, error):
+    """The table is not the address memo: a value it holds still passes the
+    address check before a document may use it as an address."""
+    strings: dict[str, str] = {}
+    record_from_document({
+        "trace": {"type": "CALL", "from": "0x" + "ab" * 20, "to": "0x" + "cd" * 20,
+                  "input": "0xa9059cbb"},
+        "logs": [{"address": "0x" + "cd" * 20, "topics": ["0x" + "ef" * 32]}],
+    }, strings=strings)
+    assert shared in strings
+    with pytest.raises(MalformedTrace, match=f"from: {error}"):
+        record_from_document({"trace": {"type": "CALL", "from": shared}}, strings=strings)
 
 
 def test_prepared_documents_share_their_tokens(corpus):

@@ -5,12 +5,7 @@ import pytest
 
 from bridgeguard.errors import InvalidConfig
 from bridgeguard.features import DEPOSIT, DEFAULT_SIGNATURES
-from bridgeguard.ingest import (
-    load_manifest,
-    load_trace_file,
-    record_from_document,
-    validate_record,
-)
+from bridgeguard.ingest import load_manifest, load_trace_file, record_from_document
 from bridgeguard.motifs import local_feature
 from bridgeguard.synthgen import (
     GenConfig,
@@ -24,6 +19,7 @@ from bridgeguard.synthgen import (
 )
 from bridgeguard.wl import wl_document
 from bridgeguard.xteg import build_xteg
+from conftest import validate_record
 
 
 def test_deposit_template_structure_and_determinism():
