@@ -14,7 +14,11 @@ outputs:
 
 Together these guarantee that identical documents hold identical vectors at
 every step, which also licenses training each distinct content once (a job)
-and weighting its token gradient by multiplicity.
+and weighting its token gradient by multiplicity. Job j is the j-th distinct
+content hash of the corpus; tokens are numbered as the jobs' documents,
+read once in job order, first name them. A duplicate never comes before
+its first occurrence, so that is the corpus-order numbering, and the token
+counts are each job's counts times its multiplicity.
 
 An epoch is a handful of array passes over all jobs, and gives bit for bit
 the vectors of the plain per-job loop (the tests keep that loop as their
@@ -339,58 +343,44 @@ def train_graph2vec(corpus: list[WLDocument], dim: int = EMBED_DIM,
         raise EmptyCorpus("training corpus is empty")
     params = params or TrainParams()
 
+    # Jobs and tokens are numbered by first occurrence (module docstring).
+    doc_hashes = [doc.content_hash for doc in corpus]
+    job_of: dict[str, int] = {}
+    corpus_jobs = np.array([job_of.setdefault(h, len(job_of)) for h in doc_hashes])
+    hashes = list(job_of)
+    docs = [corpus[i] for i in np.unique(corpus_jobs, return_index=True)[1]]
+    mult = np.bincount(corpus_jobs)
+    n_pos = np.array([len(doc) for doc in docs], dtype=np.int64)
     vocab: dict[str, int] = {}
-    for doc in corpus:
-        for token in doc.tokens:
-            if token not in vocab:
-                vocab[token] = len(vocab)
+    ids = np.array([vocab.setdefault(t, len(vocab)) for doc in docs for t in doc.tokens],
+                   dtype=np.intp)
     if not vocab:
         raise EmptyCorpus("corpus documents contain no tokens")
-
     token_counts = np.zeros(len(vocab), dtype=np.int64)
-    for doc in corpus:
-        for token in doc.tokens:
-            token_counts[vocab[token]] += 1
+    np.add.at(token_counts, ids, np.repeat(mult, n_pos))
     noise = _NoiseSampler(token_counts)
 
     token_vectors = np.random.default_rng(seed).uniform(
         -0.5 / dim, 0.5 / dim, (len(vocab), dim))
-
-    # One training job per distinct content; duplicates share the trajectory.
-    job_of: dict[str, int] = {}
-    docs: list[WLDocument] = []
-    mult: list[int] = []
-    doc_hashes, corpus_jobs = [], []
-    for doc in corpus:
-        h = doc.content_hash
-        j = job_of.setdefault(h, len(docs))
-        if j == len(docs):
-            docs.append(doc)
-            mult.append(0)
-        mult[j] += 1
-        doc_hashes.append(h)
-        corpus_jobs.append(j)
-    hashes = list(job_of)
     streams = _Streams()
     doc_vectors = np.empty((len(docs), dim))
     for j, state in enumerate(_pcg64_states([derive_seed(seed, "doc", h) for h in hashes])):
         doc_vectors[j] = _init_vector(streams.at(state), dim)
 
     # Job j owns rows[offsets[j]:offsets[j + 1]]: its tokens, then its
-    # negatives, which each epoch redraws in place.
-    n_pos = np.array([len(doc) for doc in docs], dtype=np.int64)
+    # negatives, which each epoch redraws in place. Its uniforms start at
+    # `neg_offsets[j]` of an epoch's, and uniform i lands in row
+    # `i + shift[j]`. Earlier jobs put `neg_offsets[j]` negative rows before
+    # its tokens, so entry i of `ids` is row `i + neg_offsets[j]`.
     sizes = n_pos * (1 + params.negative)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    rows = np.empty(offsets[-1], dtype=np.int32)
-    for doc, start, p in zip(docs, offsets.tolist(), n_pos.tolist()):
-        rows[start:start + p] = [vocab[t] for t in doc.tokens]
-    # An epoch's uniforms, job after job, are cut into blocks of at most
-    # `_DRAW_BLOCK` (or one larger job), each filled and drawn in reused
-    # buffers. Job j's uniforms start at `neg_offsets[j]`; uniform i of the
-    # epoch lands in row `i + shift[j]`.
     neg_counts = n_pos * params.negative
     neg_offsets = np.concatenate([[0], np.cumsum(neg_counts)])
     shift = offsets[:-1] + n_pos - neg_offsets[:-1]
+    rows = np.empty(offsets[-1], dtype=np.int32)
+    rows[np.arange(ids.size) + np.repeat(neg_offsets[:-1], n_pos)] = ids
+    # An epoch's uniforms, job after job, are cut into blocks of at most
+    # `_DRAW_BLOCK` (or one larger job), each filled and drawn in reused buffers.
     blocks = [(a, b, first, last, (neg_offsets[a:b + 1] - first).tolist())
               for a, b, first, last in _spans(neg_offsets, _DRAW_BLOCK)]
     draw_size = max(_DRAW_BLOCK, int(neg_counts.max()))
@@ -400,7 +390,6 @@ def train_graph2vec(corpus: list[WLDocument], dim: int = EMBED_DIM,
     grads = np.zeros_like(doc_vectors)  # an empty document's stays zero
     stacks = _stacks(n_pos, params.negative)
     spans = _spans(offsets)
-    mult = np.array(mult, dtype=np.float64)
     # Chunk-sized buffers for the gathered token rows and the token
     # gradient, reused: a fresh array of this size costs its page faults.
     most = max(_CHUNK_ROWS, int(sizes.max()))

@@ -128,11 +128,14 @@ def canonical_json(payload: object) -> str:
     final newline, from the C encoder. Content hashes are taken of this
     text, so equal payloads hash equally wherever they are written. The
     encoder recurses once per nesting level: a payload nesting deeper than
-    that allows raises MalformedTrace."""
+    that allows raises MalformedTrace, and so does one that JSON cannot hold
+    (a cycle, a set, an int past int()'s digit limit)."""
     try:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
     except RecursionError as exc:
         raise MalformedTrace(f"document nests too deep to write as JSON ({exc})") from exc
+    except (ValueError, TypeError) as exc:
+        raise MalformedTrace(f"document cannot be written as JSON ({exc})") from exc
 
 
 def json_hash64(payload: object) -> str:

@@ -20,8 +20,8 @@ each address, selector and topic it makes through a string table, the
 `strings` dict of `record_from_document` and `load_trace_file`. A corpus
 (`load_corpus`, `synthgen.gen_dataset`) is parsed through one table per
 call, so its records hold each repeated value once. A call given no table
-gets a fresh one; nothing is cached per process. Error messages render
-foreign values with `bounded_repr`, which any nesting survives.
+shares and keeps nothing; nothing is cached per process. Error messages
+render foreign values with `bounded_repr`, which any nesting survives.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ _FRAME_KIND = {kind: kind for kind in FRAME_KINDS}
 LABELS = ("Normal", "AttackSrc", "AttackTgt")  # fixed class order
 
 ZERO_ADDRESS = "0x" + "00" * 20
+# The string table of a parse given none: read through `.get`, so it stays empty.
+_NO_STRINGS: dict[str, str] = {}
 
 
 @dataclass(slots=True)
@@ -99,7 +101,16 @@ class DatasetManifest:
 # `repr` for error messages, but six levels deep at most (containers are cut at
 # reprlib's default widths): a list nested 5000 deep is "[[[[[[[...]]]]]]]",
 # where `repr` raises RecursionError (3.10-3.12) or renders every level (3.13).
-_BOUNDED_REPR = reprlib.Repr()
+# An int past int()'s digit limit, which `repr` refuses, renders as its bit length.
+class _BoundedRepr(reprlib.Repr):
+    def repr_int(self, x: int, level: int) -> str:
+        try:
+            return repr(x)
+        except ValueError:
+            return f"<int of {x.bit_length()} bits>"
+
+
+_BOUNDED_REPR = _BoundedRepr()
 _BOUNDED_REPR.maxstring = _BOUNDED_REPR.maxlong = _BOUNDED_REPR.maxother = sys.maxsize
 bounded_repr = _BOUNDED_REPR.repr
 
@@ -246,15 +257,15 @@ def record_from_document(doc: object, chain_id: int | None = None,
     """Parse one trace document (the file/RPC wire shape) into a TxRecord.
     A frame deeper than MAX_CALL_DEPTH raises MalformedTrace, and so does a
     document without `tx_hash` whose derived hash's canonical JSON nests
-    deeper than the encoder recurses. Its addresses, selectors and topics
-    are the first equal strings in the table `strings` (None: a fresh one),
-    which gains the ones it lacks."""
+    deeper than the encoder recurses, or that JSON cannot hold. Its
+    addresses, selectors and topics are the first equal strings in the table
+    `strings`, which gains the ones it lacks; with None, nothing is shared."""
     if not isinstance(doc, dict):
         raise MalformedTrace("document is not a JSON object")
     trace = doc.get("trace")
     if trace is None or trace == {}:
         raise EmptyTrace("document has no root frame")
-    share = ({} if strings is None else strings).setdefault
+    share = _NO_STRINGS.get if strings is None else strings.setdefault
     addresses: dict[str, str] = {}
     root = _parse_calls(trace, addresses, share)
 
@@ -265,7 +276,7 @@ def record_from_document(doc: object, chain_id: int | None = None,
     seen = set()
     for log in logs:
         if log.log_index in seen:
-            raise MalformedTrace(f"duplicate logIndex {log.log_index}")
+            raise MalformedTrace(f"duplicate logIndex {bounded_repr(log.log_index)}")
         seen.add(log.log_index)
     logs.sort(key=lambda log: log.log_index)
 

@@ -16,6 +16,7 @@ from .ingest import (
     _norm_hex,
     _norm_quantity,
     bounded_repr,
+    decode_json,
     read_json,
     record_from_document,
     write_json,
@@ -55,14 +56,8 @@ class RpcClient:
         status = getattr(response, "status_code", 200)
         if status >= 400:
             raise RpcUnavailable(f"{self.endpoint}: {method}: HTTP {status}")
-        try:
-            body = response.json()
-        except ValueError as exc:  # json's and requests' decode errors alike
-            raise RpcUnavailable(f"{self.endpoint}: {method}: HTTP {status}, "
-                                 "body is not JSON") from exc
-        except RecursionError as exc:
-            raise RpcUnavailable(f"{self.endpoint}: {method}: HTTP {status}, "
-                                 "body nests too deep to decode") from exc
+        body = decode_json(response.content, RpcUnavailable,
+                           f"{self.endpoint}: {method}: HTTP {status}")
         if not isinstance(body, dict):
             raise RpcUnavailable(f"{self.endpoint}: {method}: HTTP {status}, "
                                  "body is not a JSON-RPC object")

@@ -414,7 +414,17 @@ def _plain_train(corpus, dim, params, seed, on_epoch=None):
         if on_epoch is not None:
             on_epoch(token_vectors, [vec for _, _, vec in jobs.values()])
     graph_vectors = np.stack([jobs[doc.content_hash][2] for doc in corpus])
-    return token_vectors, graph_vectors
+    return vocab, counts, token_vectors, graph_vectors
+
+
+def _assert_trains_as_the_plain_algorithm(model, corpus, dim, params, seed):
+    vocab, counts, token_vectors, graph_vectors = _plain_train(corpus, dim, params, seed)
+    assert list(model.vocab.items()) == list(vocab.items())  # the numbering, in order
+    assert model.token_counts.dtype == counts.dtype
+    assert np.array_equal(model.token_counts, counts)
+    assert np.array_equal(model.token_vectors, token_vectors)
+    assert np.array_equal(model.graph_vectors, graph_vectors)
+    assert model.doc_hashes == [doc.content_hash for doc in corpus]
 
 
 def _plain_infer(model, doc):
@@ -445,9 +455,7 @@ def test_training_and_inference_match_the_plain_algorithm(rng, with_empty):
         corpus.append(WLDocument(tokens=()))
     params = TrainParams(epochs=12, negative=3)
     model = train_graph2vec(corpus, dim=8, params=params, seed=11)
-    token_vectors, graph_vectors = _plain_train(corpus, 8, params, 11)
-    assert np.array_equal(model.token_vectors, token_vectors)
-    assert np.array_equal(model.graph_vectors, graph_vectors)
+    _assert_trains_as_the_plain_algorithm(model, corpus, 8, params, 11)
 
     probes = [
         corpus[0],  # a trained-vector hit
@@ -561,9 +569,7 @@ def test_batched_epochs_match_the_plain_algorithm(rng, name, negative, dim, chun
     params = TrainParams(epochs=6, negative=negative)
     with _small_chunks(chunk):
         model = train_graph2vec(corpus, dim=dim, params=params, seed=17)
-    token_vectors, graph_vectors = _plain_train(corpus, dim, params, 17)
-    assert np.array_equal(model.token_vectors, token_vectors)
-    assert np.array_equal(model.graph_vectors, graph_vectors)
+    _assert_trains_as_the_plain_algorithm(model, corpus, dim, params, 17)
 
 
 @settings(max_examples=60, deadline=None)
@@ -583,9 +589,7 @@ def test_batched_epochs_match_the_plain_algorithm_on_random_corpora(
     params = TrainParams(epochs=epochs, negative=negative)
     with _small_chunks(chunk):
         model = train_graph2vec(corpus, dim=dim, params=params, seed=seed)
-    token_vectors, graph_vectors = _plain_train(corpus, dim, params, seed)
-    assert np.array_equal(model.token_vectors, token_vectors)
-    assert np.array_equal(model.graph_vectors, graph_vectors)
+    _assert_trains_as_the_plain_algorithm(model, corpus, dim, params, seed)
 
 
 @pytest.mark.parametrize("chunk", [1, 4, 10, 1000])

@@ -241,9 +241,31 @@ def test_deep_frame_value_renders_bounded_in_the_error(key):
         record_from_document(_doc(trace))
 
 
+# Documents a file cannot hold but a caller can build in memory: ints past
+# int()'s 4300-digit limit, a cycle, and a value JSON has no form for.
+_IN_MEMORY_DOCUMENTS = {
+    "huge-from": lambda trace, logs: trace.update({"from": 10 ** 5000}),
+    "huge-value": lambda trace, logs: trace.update({"value": 10 ** 5000}),
+    "huge-logIndex": lambda trace, logs: logs[0].update({"logIndex": 10 ** 5000}),
+    "huge-duplicate-logIndex": lambda trace, logs: logs.extend(
+        [dict(logs[0], logIndex=10 ** 5000), dict(logs[0], logIndex=10 ** 5000)]),
+    "cycle": lambda trace, logs: trace.update({"x": trace}),
+    "set": lambda trace, logs: trace.update({"x": {1, 2}}),
+}
+
+
+@pytest.mark.parametrize("name", list(_IN_MEMORY_DOCUMENTS))
+def test_huge_int_cycle_or_set_built_in_memory_gives_malformed_trace(name):
+    trace = {"type": "CALL", "from": A, "to": B, "input": "0x"}
+    logs = [{"address": B, "topics": [], "data": "0x", "logIndex": 0}]
+    _IN_MEMORY_DOCUMENTS[name](trace, logs)
+    with pytest.raises(MalformedTrace):
+        record_from_document(_doc(trace, logs))
+
+
 class _FakeNode:
     """A requests-compatible session answering each JSON-RPC method with the
-    body stored for it."""
+    body stored for it, sent as JSON bytes."""
 
     def __init__(self, bodies):
         self.bodies = bodies
@@ -253,9 +275,7 @@ class _FakeNode:
 
         class Reply:
             status_code = 200
-
-            def json(self):
-                return body
+            content = canonical_json(body).encode()
 
         return Reply()
 

@@ -22,12 +22,11 @@ RECEIPT = {
 
 
 class FakeResponse:
-    def __init__(self, body, status_code=200):
-        self._body = body
-        self.status_code = status_code
+    """A reply whose body is `body` as JSON bytes."""
 
-    def json(self):
-        return self._body
+    def __init__(self, body, status_code=200):
+        self.content = canonical_json(body).encode()
+        self.status_code = status_code
 
 
 class FakeNode:
@@ -135,9 +134,12 @@ def test_rpc_and_file_ingestion_agree(tmp_path):
     assert record_rpc == record_file
 
 
-class NonJsonResponse(FakeResponse):
-    def json(self):
-        return json.loads(self._body)
+class NonJsonResponse:
+    """A reply whose body is the UTF-8 bytes of `text`, JSON or not."""
+
+    def __init__(self, text, status_code=200):
+        self.content = text.encode()
+        self.status_code = status_code
 
 
 @pytest.mark.parametrize("body", ["<html><body>Please sign in</body></html>",
@@ -162,7 +164,8 @@ def test_reply_too_deep_to_decode_raises_rpc_unavailable_naming_the_method():
             return super().post(url, json=json, timeout=timeout)
 
     client = RpcClient("http://node", session=DeepNode())
-    with pytest.raises(RpcUnavailable, match="debug_traceTransaction: HTTP 200, body nests"):
+    with pytest.raises(RpcUnavailable, match=r"debug_traceTransaction: HTTP 200: invalid JSON "
+                                             r"\(maximum recursion depth exceeded"):
         client.fetch_tx_record(TX)
 
 
@@ -213,13 +216,22 @@ def test_chain_id_reads_the_reply_by_the_quantity_rule(result, chain):
     assert client.chain_id() == chain
 
 
+_TOO_DEEP = nest([], 5000)  # deeper than a reply decodes
+
+
 @pytest.mark.parametrize("result", ["zz", {"id": 1}, None, True, 1.5, " 0x1 ", "-0x5",
-                                    nest([], 5000)])
+                                    _TOO_DEEP])
 def test_unparseable_chain_id_raises_rpc_unavailable(result):
     # The reply is read by the ingest quantity rule, but null is no chain id.
-    client = RpcClient("http://node", session=ScriptedNode("eth_chainId", {"result": result}))
-    with pytest.raises(RpcUnavailable, match="eth_chainId: result"):
-        client.chain_id()
+    session, why = ScriptedNode("eth_chainId", {"result": result}), "result"
+    if result is _TOO_DEEP:  # refused by the decode; sent as text, too deep to encode
+        class DeepNode:
+            def post(self, *args, **kwargs):
+                return NonJsonResponse('{"result":' + "[" * 5000 + "]" * 5000 + "}")
+
+        session, why = DeepNode(), r"HTTP 200: invalid JSON \(maximum recursion depth exceeded"
+    with pytest.raises(RpcUnavailable, match=f"eth_chainId: {why}"):
+        RpcClient("http://node", session=session).chain_id()
 
 
 def test_interrupted_cache_write_leaves_no_entry(tmp_path, monkeypatch):
