@@ -5,7 +5,13 @@ import pytest
 
 from bridgeguard.errors import InvalidConfig
 from bridgeguard.features import DEPOSIT, DEFAULT_SIGNATURES
-from bridgeguard.ingest import load_manifest, load_trace_file, record_from_document
+from bridgeguard.hashing import canonical_json
+from bridgeguard.ingest import (
+    load_manifest,
+    load_trace_file,
+    record_from_document,
+    record_to_document,
+)
 from bridgeguard.motifs import local_feature
 from bridgeguard.synthgen import (
     GenConfig,
@@ -176,6 +182,28 @@ def test_written_bytes_are_pinned(tmp_path):
                      "input": "0x", "value": "0x0"}, "logs": []}
     assert record_from_document(doc).tx_hash == (
         "0x8c65e7fd8876ac1e377c32012a3808cce3ba7284204e001596064be47067b3e9")
+
+
+@pytest.mark.parametrize("gen, label, template_id, digest", [
+    (gen_normal_deposit, "Normal", "normal_deposit",
+     "d8eba765f94e11a3f332716aab10b45fab2726093ba1d6a053f13a307118719a"),
+    (gen_normal_withdrawal, "Normal", "normal_withdrawal",
+     "9b422d0f9fd3742edd489941976333c599062c1d2b200cfed0de10b130e9051e"),
+    (gen_attack_src, "AttackSrc", "attack_src",
+     "885a5a73dc55cdcb61c4cd5b80b7b2e09320a73c479c109d2512172cfd530874"),
+    (gen_attack_tgt, "AttackTgt", "attack_tgt",
+     "ad51ccae441defbd62b0a4eafa835937ef25a8d5a17c24934a5088c59224725a"),
+])
+def test_template_bytes_are_pinned(gen, label, template_id, digest):
+    # Each template called on its own: the env built from its own seed, with
+    # and without noise. `gen_dataset` reaches the templates only through one
+    # shared env, so `test_written_bytes_are_pinned` does not cover this path.
+    h = hashlib.sha256()
+    for seed in (0, 7, 123, 2024):
+        for tx in (gen(seed), gen(seed, noise=(0.5, 3))):
+            assert (tx.label, tx.template_id) == (label, template_id)
+            h.update(canonical_json(record_to_document(tx.record)).encode() + b"\n")
+    assert h.hexdigest() == digest
 
 
 def test_invalid_configs_rejected():
