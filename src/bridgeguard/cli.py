@@ -20,6 +20,7 @@ from .config import RunConfig, resolve_config
 from .errors import BridgeGuardError
 from .hashing import canonical_json
 from .ingest import (
+    _HEX_VALUE,
     TxRecord,
     flatten_frames,
     load_corpus,
@@ -57,13 +58,15 @@ def _emit(payload: dict, fmt: str, table: str) -> None:
 
 
 def _each_input(inputs, cfg: RunConfig, work) -> list[tuple[str, str]]:
-    """Load each input (a file path, or a 0x hash over RPC) and pass its record
-    to `work`; a failure in either ends only that input and is returned."""
+    """Load each input and pass its record to `work`; a failure in either ends
+    only that input and is returned. An input is a tx hash, fetched over RPC,
+    when it is 0x and 64 hex digits and no such path exists; any other input
+    is a file path."""
     failures: list[tuple[str, str]] = []
     client = None
     for item in inputs:
         try:
-            if item.startswith("0x") and not Path(item).exists():
+            if _HEX_VALUE[32](item) and not Path(item).exists():
                 if not cfg.rpc_url:
                     raise BridgeGuardError("tx-hash input requires --rpc-url "
                                            "or BRIDGEGUARD_RPC_URL")
@@ -137,12 +140,13 @@ def ingest(inputs, config_file, rpc_url, cache_dir, out_dir, dump_graph, fmt):
 
 @main.command()
 @click.option("--out", "out_dir", type=click.Path(), required=True)
-@click.option("--n-normal", type=int, default=4000, show_default=True)
-@click.option("--attack-rate", type=float, default=0.005, show_default=True)
-@click.option("--src-tgt-ratio", type=float, default=0.5, show_default=True)
-@click.option("--noise-prob", type=float, default=0.5, show_default=True)
-@click.option("--depth-jitter", type=int, default=3, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--n-normal", type=int, default=GenConfig.n_normal, show_default=True)
+@click.option("--attack-rate", type=float, default=GenConfig.attack_rate, show_default=True)
+@click.option("--src-tgt-ratio", type=float, default=GenConfig.src_tgt_ratio,
+              show_default=True)
+@click.option("--noise-prob", type=float, default=GenConfig.noise[0], show_default=True)
+@click.option("--depth-jitter", type=int, default=GenConfig.noise[1], show_default=True)
+@click.option("--seed", type=int, default=GenConfig.seed, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
 @_guarded
 def synth(out_dir, n_normal, attack_rate, src_tgt_ratio, noise_prob,

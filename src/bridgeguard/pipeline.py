@@ -33,10 +33,16 @@ from .classify import (
     split_indices,
 )
 from .config import RunConfig, config_from_dict
-from .errors import BridgeGuardError, InvalidConfig, ModelMissing, ModelVersionMismatch
+from .errors import (
+    BridgeGuardError,
+    InvalidConfig,
+    LengthMismatch,
+    ModelMissing,
+    ModelVersionMismatch,
+)
 from .features import FEATURE_DIM, assemble_global, direction_flag, graph_stats
 from .graph2vec import EmbeddingModel, TrainParams, infer_embedding, train_graph2vec
-from .ingest import LABELS, TxRecord, read_json, write_json
+from .ingest import LABELS, TxRecord, bounded_repr, read_json, write_json
 from .motifs import LocalFeature, local_feature
 from .wl import WLDocument, wl_document
 from .xteg import build_xteg
@@ -151,10 +157,21 @@ def _protocol_run(preps: list[PreparedTx], labels: list[str], cfg: RunConfig,
     return model, fitted
 
 
+def _check_labels(records: list[TxRecord], labels: list[str]) -> None:
+    """One label of LABELS per record: LengthMismatch or InvalidConfig otherwise."""
+    if len(labels) != len(records):
+        raise LengthMismatch(f"{len(records)} records but {len(labels)} labels")
+    for i, label in enumerate(labels):
+        if label not in LABELS:
+            raise InvalidConfig(f"labels[{i}]: {bounded_repr(label)} is not one of "
+                                f"{', '.join(LABELS)}")
+
+
 def train_detector(records: list[TxRecord], labels: list[str],
                    cfg: RunConfig) -> tuple[DetectorBundle, dict]:
     """One protocol run seeded `cfg.seed` with the configured classifier:
     the detector bundle and its test report."""
+    _check_labels(records, labels)
     preps = prepare_corpus(records, cfg)
     model, fitted = _protocol_run(preps, labels, cfg, cfg.seed, (cfg.classifier,))
     classifier, report = fitted[cfg.classifier]
@@ -168,6 +185,7 @@ def repeated_pipeline_eval(records: list[TxRecord], labels: list[str],
     each classifier kind's reports."""
     if cfg.runs < 1:
         raise InvalidConfig("runs must be >= 1")
+    _check_labels(records, labels)
     classifiers = tuple(dict.fromkeys(classifiers))  # each kind is fitted once
     preps = prepare_corpus(records, cfg)
     reports: dict[str, list[dict]] = {kind: [] for kind in classifiers}

@@ -11,7 +11,8 @@ attached so classes are not separable by vertex count alone.
 Everything is a pure function of (config, seed): addresses, amounts, noise
 placement, and the final corpus order all derive from the seed. Bridge
 contract addresses stay fixed per corpus, mirroring real deployments.
-`gen_dataset` parses every record through one string table (the `strings`
+The four templates share one seeded frame (`_generate`); each builds only
+its own calls and logs. `gen_dataset` parses every record through one string table (the `strings`
 parameter of the `gen_*` functions, passed on to
 `ingest.record_from_document`), so a corpus stores each repeated address,
 selector and topic once; the table is dropped when the call returns.
@@ -20,7 +21,7 @@ selector and topic once; the table is dropped when the call returns.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,8 @@ SEL_WITHDRAW = selector("withdraw(address,uint256)")
 SEL_TRANSFER_FROM = selector("transferFrom(address,address,uint256)")
 SEL_TRANSFER = selector("transfer(address,uint256)")
 SEL_MINT = selector("mint(address,uint256)")
+SEL_LATEST_ANSWER = selector("latestAnswer()")
+SEL_COLLECT_FEE = selector("collectFee(address)")
 
 TOPIC_LOCK = event_topic(LOCK_EVENT)
 TOPIC_DEPOSIT = event_topic(DEPOSIT_EVENT)
@@ -100,9 +103,9 @@ class BridgeEnv:
     @classmethod
     def from_seed(cls, seed: int) -> "BridgeEnv":
         oracles = [("STATICCALL", _hex_id(20, seed, "oracle", i),
-                    "0x" + selector("latestAnswer()")) for i in range(3)]
+                    "0x" + SEL_LATEST_ANSWER) for i in range(3)]
         collectors = [("CALL", _hex_id(20, seed, "collector", i),
-                       "0x" + selector("collectFee(address)")) for i in range(2)]
+                       "0x" + SEL_COLLECT_FEE) for i in range(2)]
         registry = [("STATICCALL", _hex_id(20, seed, "registry"), "0x")]
         return cls(
             router=_hex_id(20, seed, "router"),
@@ -149,31 +152,26 @@ def _apply_noise(trace: dict, rng: np.random.Generator,
         host["calls"].insert(int(rng.integers(len(host["calls"]) + 1)), child)
 
 
-def _finish(trace: dict, logs: list[dict], label: str, template_id: str,
-            seed: int, chain_id: int, noise: tuple[float, int],
-            env: BridgeEnv, strings: dict[str, str] | None = None) -> SynthTx:
+def _generate(build, template_id: str, seed: int, noise: tuple[float, int],
+              env: BridgeEnv | None, strings: dict[str, str] | None) -> SynthTx:
+    """The seeded frame every template shares: the env (built from `seed`
+    unless given), the amount, the sender, noise, tx hash and block number
+    all derive from `seed`; `build(env, seed, sender, amount)` returns the
+    template's own (trace, logs, label, chain id)."""
+    env = env or BridgeEnv.from_seed(derive_seed(seed, "env"))
+    rng = np.random.default_rng(derive_seed(seed, "amounts"))
+    amount = int(rng.integers(1, 10**9)) * 10**9
+    trace, logs, label, chain_id = build(env, seed, _hex_id(20, seed, "eoa"), amount)
     rng = np.random.default_rng(derive_seed(seed, "noise"))
     _apply_noise(trace, rng, noise, env)
-    doc = {
-        "tx_hash": _hex_id(32, seed, "tx"),
-        "chain_id": chain_id,
-        "block_number": int(rng.integers(15_000_000, 20_000_000)),
-        "sender": trace["from"],
-        "trace": trace,
-        "logs": logs,
-    }
+    doc = {"tx_hash": _hex_id(32, seed, "tx"), "chain_id": chain_id,
+           "block_number": int(rng.integers(15_000_000, 20_000_000)),
+           "sender": trace["from"], "trace": trace, "logs": logs}
     return SynthTx(record=record_from_document(doc, strings=strings), label=label,
                    template_id=template_id)
 
 
-def gen_normal_deposit(seed: int, noise: tuple[float, int] = NOISE_OFF,
-                       env: BridgeEnv | None = None,
-                       strings: dict[str, str] | None = None) -> SynthTx:
-    """Source-chain deposit: full lock chain plus Lock and Deposit events."""
-    env = env or BridgeEnv.from_seed(derive_seed(seed, "env"))
-    rng = np.random.default_rng(derive_seed(seed, "amounts"))
-    user = _hex_id(20, seed, "eoa")
-    amount = int(rng.integers(1, 10**9)) * 10**9
+def _deposit(env: BridgeEnv, seed: int, user: str, amount: int):
     vault_leg = _node("CALL", env.token, env.vault, "0x", amount)
     token_leg = _node("CALL", env.router, env.token,
                       _calldata(SEL_TRANSFER_FROM, 1, 2, amount), 0, [vault_leg])
@@ -181,62 +179,61 @@ def gen_normal_deposit(seed: int, noise: tuple[float, int] = NOISE_OFF,
                   0, [token_leg])
     logs = [_log(env.token, TOPIC_LOCK, 0, amount),
             _log(env.router, TOPIC_DEPOSIT, 1, amount)]
-    return _finish(trace, logs, "Normal", "normal_deposit", seed,
-                   SOURCE_CHAIN_ID, noise, env, strings)
+    return trace, logs, "Normal", SOURCE_CHAIN_ID
 
 
-def gen_normal_withdrawal(seed: int, noise: tuple[float, int] = NOISE_OFF,
-                          env: BridgeEnv | None = None,
-                          strings: dict[str, str] | None = None) -> SynthTx:
-    """Target-chain withdrawal: release chain plus Unlock and Withdrawal events."""
-    env = env or BridgeEnv.from_seed(derive_seed(seed, "env"))
-    rng = np.random.default_rng(derive_seed(seed, "amounts"))
-    relayer = _hex_id(20, seed, "eoa")
-    recipient = _hex_id(20, seed, "recipient")
-    amount = int(rng.integers(1, 10**9)) * 10**9
-    payout = _node("CALL", env.token, recipient, "0x", amount)
+def _withdrawal(env: BridgeEnv, seed: int, relayer: str, amount: int):
+    payout = _node("CALL", env.token, _hex_id(20, seed, "recipient"), "0x", amount)
     token_leg = _node("CALL", env.router, env.token,
                       _calldata(SEL_TRANSFER, 1, amount), 0, [payout])
     trace = _node("CALL", relayer, env.router, _calldata(SEL_WITHDRAW, 1, amount),
                   0, [token_leg])
     logs = [_log(env.token, TOPIC_UNLOCK, 0, amount),
             _log(env.router, TOPIC_WITHDRAWAL, 1, amount)]
-    return _finish(trace, logs, "Normal", "normal_withdrawal", seed,
-                   TARGET_CHAIN_ID, noise, env, strings)
+    return trace, logs, "Normal", TARGET_CHAIN_ID
+
+
+def _attack_src(env: BridgeEnv, seed: int, attacker: str, amount: int):
+    trace = _node("CALL", attacker, env.router, _calldata(SEL_DEPOSIT, 1, amount))
+    return trace, [_log(env.router, TOPIC_DEPOSIT, 0, amount)], "AttackSrc", SOURCE_CHAIN_ID
+
+
+def _attack_tgt(env: BridgeEnv, seed: int, attacker: str, amount: int):
+    attack_contract = _hex_id(20, seed, "attack-contract")
+    mint_leg = _node("CALL", env.router, env.token, _calldata(SEL_MINT, 1, amount))
+    router_leg = _node("CALL", attack_contract, env.router,
+                       _calldata(SEL_WITHDRAW, 1, amount), 0, [mint_leg])
+    destruct = _node("SELFDESTRUCT", attack_contract, attacker)
+    trace = _node("CREATE", attacker, attack_contract, "0x", 0, [router_leg, destruct])
+    return trace, [_log(env.token, TOPIC_UNLOCK, 0, amount)], "AttackTgt", TARGET_CHAIN_ID
+
+
+def gen_normal_deposit(seed: int, noise: tuple[float, int] = NOISE_OFF,
+                       env: BridgeEnv | None = None,
+                       strings: dict[str, str] | None = None) -> SynthTx:
+    """Source-chain deposit: full lock chain plus Lock and Deposit events."""
+    return _generate(_deposit, "normal_deposit", seed, noise, env, strings)
+
+
+def gen_normal_withdrawal(seed: int, noise: tuple[float, int] = NOISE_OFF,
+                          env: BridgeEnv | None = None,
+                          strings: dict[str, str] | None = None) -> SynthTx:
+    """Target-chain withdrawal: release chain plus Unlock and Withdrawal events."""
+    return _generate(_withdrawal, "normal_withdrawal", seed, noise, env, strings)
 
 
 def gen_attack_src(seed: int, noise: tuple[float, int] = NOISE_OFF,
                    env: BridgeEnv | None = None,
                    strings: dict[str, str] | None = None) -> SynthTx:
     """Source-chain attack: deposit event without the token-transfer subcall."""
-    env = env or BridgeEnv.from_seed(derive_seed(seed, "env"))
-    rng = np.random.default_rng(derive_seed(seed, "amounts"))
-    attacker = _hex_id(20, seed, "eoa")
-    amount = int(rng.integers(1, 10**9)) * 10**9
-    trace = _node("CALL", attacker, env.router, _calldata(SEL_DEPOSIT, 1, amount))
-    logs = [_log(env.router, TOPIC_DEPOSIT, 0, amount)]
-    return _finish(trace, logs, "AttackSrc", "attack_src", seed,
-                   SOURCE_CHAIN_ID, noise, env, strings)
+    return _generate(_attack_src, "attack_src", seed, noise, env, strings)
 
 
 def gen_attack_tgt(seed: int, noise: tuple[float, int] = NOISE_OFF,
                    env: BridgeEnv | None = None,
                    strings: dict[str, str] | None = None) -> SynthTx:
     """Target-chain attack: contract creation, forced mint, self-destruct."""
-    env = env or BridgeEnv.from_seed(derive_seed(seed, "env"))
-    rng = np.random.default_rng(derive_seed(seed, "amounts"))
-    attacker = _hex_id(20, seed, "eoa")
-    attack_contract = _hex_id(20, seed, "attack-contract")
-    amount = int(rng.integers(1, 10**9)) * 10**9
-    mint_leg = _node("CALL", env.router, env.token, _calldata(SEL_MINT, 1, amount))
-    router_leg = _node("CALL", attack_contract, env.router,
-                       _calldata(SEL_WITHDRAW, 1, amount), 0, [mint_leg])
-    destruct = _node("SELFDESTRUCT", attack_contract, attacker)
-    trace = _node("CREATE", attacker, attack_contract, "0x", 0,
-                  [router_leg, destruct])
-    logs = [_log(env.token, TOPIC_UNLOCK, 0, amount)]
-    return _finish(trace, logs, "AttackTgt", "attack_tgt", seed,
-                   TARGET_CHAIN_ID, noise, env, strings)
+    return _generate(_attack_tgt, "attack_tgt", seed, noise, env, strings)
 
 
 def gen_dataset(cfg: GenConfig) -> tuple[list[SynthTx], DatasetManifest]:
@@ -247,43 +244,25 @@ def gen_dataset(cfg: GenConfig) -> tuple[list[SynthTx], DatasetManifest]:
     n_src = round(n_attack * cfg.src_tgt_ratio)
     n_tgt = n_attack - n_src
 
-    samples: list[SynthTx] = []
+    plan = ([((gen_normal_deposit, gen_normal_withdrawal)[i % 2], "normal", i)
+             for i in range(cfg.n_normal)]
+            + [(gen_attack_src, "attack-src", i) for i in range(n_src)]
+            + [(gen_attack_tgt, "attack-tgt", i) for i in range(n_tgt)])
     strings: dict[str, str] = {}
-    for i in range(cfg.n_normal):
-        gen = gen_normal_deposit if i % 2 == 0 else gen_normal_withdrawal
-        samples.append(gen(derive_seed(cfg.seed, "normal", i), cfg.noise, env, strings))
-    for i in range(n_src):
-        samples.append(gen_attack_src(derive_seed(cfg.seed, "attack-src", i),
-                                      cfg.noise, env, strings))
-    for i in range(n_tgt):
-        samples.append(gen_attack_tgt(derive_seed(cfg.seed, "attack-tgt", i),
-                                      cfg.noise, env, strings))
+    samples = [gen(derive_seed(cfg.seed, stream, i), cfg.noise, env, strings)
+               for gen, stream, i in plan]
 
     rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
     order = rng.permutation(len(samples))
     samples = [samples[i] for i in order]
     manifest = DatasetManifest(entries=[
-        ManifestEntry(
-            source=f"traces/{tx.record.tx_hash}.json",
-            label=tx.label,
-            chain_id=tx.record.chain_id,
-        ) for tx in samples
-    ])
+        ManifestEntry(source=f"traces/{tx.record.tx_hash}.json", label=tx.label,
+                      chain_id=tx.record.chain_id) for tx in samples])
     return samples, manifest
 
 
 def gen_config_hash(cfg: GenConfig) -> str:
-    return json_hash64(_sidecar(cfg))
-
-
-def _sidecar(cfg: GenConfig) -> dict:
-    return {
-        "n_normal": cfg.n_normal,
-        "attack_rate": cfg.attack_rate,
-        "src_tgt_ratio": cfg.src_tgt_ratio,
-        "noise": list(cfg.noise),
-        "seed": cfg.seed,
-    }
+    return json_hash64(asdict(cfg))
 
 
 def write_corpus(samples: list[SynthTx], manifest: DatasetManifest,
@@ -296,5 +275,5 @@ def write_corpus(samples: list[SynthTx], manifest: DatasetManifest,
                    record_to_document(tx.record))
     save_manifest(manifest, out_dir / "manifest.jsonl")
     write_json(out_dir / "gen_config.json",
-               dict(_sidecar(cfg), config_hash=gen_config_hash(cfg)))
+               dict(asdict(cfg), config_hash=gen_config_hash(cfg)))
     return out_dir / "manifest.jsonl"

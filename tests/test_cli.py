@@ -199,8 +199,29 @@ def test_detect_malformed_hash_fails_that_input_without_a_request(
     ])
     assert result.exit_code == 2, result.output
     assert posts == []
-    assert "failed: 0xabc: tx hash: expected 32 bytes" in result.stderr
+    # Not 0x and 64 hex digits, so a path, and a missing one.
+    assert "failed: 0xabc: [Errno 2] No such file or directory" in result.stderr
     assert len(json.loads(result.stdout)["rows"]) == 1
+
+
+def test_only_a_missing_path_of_0x_and_64_hex_digits_is_a_tx_hash(
+        workspace, runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    corpus = workspace["corpus"]
+    good = corpus / load_manifest(corpus / "manifest.jsonl").entries[0].source
+    tx_hash = "0x" + "Ab" * 32
+    shutil.copy(good, tmp_path / ("0x" + "cd" * 32))  # a file of that shape is a path
+    inputs = ["0xdeadbeef.json", good.name, tx_hash + "0", tx_hash, "0x" + "cd" * 32]
+    result = runner.invoke(main, ["ingest", *inputs, "--format", "json"])
+    assert result.exit_code == 2, result.output
+    payload = json.loads(result.stdout)
+    assert len(payload["rows"]) == 1
+    assert payload["failures"] == [
+        ["0xdeadbeef.json", "[Errno 2] No such file or directory: '0xdeadbeef.json'"],
+        [good.name, f"[Errno 2] No such file or directory: '{good.name}'"],
+        [tx_hash + "0", f"[Errno 2] No such file or directory: '{tx_hash}0'"],
+        [tx_hash, "tx-hash input requires --rpc-url or BRIDGEGUARD_RPC_URL"],
+    ]
 
 
 def test_importing_the_cli_does_not_import_requests():

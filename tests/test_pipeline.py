@@ -19,6 +19,7 @@ from bridgeguard.config import RunConfig
 from bridgeguard.errors import (
     BridgeGuardError,
     InvalidConfig,
+    LengthMismatch,
     ModelMissing,
     ModelVersionMismatch,
 )
@@ -205,6 +206,27 @@ def test_unknown_classifier_kind_rejected_naming_it(small_corpus):
     with pytest.raises(InvalidConfig, match="unknown classifier 'svm'"):
         repeated_pipeline_eval(records[:20], labels[:20], RunConfig(runs=1),
                                classifiers=("knn", "svm"))
+
+
+@pytest.mark.parametrize("train", [
+    lambda records, labels: train_detector(records, labels, RunConfig()),
+    lambda records, labels: repeated_pipeline_eval(records, labels, RunConfig(runs=1)),
+], ids=["train_detector", "repeated_pipeline_eval"])
+@pytest.mark.parametrize("relabel, error, match", [
+    (lambda labels: labels + ["Normal"], LengthMismatch, "20 records but 21 labels"),
+    (lambda labels: labels[:-1], LengthMismatch, "20 records but 19 labels"),
+    (lambda labels: labels[:3] + ["Attack"] + labels[4:], InvalidConfig,
+     r"labels\[3\]: 'Attack' is not one of Normal, AttackSrc, AttackTgt"),
+], ids=["more-labels", "fewer-labels", "unknown-label"])
+def test_labels_that_do_not_fit_the_records_rejected_before_preparation(
+        small_corpus, monkeypatch, train, relabel, error, match):
+    def prepare_corpus(*args):
+        raise AssertionError("prepared before the labels were checked")
+
+    monkeypatch.setattr(pipeline, "prepare_corpus", prepare_corpus)
+    records, labels = small_corpus
+    with pytest.raises(error, match=match):
+        train(records[:20], relabel(labels[:20]))
 
 
 def test_load_bundle_rejects_unknown_config_key(small_corpus, tmp_path):

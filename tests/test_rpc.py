@@ -80,6 +80,32 @@ def test_refetch_hits_cache_without_network(tmp_path):
     assert offline.fetch_tx_record(TX).tx_hash == TX
 
 
+class DownNode:
+    """A session whose node cannot be reached."""
+
+    def post(self, url, json=None, timeout=None):
+        raise ConnectionError("connection refused")
+
+
+def test_node_down_replays_the_one_cached_entry(tmp_path):
+    first = RpcClient("http://node", cache_dir=tmp_path, session=FakeNode()).fetch_tx_record(TX)
+    offline = RpcClient("http://node", cache_dir=tmp_path, session=DownNode())
+    assert offline.fetch_tx_record(TX) == first
+    with pytest.raises(RpcUnavailable, match="connection refused"):
+        offline.fetch_tx_record("0x" + "22" * 32)  # not cached
+    with pytest.raises(RpcUnavailable, match="connection refused"):
+        RpcClient("http://node", session=DownNode()).fetch_tx_record(TX)  # no cache
+
+
+def test_node_down_with_the_hash_cached_under_two_chains_raises(tmp_path):
+    RpcClient("http://node", cache_dir=tmp_path, session=FakeNode()).fetch_tx_record(TX)
+    (tmp_path / "56").mkdir()
+    (tmp_path / "56" / f"{TX}.json").write_bytes((tmp_path / "1" / f"{TX}.json").read_bytes())
+    offline = RpcClient("http://node", cache_dir=tmp_path, session=DownNode())
+    with pytest.raises(RpcUnavailable, match="connection refused"):
+        offline.fetch_tx_record(TX)
+
+
 def test_unknown_hash_raises_tx_not_found(tmp_path):
     client = RpcClient("http://node", cache_dir=tmp_path, session=FakeNode())
     with pytest.raises(TxNotFound):
