@@ -71,6 +71,7 @@ _RANGES = {
     "split_ratio": (lambda v: 0 < v < 1, "in (0, 1)"),
     "runs": (lambda v: v >= 1, ">= 1"),
     "seed": (lambda v: v >= 0, ">= 0"),
+    "workers": (lambda v: v >= 1, ">= 1"),
     "signatures": (lambda v: v is None or all(
         isinstance(topic, str) and _is_topic0(topic) and direction in (DEPOSIT, WITHDRAWAL)
         for topic, direction in v.items()),

@@ -50,6 +50,10 @@ class TrainingDiverged(BridgeGuardError):
     """Embedding training produced a vector that is not finite."""
 
 
+class TrainingProcessLost(BridgeGuardError):
+    """A forked embedding-training process ended without reporting."""
+
+
 class SelfLoopPresent(BridgeGuardError):
     """Motif census input must be a simple digraph without self-loops."""
 

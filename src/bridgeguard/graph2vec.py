@@ -24,28 +24,69 @@ An epoch is a handful of array passes over all jobs, and gives bit for bit
 the vectors of the plain per-job loop (the tests keep that loop as their
 oracle). Job j owns rows `offsets[j]:offsets[j + 1]` of one int32 row array:
 its tokens, then its negatives, redrawn in place each epoch; one float64
-coefficient per row holds `sigmoid(w . d) - label`. Three things keep it
-exact:
+coefficient per row holds `sigmoid(w . d) - label`. The document vectors
+live in two arrays: an epoch reads one and writes each job's stepped vector
+`d - lr * grad` to the other, so no job sees another's step. Three things
+keep it exact:
 
 * Stacked products. Jobs with the same row count m form stacks of shape
   (jobs, m, dim). `np.matmul` loops over a stack and calls, for each item,
   the BLAS gemv that `w @ d` (and `w.T @ coef`) calls for that job alone,
   with the same shape and strides, so each score and document gradient is
   the per-job one. `einsum` sums in another order and is not equal.
-* Elementwise passes. The sigmoid, the label subtraction, `d -= lr * grad`
+* Elementwise passes. The sigmoid, the label subtraction, `d - lr * grad`
   and the token-gradient value `(-lr * mult) * (coef * d)` are elementwise,
   so batching them changes no result.
 * Accumulation in job order. `np.add.at` adds its values one by one, in
   order, so calling it on consecutive job-order spans gives each token cell
   the same additions in the same order as one call per job. Summing a span
-  first (`bincount`) and adding the sum would round differently.
+  first (`bincount`) and adding the sum would round differently. A span's
+  flat cell indices `token * dim + column` are one `take` of rows from a
+  (tokens, dim) table of them, built once.
+
+An epoch runs on up to `workers` processes (`train_graph2vec`): this one and
+children made by `os.fork`, one per part. It has two phases, and every
+process ends one before any starts the next:
+
+* Scoring. Stacks are dealt out whole, the largest first, each to the
+  process with the least work so far. A process redraws the negatives of
+  its stacks' jobs, each job from its own seeded stream, and computes their
+  products. A draw depends only on its uniform and a product only on its
+  job's rows, so where a job is scored changes no bit.
+* Accumulation and update. The tokens are cut into consecutive ranges of
+  about equal expected rows (positives plus the noise share of the
+  negatives), one per process. Each process walks every span in job order
+  and applies `np.add.at` only to the rows whose token is in its range, in
+  its own accumulator. So each token cell gets the additions, in the order,
+  of the one-process run. The process then adds its accumulator to its
+  token rows and checks its token rows and its range of document rows for
+  finiteness (and finds their largest entries at DEBUG, whose maximum is
+  the whole arrays').
+
+The parent runs the first part and coordinates: it releases each phase with
+a byte on each child's command pipe and reads each child's report, a
+pickle, from its result pipe. Only the child holds the write end of that
+pipe, so a child that ends without reporting leaves the parent an end of
+file, never a wait: that is a `TrainingProcessLost`, and a child's exception
+is raised again in the parent. The `with` block that holds the children
+reaps them (killing them first on an error), so none outlives the call.
+It takes plain `os.fork` and pipes, not `multiprocessing`, whose import
+alone adds about 0.7 MB to a process's resident memory. One process runs
+the same partitioned loop in-process, with no fork: when `workers` is 1,
+off Linux, with one usable CPU, or when an epoch has fewer than
+`_FORK_MIN_ROWS` rows.
 
 The row and coefficient arrays, 12 bytes a row, are the only state that
 grows with the corpus's rows. Every other temporary is bounded by
 `_CHUNK_ROWS` rows (or one longer document) times dim: a stack holds at
 most that many rows, and the accumulation runs span by span, each at most
 that long, through two reused chunk buffers. The noise buffers hold
-`_DRAW_BLOCK` uniforms (or one longer document's negatives).
+`_DRAW_BLOCK` uniforms (or one longer document's negatives). With more than
+one process, the arrays that processes write for each other (rows,
+coefficients, token and document vectors) are anonymous shared `mmap`s of
+the same sizes, made before the fork; each process has its own chunk and
+noise buffers and an accumulator of its token rows. One process uses plain
+arrays.
 
 Logger `bridgeguard.graph2vec` reports, at DEBUG, each epoch's largest
 token and document vector entry and its wall time; they are computed only
@@ -116,15 +157,26 @@ differently.
 from __future__ import annotations
 
 import logging
+import mmap
+import os
+import pickle
+import signal
+import sys
 import time
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import BinaryIO, Iterable
 
 import numpy as np
 
-from .errors import EmptyCorpus, TrainingDiverged
+from .errors import (
+    BridgeGuardError,
+    EmptyCorpus,
+    InvalidConfig,
+    TrainingDiverged,
+    TrainingProcessLost,
+)
 from .features import EMBED_DIM
-from .hashing import derive_seed, derive_seeds
+from .hashing import derive_seed, derive_seeds, extend_seeds, seed_prefix
 from .wl import WLDocument
 
 logger = logging.getLogger(__name__)
@@ -333,14 +385,343 @@ def _spans(offsets: np.ndarray, limit: int | None = None) -> list[tuple[int, int
     return spans
 
 
+# The cost of a job (its derived seed, state and fill call) and of a stack
+# (its dozen array calls) in an epoch's first phase, in rows: with the rows,
+# they weigh the stacks when an epoch is dealt out to processes.
+_JOB_ROWS = 50
+_STACK_ROWS = 300
+# Rows an epoch needs before training forks. On a 2-vCPU Xeon VM, 100
+# epochs on 2 processes took 1.14-1.21x the time of 1 at 54k-61k rows and
+# 0.68-0.83x at 69k-164k (medians of 7): below the cut, the start-up and
+# the two hand-offs of each epoch cost more than the second core saves.
+_FORK_MIN_ROWS = 2 ** 16
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+def _process_count(workers: int, rows: int) -> int:
+    """How many processes train an epoch of `rows` rows when `workers` are
+    asked for: one unless fork is there (Linux) and pays, at most the usable
+    CPUs."""
+    if workers <= 1 or rows < _FORK_MIN_ROWS or not sys.platform.startswith("linux"):
+        return 1
+    return max(1, min(workers, _usable_cpus()))
+
+
+def _shared(array: np.ndarray) -> np.ndarray:
+    """A copy of `array` in anonymous shared memory: what a forked child
+    writes to it, every process sees."""
+    buffer = mmap.mmap(-1, max(array.nbytes, 1))
+    out = np.frombuffer(buffer, array.dtype, count=array.size).reshape(array.shape)
+    out[...] = array
+    return out
+
+
+def _cuts(weights: np.ndarray, parts: int) -> list[int]:
+    """Bounds that cut the items into `parts` consecutive ranges of about
+    equal weight: range i is items `cuts[i]:cuts[i + 1]`."""
+    total = np.cumsum(weights, dtype=np.float64)
+    inner = np.searchsorted(total, total[-1] * np.arange(1, parts) / parts)
+    return [0, *inner.tolist(), weights.size]
+
+
+@dataclass
+class _Part:
+    """One process's share of every epoch: some stacks, whose jobs it draws
+    noise for, and the token and document rows it owns (it accumulates and
+    updates those tokens and checks both)."""
+    stacks: list[tuple[int, np.ndarray]]
+    tokens: tuple[int, int]
+    docs: tuple[int, int]
+
+
+class _Run:
+    """The layout of a training run and the arrays its epochs change: in
+    shared memory when `processes` > 1 (see the module docstring). The token
+    vectors and the document vectors of `docs[epoch % 2]` are an epoch's
+    input; its document steps go to the other `docs` array."""
+
+    def __init__(self, hashes: list[str], n_pos: np.ndarray, mult: np.ndarray,
+                 ids: np.ndarray, noise: _NoiseSampler, token_vectors: np.ndarray,
+                 doc_vectors: np.ndarray, params: TrainParams, seed: int,
+                 processes: int, debug: bool) -> None:
+        self.hashes, self.mult, self.noise, self.seed = hashes, mult, noise, seed
+        self.params, self.lrs, self.debug = params, _lr_schedule(params), debug
+        self.dim = token_vectors.shape[1]
+        place = _shared if processes > 1 else (lambda array: array)
+        # Job j owns rows[offsets[j]:offsets[j + 1]]: its tokens, then its
+        # negatives, which each epoch redraws in place. Earlier jobs put
+        # `neg_offsets[j]` negative rows before its tokens, so entry i of
+        # `ids` is row `i + neg_offsets[j]`.
+        self.n_pos = n_pos
+        self.sizes = n_pos * (1 + params.negative)
+        self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
+        self.neg_counts = n_pos * params.negative
+        neg_offsets = np.concatenate([[0], np.cumsum(self.neg_counts)])
+        rows = np.empty(self.offsets[-1], dtype=np.int32)
+        rows[np.arange(ids.size) + np.repeat(neg_offsets[:-1], n_pos)] = ids
+        self.rows = place(rows)
+        del rows
+        self.coefs = place(np.empty(self.rows.size))
+        self.tokens = place(token_vectors)
+        self.docs = (place(doc_vectors), place(doc_vectors.copy()))
+        self.stacks = _stacks(n_pos, params.negative)
+        self.spans = _spans(self.offsets)
+        self.job_ids = np.arange(n_pos.size)
+        # Each process's chunk and noise buffers are its own, and reused: a
+        # fresh array of this size costs its page faults.
+        self.most = max(_CHUNK_ROWS, int(self.sizes.max()))
+        self.draw_size = max(_DRAW_BLOCK, int(self.neg_counts.max()))
+        self.parts = self._deal(processes, ids)
+
+    def _deal(self, n: int, ids: np.ndarray) -> list[_Part]:
+        """The epoch dealt out to `n` processes: stacks to the least loaded
+        process, largest first; tokens in ranges of about equal expected rows
+        (their positives plus their share of the negatives), and documents
+        in ranges of equal size."""
+        noise_share = np.diff(self.noise.cdf, prepend=0.0) * self.neg_counts.sum()
+        tokens = _cuts(np.bincount(ids, minlength=len(self.tokens)) + noise_share, n)
+        docs = _cuts(np.ones(len(self.hashes)), n)
+        loads, dealt = [0] * n, [[] for _ in range(n)]
+        weights = [jobs.size * (p * (1 + self.params.negative) + _JOB_ROWS) + _STACK_ROWS
+                   for p, jobs in self.stacks]
+        for i in sorted(range(len(self.stacks)), key=weights.__getitem__, reverse=True):
+            least = loads.index(min(loads))
+            dealt[least].append(i)
+            loads[least] += weights[i]
+        return [_Part(stacks=[self.stacks[i] for i in sorted(dealt[k])],
+                      tokens=(tokens[k], tokens[k + 1]), docs=(docs[k], docs[k + 1]))
+                for k in range(n)]
+
+
+class _Worker:
+    """One process's buffers and its share of each phase of an epoch."""
+
+    def __init__(self, run: _Run, part: _Part) -> None:
+        self.run, self.part = run, part
+        # The part's jobs, stack after stack, draw their uniforms one after
+        # another: job k's start at `firsts[k]` of the part's, and uniform i
+        # lands in row `i + shift[k]`. They are cut into blocks of at most
+        # `_DRAW_BLOCK` (or one larger job), each filled and drawn in reused
+        # buffers.
+        jobs = np.concatenate([[], *(jobs for _, jobs in part.stacks)]).astype(np.intp)
+        # Each job's noise seed is `derive_seed(seed, "neg", hash, epoch)`.
+        self.seed_prefixes = [seed_prefix(run.seed, "neg", run.hashes[j]) for j in jobs.tolist()]
+        self.neg_counts = run.neg_counts[jobs]
+        firsts = np.concatenate([[0], np.cumsum(self.neg_counts)])
+        self.shift = run.offsets[jobs] + run.n_pos[jobs] - firsts[:-1]
+        self.blocks = [(a, b, first, last, (firsts[a:b + 1] - first).tolist())
+                       for a, b, first, last in _spans(firsts, _DRAW_BLOCK) if last > first]
+        self.streams = _Streams()
+        self.uniforms = np.empty(run.draw_size)
+        self.negatives = np.empty(run.draw_size, dtype=np.intp)
+        self.ramp = np.arange(run.draw_size)
+        self.chunk = np.empty(run.most * run.dim)
+        self.cells = np.empty((run.most, run.dim), dtype=np.intp)
+        lo, hi = part.tokens
+        self.accum = np.empty((hi - lo, run.dim))
+        # Cell (t, c) of `accum` is entry `table[t, c]` of its flat view.
+        self.table = np.arange(self.accum.size, dtype=np.intp).reshape(self.accum.shape)
+        self.whole = (lo, hi) == (0, len(run.tokens))
+        self.shifted = None if self.whole else np.empty(run.most, dtype=np.int32)
+
+    def score(self, epoch: int) -> None:
+        """Redraw the negatives of this part's jobs, then score its stacks:
+        each row's coefficient, and each job's document vector after its
+        step."""
+        run, dim, lr = self.run, self.run.dim, self.run.lrs[epoch]
+        if self.blocks:
+            states = _pcg64_states(extend_seeds(self.seed_prefixes, epoch))
+            for a, b, first, last, cuts in self.blocks:
+                u = self.uniforms[:last - first]
+                self.streams.fill(states[a:b], (u[i:j] for i, j in zip(cuts, cuts[1:])))
+                at = np.repeat(self.shift[a:b] + first, self.neg_counts[a:b])
+                at += self.ramp[:u.size]
+                run.rows[at] = run.noise.draw(u, out=self.negatives[:u.size])
+        docs, stepped = run.docs[epoch % 2], run.docs[1 - epoch % 2]
+        for p, jobs in self.part.stacks:
+            at = run.offsets[jobs, None] + np.arange(p * (1 + run.params.negative))
+            w = self.chunk[:at.size * dim].reshape(*at.shape, dim)
+            run.tokens.take(run.rows[at], axis=0, out=w, mode="clip")
+            scores = np.matmul(w, docs[jobs, :, None])
+            coef = _sigmoid(scores[..., 0])
+            coef[:, :p] -= 1.0  # minus the labels
+            grad = np.matmul(w.transpose(0, 2, 1), scores)[..., 0]
+            grad *= lr
+            stepped[jobs] = docs[jobs] - grad
+            run.coefs[at] = coef
+
+    def accumulate(self, epoch: int) -> tuple[bool, float, float]:
+        """Add the epoch's token gradient to this part's token rows; whether
+        its token and document rows are finite, and (at DEBUG) their
+        largest entries."""
+        run, dim, lr = self.run, self.run.dim, self.run.lrs[epoch]
+        docs, stepped = run.docs[epoch % 2], run.docs[1 - epoch % 2]
+        (lo, hi), accum = self.part.tokens, self.accum
+        accum.fill(0.0)
+        scale = -lr * run.mult
+        # Each token cell gets its additions in job order, row order, as the
+        # per-job step made them: add.at adds sequentially, span by span.
+        for a, b, first, last in run.spans:
+            owner = np.repeat(run.job_ids[a:b], run.sizes[a:b])
+            tokens, coefs = run.rows[first:last], run.coefs[first:last]
+            if not self.whole:
+                shifted = np.subtract(tokens, lo, out=self.shifted[:tokens.size])
+                mine = np.flatnonzero(shifted.view(np.uint32) < hi - lo)
+                tokens, owner, coefs = shifted[mine], owner[mine], coefs[mine]
+            values = docs.take(owner, axis=0, out=self.chunk[:owner.size * dim]
+                               .reshape(-1, dim))
+            values *= coefs[:, None]
+            values *= scale[owner, None]
+            flat = self.table.take(tokens, axis=0, out=self.cells[:owner.size], mode="clip")
+            np.add.at(accum.reshape(-1), flat.reshape(-1), values.reshape(-1))
+        own_tokens = run.tokens[lo:hi]
+        own_tokens += accum
+        own_docs = stepped[slice(*self.part.docs)]
+        if not (np.isfinite(own_tokens).all() and np.isfinite(own_docs).all()):
+            return False, 0.0, 0.0
+        if not run.debug:
+            return True, 0.0, 0.0
+        return True, np.abs(own_tokens).max(initial=0.0), np.abs(own_docs).max(initial=0.0)
+
+
+def _child(run: _Run, part: _Part, commands: int, results: int) -> None:
+    """A forked child: run each phase of each epoch for `part` once the
+    parent releases it (a byte on `commands`), and write its result, or the
+    exception it raised, to `results` as a pickle."""
+    out = os.fdopen(results, "wb")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            worker = _Worker(run, part)
+            for epoch in range(len(run.lrs)):
+                for phase in (worker.score, worker.accumulate):
+                    if not os.read(commands, 1):
+                        return  # the parent has stopped
+                    pickle.dump((True, phase(epoch)), out)
+                    out.flush()
+    except BaseException as exc:
+        try:
+            report = pickle.dumps((False, exc))
+            pickle.loads(report)  # the parent must be able to rebuild it
+        except Exception:
+            report = pickle.dumps((False, BridgeGuardError(f"{type(exc).__name__}: {exc}")))
+        out.write(report)
+        out.flush()
+
+
+@dataclass
+class _Child:
+    pid: int
+    commands: int  # the write end of the child's command pipe
+    results: BinaryIO  # the read end of its result pipe
+    exitcode: int | None = None
+
+
+class _Team:
+    """A forked child for each part of a training run but the first, which
+    this process runs: they run each phase together. A child that ends
+    closes its result pipe, so a read of it never waits for a dead child.
+    Leaving the `with` block reaps the children, killing them first when it
+    is left by an exception."""
+
+    def __init__(self, run: _Run) -> None:
+        self.children: list[_Child] = []
+        try:
+            for part in run.parts[1:]:
+                self._fork(run, part)
+        except BaseException:
+            self.close(failed=True)
+            raise
+
+    def _fork(self, run: _Run, part: _Part) -> None:
+        command_read, command_write = os.pipe()
+        result_read, result_write = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            for fd in (command_read, command_write, result_read, result_write):
+                os.close(fd)
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                # Only the parent may hold the others' pipe ends: a child
+                # that ends must leave its result pipe with no writer.
+                for child in self.children:
+                    os.close(child.commands)
+                    os.close(child.results.fileno())
+                os.close(command_write)
+                os.close(result_read)
+                _child(run, part, command_read, result_write)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(command_read)
+        os.close(result_write)
+        self.children.append(_Child(pid, command_write, os.fdopen(result_read, "rb")))
+
+    def __enter__(self) -> "_Team":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close(failed=exc_type is not None)
+
+    def close(self, failed: bool) -> None:
+        for child in self.children:
+            os.close(child.commands)  # a waiting child reads the end and exits
+            child.results.close()
+            if failed and child.exitcode is None:
+                os.kill(child.pid, signal.SIGKILL)
+            self._reap(child)
+
+    @staticmethod
+    def _reap(child: _Child) -> int:
+        if child.exitcode is None:
+            child.exitcode = os.waitstatus_to_exitcode(os.waitpid(child.pid, 0)[1])
+        return child.exitcode
+
+    def _lost(self, child: _Child) -> TrainingProcessLost:
+        return TrainingProcessLost(f"training process {child.pid} ended (exit code "
+                                   f"{self._reap(child)}) without reporting its share of "
+                                   "an epoch")
+
+    def together(self, phase, epoch: int) -> list:
+        """Run `phase` (a method of the first part's `_Worker`) here and
+        in every child: each part's result, in part order, once all have
+        ended. A child's exception is raised here; a child that ended
+        without reporting is a TrainingProcessLost."""
+        for child in self.children:
+            try:
+                os.write(child.commands, b"\0")
+            except BrokenPipeError:
+                raise self._lost(child) from None
+        results = [phase(epoch)]
+        for child in self.children:
+            try:
+                ok, value = pickle.load(child.results)
+            except (EOFError, pickle.UnpicklingError):
+                raise self._lost(child) from None
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+
+
 # A diverging run overflows on the way; the per-epoch finiteness check
 # reports it as one TrainingDiverged, not a stream of RuntimeWarnings.
 @np.errstate(over="ignore", invalid="ignore")
 def train_graph2vec(corpus: list[WLDocument], dim: int = EMBED_DIM,
-                    params: TrainParams | None = None, seed: int = 0) -> EmbeddingModel:
-    """Fit one vector per corpus document; bit-reproducible under the seed."""
+                    params: TrainParams | None = None, seed: int = 0,
+                    workers: int = 1) -> EmbeddingModel:
+    """Fit one vector per corpus document; bit-reproducible under the seed,
+    and bit-equal for every `workers`, the most processes an epoch runs on
+    (see the module docstring)."""
     if not corpus:
         raise EmptyCorpus("training corpus is empty")
+    if workers < 1:
+        raise InvalidConfig(f"workers must be >= 1, got {workers}")
     params = params or TrainParams()
 
     # Jobs and tokens are numbered by first occurrence (module docstring).
@@ -367,86 +748,33 @@ def train_graph2vec(corpus: list[WLDocument], dim: int = EMBED_DIM,
     for j, state in enumerate(_pcg64_states([derive_seed(seed, "doc", h) for h in hashes])):
         doc_vectors[j] = _init_vector(streams.at(state), dim)
 
-    # Job j owns rows[offsets[j]:offsets[j + 1]]: its tokens, then its
-    # negatives, which each epoch redraws in place. Its uniforms start at
-    # `neg_offsets[j]` of an epoch's, and uniform i lands in row
-    # `i + shift[j]`. Earlier jobs put `neg_offsets[j]` negative rows before
-    # its tokens, so entry i of `ids` is row `i + neg_offsets[j]`.
-    sizes = n_pos * (1 + params.negative)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    neg_counts = n_pos * params.negative
-    neg_offsets = np.concatenate([[0], np.cumsum(neg_counts)])
-    shift = offsets[:-1] + n_pos - neg_offsets[:-1]
-    rows = np.empty(offsets[-1], dtype=np.int32)
-    rows[np.arange(ids.size) + np.repeat(neg_offsets[:-1], n_pos)] = ids
-    # An epoch's uniforms, job after job, are cut into blocks of at most
-    # `_DRAW_BLOCK` (or one larger job), each filled and drawn in reused buffers.
-    blocks = [(a, b, first, last, (neg_offsets[a:b + 1] - first).tolist())
-              for a, b, first, last in _spans(neg_offsets, _DRAW_BLOCK)]
-    draw_size = max(_DRAW_BLOCK, int(neg_counts.max()))
-    uniforms, negatives = np.empty(draw_size), np.empty(draw_size, dtype=np.intp)
-    ramp = np.arange(draw_size)
-    coefs = np.empty(rows.size)
-    grads = np.zeros_like(doc_vectors)  # an empty document's stays zero
-    stacks = _stacks(n_pos, params.negative)
-    spans = _spans(offsets)
-    # Chunk-sized buffers for the gathered token rows and the token
-    # gradient, reused: a fresh array of this size costs its page faults.
-    most = max(_CHUNK_ROWS, int(sizes.max()))
-    chunk = np.empty(most * dim)
-    cells = np.empty((most, dim), dtype=np.intp)
-    columns = np.arange(dim)
     debug = logger.isEnabledFor(logging.DEBUG)
-
+    processes = _process_count(workers, int(n_pos.sum()) * (1 + params.negative))
+    run = _Run(hashes, n_pos, mult, ids, noise, token_vectors, doc_vectors, params, seed,
+               processes, debug)
+    del token_vectors, doc_vectors
+    own = _Worker(run, run.parts[0])
     # Within an epoch every job reads its own document vector and the token
-    # matrix as it stood at the epoch start; both change only at its end.
-    for epoch, lr in enumerate(_lr_schedule(params)):
-        started = time.perf_counter() if debug else 0.0
-        states = _pcg64_states([derive_seed(seed, "neg", h, epoch) for h in hashes])
-        for a, b, first, last, cuts in blocks:
-            u = uniforms[:last - first]
-            streams.fill(states[a:b], (u[i:j] for i, j in zip(cuts, cuts[1:])))
-            at = np.repeat(shift[a:b] + first, neg_counts[a:b])
-            at += ramp[:u.size]
-            rows[at] = noise.draw(u, out=negatives[:u.size])
-        for p, jobs in stacks:
-            at = offsets[jobs, None] + np.arange(p * (1 + params.negative))
-            w = chunk[:at.size * dim].reshape(*at.shape, dim)
-            token_vectors.take(rows[at], axis=0, out=w, mode="clip")
-            scores = np.matmul(w, doc_vectors[jobs, :, None])
-            coef = _sigmoid(scores[..., 0])
-            coef[:, :p] -= 1.0  # minus the labels
-            grads[jobs] = np.matmul(w.transpose(0, 2, 1), scores)[..., 0]
-            coefs[at] = coef
-        # Each token cell gets its additions in job order, row order, as the
-        # per-job step made them: add.at adds sequentially, span by span.
-        accum = np.zeros_like(token_vectors)
-        scale = -lr * mult
-        for a, b, first, last in spans:
-            owner = np.repeat(np.arange(a, b), sizes[a:b])
-            values = doc_vectors.take(owner, axis=0, out=chunk[:owner.size * dim]
-                                      .reshape(-1, dim))
-            values *= coefs[first:last, None]
-            values *= scale[owner, None]
-            flat = np.multiply(rows[first:last, None], dim, out=cells[:owner.size])
-            flat += columns
-            np.add.at(accum.reshape(-1), flat.reshape(-1), values.reshape(-1))
-        token_vectors += accum
-        doc_vectors -= lr * grads
+    # matrix as they stood at the epoch start; both change only at its end.
+    with _Team(run) as team:
+        for epoch in range(params.epochs):
+            started = time.perf_counter() if debug else 0.0
+            team.together(own.score, epoch)
+            results = team.together(own.accumulate, epoch)
+            if not all(finite for finite, _, _ in results):
+                raise TrainingDiverged("embedding training diverged: a vector is not finite "
+                                       f"after epoch {epoch + 1} of {params.epochs}")
+            if debug:
+                logger.debug("epoch %d/%d: max |token| %.6g, max |doc| %.6g, %.1f ms",
+                             epoch + 1, params.epochs, max(r[1] for r in results),
+                             max(r[2] for r in results), (time.perf_counter() - started) * 1e3)
 
-        if not (np.isfinite(token_vectors).all() and np.isfinite(doc_vectors).all()):
-            raise TrainingDiverged("embedding training diverged: a vector is not finite "
-                                   f"after epoch {epoch + 1} of {params.epochs}")
-        if debug:
-            logger.debug("epoch %d/%d: max |token| %.6g, max |doc| %.6g, %.1f ms",
-                         epoch + 1, params.epochs, np.abs(token_vectors).max(),
-                         np.abs(doc_vectors).max(), (time.perf_counter() - started) * 1e3)
-
+    token_vectors = run.tokens if processes == 1 else run.tokens.copy()
     return EmbeddingModel(
         dim=dim,
         vocab=vocab,
         token_vectors=token_vectors,
-        graph_vectors=doc_vectors[corpus_jobs],
+        graph_vectors=run.docs[params.epochs % 2][corpus_jobs],
         token_counts=token_counts,
         doc_hashes=doc_hashes,
         params=params,

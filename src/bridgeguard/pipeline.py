@@ -132,8 +132,8 @@ def _protocol_run(preps: list[PreparedTx], labels: list[str], cfg: RunConfig,
         if kind not in CLASSIFIERS:
             raise InvalidConfig(f"unknown classifier {kind!r}; one of {', '.join(CLASSIFIERS)}")
     train_idx, test_idx = split_indices(labels, ratio=cfg.split_ratio, seed=seed)
-    model = train_graph2vec([preps[i].doc for i in train_idx],
-                            dim=cfg.embedding_dim, params=_train_params(cfg), seed=seed)
+    model = train_graph2vec([preps[i].doc for i in train_idx], dim=cfg.embedding_dim,
+                            params=_train_params(cfg), seed=seed, workers=cfg.workers)
 
     def sample(i: int) -> LabeledSample:
         return LabeledSample(preps[i].record.tx_hash, feature_vector(preps[i], model),

@@ -33,6 +33,7 @@ from .ingest import (
     DatasetManifest,
     ManifestEntry,
     TxRecord,
+    bounded_repr,
     record_from_document,
     record_to_document,
     save_manifest,
@@ -67,15 +68,34 @@ class GenConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.n_normal < 0:
-            raise InvalidConfig("n_normal must be >= 0")
-        if not 0.0 < self.attack_rate < 1.0:
-            raise InvalidConfig("attack_rate must be in (0, 1)")
-        if not 0.0 <= self.src_tgt_ratio <= 1.0:
-            raise InvalidConfig("src_tgt_ratio must be in [0, 1]")
-        prob, jitter = self.noise
-        if not 0.0 <= prob <= 1.0 or jitter < 0:
-            raise InvalidConfig("noise must be (probability, non-negative jitter)")
+        """InvalidConfig unless each field has its type and range. Counts,
+        the seed and the depth jitter are ints and the rates real numbers;
+        a bool is neither."""
+        n_normal, seed = self.n_normal, self.seed
+        if not _is_int(n_normal) or n_normal < 0:
+            raise InvalidConfig(f"n_normal must be an int >= 0, got {bounded_repr(n_normal)}")
+        if not _is_real(self.attack_rate) or not 0.0 < self.attack_rate < 1.0:
+            raise InvalidConfig("attack_rate must be a number in (0, 1), "
+                                f"got {bounded_repr(self.attack_rate)}")
+        if not _is_real(self.src_tgt_ratio) or not 0.0 <= self.src_tgt_ratio <= 1.0:
+            raise InvalidConfig("src_tgt_ratio must be a number in [0, 1], "
+                                f"got {bounded_repr(self.src_tgt_ratio)}")
+        noise = self.noise
+        if not (isinstance(noise, (tuple, list)) and len(noise) == 2
+                and _is_real(noise[0]) and 0.0 <= noise[0] <= 1.0
+                and _is_int(noise[1]) and noise[1] >= 0):
+            raise InvalidConfig("noise must be (probability in [0, 1], int jitter >= 0), "
+                                f"got {bounded_repr(noise)}")
+        if not _is_int(seed) or seed < 0:
+            raise InvalidConfig(f"seed must be an int >= 0, got {bounded_repr(seed)}")
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass

@@ -1,7 +1,12 @@
+import contextlib
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from bridgeguard import graph2vec
 from bridgeguard.classify import KNNModel, LabeledSample, knn_train
 from bridgeguard.config import RunConfig
 from bridgeguard.errors import MalformedTrace
@@ -111,6 +116,41 @@ def xteg_adjacency(graph) -> np.ndarray:
         if e.src != e.dst:
             a[e.src, e.dst] = 1
     return a
+
+
+def has_child_process() -> bool:
+    """Whether this process has a child, running or not yet reaped (which
+    this reaps)."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return False
+    return True
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail a test that leaves a child process behind: every process that
+    graph2vec training forks ends, and is reaped, before its call returns
+    or raises."""
+    yield
+    assert not has_child_process()
+
+
+@contextlib.contextmanager
+def forking(cpus=8):
+    """Training forks at any size with `cpus` usable CPUs; yields a list
+    that collects each call's process count."""
+    counts = []
+    real = graph2vec._process_count
+
+    def counting(workers, rows):
+        counts.append(real(workers, rows))
+        return counts[-1]
+
+    with mock.patch.multiple(graph2vec, _FORK_MIN_ROWS=0, _usable_cpus=lambda: cpus,
+                             _process_count=counting):
+        yield counts
 
 
 @pytest.fixture

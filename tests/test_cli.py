@@ -474,6 +474,16 @@ def test_negative_seed_is_one_error_line(workspace, runner, tmp_path, command):
     assert not (tmp_path / "model").exists()
 
 
+def test_synth_negative_seed_is_one_error_line(runner, tmp_path):
+    result = runner.invoke(main, ["synth", "--out", str(tmp_path / "corpus"), "--n-normal",
+                                  "4", "--attack-rate", "0.25", "--seed", "-1"])
+    assert result.exit_code == 1
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "seed must be an int >= 0, got -1" in lines[0]
+    assert not (tmp_path / "corpus").exists()
+
+
 def test_unknown_classifier_in_config_is_one_error_line_before_training(
         workspace, runner, tmp_path, monkeypatch):
     trained = []

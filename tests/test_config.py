@@ -99,7 +99,7 @@ def test_default_config_hash_is_stable():
     ("signatures", {"0x" + "AB" * 32: "deposit"}), ("signatures", {"x": "Deposit"}),
     ("signatures", {"0x" + "ab" * 31: "deposit"}), ("signatures", {"0x" + "ab" * 32: "Deposit"}),
     ("signatures", {"ab" * 33: "withdrawal"}), ("signatures", {"0x" + "ab" * 32: None}),
-    ("seed", -1),
+    ("seed", -1), ("workers", 0), ("workers", -3),
     pytest.param("learning_rate", 10**400, id="learning_rate-int-too-large-for-a-float"),
 ])
 def test_value_out_of_range_rejected_naming_key(key, value):
@@ -111,9 +111,10 @@ def test_range_edges_accepted():
     cfg = config_from_dict({"wl_iterations": 1, "epochs": 1, "negative": 0,
                             "embedding_dim": 16, "learning_rate": 1e-9, "k": 1,
                             "max_depth": 1, "min_samples_leaf": 1, "split_ratio": 1e-9,
-                            "runs": 1, "seed": 0}, "c.json")
+                            "runs": 1, "seed": 0, "workers": 1}, "c.json")
     assert (cfg.wl_iterations, cfg.epochs, cfg.negative) == (1, 1, 0)
     assert (cfg.k, cfg.max_depth, cfg.min_samples_leaf, cfg.runs, cfg.seed) == (1, 1, 1, 1, 0)
+    assert cfg.workers == 1
     assert config_from_dict({"split_ratio": 1 - 1e-9}, "c.json").split_ratio == 1 - 1e-9
     assert config_from_dict({"max_depth": None}, "c.json").max_depth is None
     for kind in CLASSIFIERS:

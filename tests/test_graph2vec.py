@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+import os
 import tracemalloc
 import warnings
 from unittest import mock
@@ -18,6 +19,7 @@ from bridgeguard.errors import (
     ModelMissing,
     ModelVersionMismatch,
     TrainingDiverged,
+    TrainingProcessLost,
 )
 from bridgeguard.graph2vec import (
     TrainParams,
@@ -30,7 +32,7 @@ from bridgeguard.graph2vec import (
 from bridgeguard.hashing import derive_seed
 from bridgeguard.pipeline import BUNDLE_FILE, MODEL_FILE, load_bundle, save_bundle
 from bridgeguard.wl import WLDocument
-from conftest import rewrite_model, tiny_bundle
+from conftest import forking, has_child_process, rewrite_model, tiny_bundle
 
 FAST = TrainParams(epochs=30)
 
@@ -647,6 +649,114 @@ def test_divergence_names_the_first_epoch_whose_vectors_are_not_finite():
     assert 1 < first < params.epochs  # the run stops before its last epoch
     with pytest.raises(TrainingDiverged, match=f"after epoch {first} of 5"):
         train_graph2vec(corpus, params=params, seed=1)
+
+
+# --- training on forked processes -------------------------------------------
+#
+# With `workers` > 1 an epoch's stacks, token rows and document checks are
+# dealt out to forked processes. The cut-off and the CPU count are patched so
+# that even these tiny corpora fork, and three processes run on any host.
+
+
+@pytest.mark.parametrize("chunk", [5, 2 ** 11])
+@pytest.mark.parametrize("negative", [0, 3])
+@pytest.mark.parametrize("name", list(_ORACLE_CORPORA))
+def test_every_process_count_trains_as_the_plain_algorithm(rng, name, negative, chunk):
+    corpus = _ORACLE_CORPORA[name](rng)
+    params = TrainParams(epochs=4, negative=negative)
+    _, _, token_vectors, graph_vectors = _plain_train(corpus, 8, params, 17)
+    for workers in (1, 2, 3):
+        with _small_chunks(chunk), forking() as counts:
+            model = train_graph2vec(corpus, dim=8, params=params, seed=17, workers=workers)
+        assert counts == [workers]
+        assert model.token_vectors.tobytes() == token_vectors.tobytes(), workers
+        assert model.graph_vectors.tobytes() == graph_vectors.tobytes(), workers
+
+
+@pytest.mark.parametrize("workers, cpus, rows, platform, expected", [
+    (1, 8, 10**6, "linux", 1),
+    (4, 8, 10**6, "linux", 4),
+    (4, 2, 10**6, "linux", 2),
+    (4, 1, 10**6, "linux", 1),
+    (4, 8, 10**6, "win32", 1),
+    (4, 8, 10**6, "darwin", 1),
+    (4, 8, 2 ** 16 - 1, "linux", 1),
+    (4, 8, 2 ** 16, "linux", 4),
+])
+def test_training_forks_only_on_linux_with_cpus_to_spare_and_rows_that_pay(
+        workers, cpus, rows, platform, expected):
+    with mock.patch.object(graph2vec, "_usable_cpus", lambda: cpus), \
+            mock.patch.object(graph2vec.sys, "platform", platform):
+        assert graph2vec._process_count(workers, rows) == expected
+
+
+def test_a_process_count_below_one_rejected():
+    with pytest.raises(InvalidConfig, match="workers must be >= 1"):
+        train_graph2vec([_doc("a", "b")], params=FAST, workers=0)
+
+
+def test_two_processes_name_the_same_diverging_epoch():
+    corpus = [_doc("a", "b", "c"), _doc("b", "c", "d"), _doc("a", "d")]
+    params = TrainParams(epochs=5, learning_rate=1e100)
+    messages = []
+    for workers in (1, 2):
+        with forking() as counts, pytest.raises(TrainingDiverged) as caught:
+            train_graph2vec(corpus, params=params, seed=1, workers=workers)
+        assert counts == [workers]
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    assert "after epoch" in messages[0]
+
+
+def test_two_processes_log_the_same_epoch_records(rng, caplog):
+    corpus = _family("a", 6, rng) + _family("b", 6, rng)
+    params = TrainParams(epochs=4, negative=2)
+    records = []
+    for workers in (1, 2):
+        caplog.clear()
+        with forking(), caplog.at_level(logging.DEBUG, logger="bridgeguard.graph2vec"):
+            train_graph2vec(corpus, dim=8, params=params, seed=5, workers=workers)
+        # Everything but the epoch's wall time.
+        records.append([record.args[:4] for record in caplog.records
+                        if record.name == "bridgeguard.graph2vec"])
+    assert len(records[0]) == params.epochs
+    assert records[0] == records[1]
+
+
+def _in_children(method, action):
+    """Patch `_Worker.<method>` to run `action(epoch)` in a forked child
+    from the second epoch on; this process and the first epoch run as usual."""
+    parent, real = os.getpid(), getattr(graph2vec._Worker, method)
+
+    def patched(self, epoch):
+        if os.getpid() != parent and epoch == 1:
+            action(epoch)
+        return real(self, epoch)
+
+    return mock.patch.object(graph2vec._Worker, method, patched)
+
+
+def _raise(epoch):
+    raise ValueError(f"failed in epoch {epoch}")
+
+
+@pytest.mark.parametrize("method", ["score", "accumulate"])
+def test_an_exception_in_a_child_is_raised_in_the_parent(rng, method):
+    corpus = _ORACLE_CORPORA["equal-lengths"](rng)
+    with forking(), _in_children(method, _raise):
+        with pytest.raises(ValueError, match="failed in epoch 1"):
+            train_graph2vec(corpus, dim=8, params=FAST, workers=3)
+    assert not has_child_process()
+
+
+@pytest.mark.parametrize("method", ["score", "accumulate"])
+def test_a_child_that_dies_is_a_typed_error_not_a_hang(rng, method):
+    corpus = _ORACLE_CORPORA["equal-lengths"](rng)
+    with forking(), _in_children(method, lambda epoch: os._exit(3)):
+        with pytest.raises(TrainingProcessLost, match="exit code 3") as caught:
+            train_graph2vec(corpus, dim=8, params=FAST, workers=3)
+    assert isinstance(caught.value, BridgeGuardError)
+    assert not has_child_process()
 
 
 # --- memory ----------------------------------------------------------------

@@ -36,7 +36,7 @@ from bridgeguard.pipeline import (
     train_detector,
 )
 from bridgeguard.synthgen import GenConfig, gen_attack_tgt, gen_dataset
-from conftest import JSON_JUNK, json_slots
+from conftest import JSON_JUNK, forking, json_slots
 
 FAST = dict(epochs=25, runs=2)
 
@@ -89,6 +89,22 @@ def _report(accuracy: float, support: int, confusion: list) -> dict:
             "per_class": {"Normal": {"f1": accuracy, "support": support}},
             "confusion": confusion, "accuracy": accuracy,
             "binary": {"classes": ["Normal", "Attack"], "macro_f1": 1.0 - accuracy}}
+
+
+def test_train_detector_gives_the_same_bundle_and_report_on_two_processes(
+        small_corpus, tmp_path):
+    records, labels = small_corpus
+    arrays, reports = [], []
+    for workers in (1, 2):
+        with forking() as counts:
+            bundle, report = train_detector(records, labels,
+                                            RunConfig(seed=3, workers=workers, **FAST))
+        assert counts == [workers]
+        reports.append(report)
+        with np.load(save_bundle(bundle, tmp_path / f"workers-{workers}") / MODEL_FILE) as data:
+            arrays.append({key: data[key].tobytes() for key in data.files})
+    assert reports[0] == reports[1]
+    assert arrays[0] == arrays[1]
 
 
 def test_mean_std_is_elementwise_over_the_runs():

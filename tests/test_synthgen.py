@@ -217,3 +217,26 @@ def test_invalid_configs_rejected():
     ):
         with pytest.raises(InvalidConfig):
             gen_dataset(cfg)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_normal", 2.5), ("n_normal", "4"), ("n_normal", True), ("n_normal", None),
+    ("attack_rate", "0.1"), ("attack_rate", None), ("attack_rate", True),
+    ("src_tgt_ratio", "0.5"), ("src_tgt_ratio", False), ("src_tgt_ratio", float("nan")),
+    ("noise", (0.5,)), ("noise", (0.5, 3, 1)), ("noise", 0.5), ("noise", "ab"),
+    ("noise", (0.5, 2.5)), ("noise", (0.5, True)), ("noise", ("0.5", 3)),
+    ("noise", (float("nan"), 3)),
+    ("seed", 1.5), ("seed", -1), ("seed", True), ("seed", "0"),
+])
+def test_config_of_the_wrong_type_or_range_rejected_naming_the_field(field, value):
+    with pytest.raises(InvalidConfig, match=f"^{field} must be "):
+        gen_dataset(GenConfig(**{field: value}))
+
+
+def test_range_edges_and_a_noise_list_accepted():
+    samples, _ = gen_dataset(GenConfig(n_normal=0, attack_rate=0.5, src_tgt_ratio=0,
+                                       noise=[1, 0], seed=0))
+    assert samples == []
+    samples, _ = gen_dataset(GenConfig(n_normal=2, attack_rate=0.5, src_tgt_ratio=1.0,
+                                       noise=(0.0, 2), seed=2**70))
+    assert [s.label for s in samples].count("AttackSrc") == 1
