@@ -48,11 +48,11 @@ An epoch runs on up to `workers` processes (`train_graph2vec`): this one and
 children made by `os.fork`, one per part. It has two phases, and every
 process ends one before any starts the next:
 
-* Scoring. Stacks are dealt out whole, the largest first, each to the
-  process with the least work so far. A process redraws the negatives of
-  its stacks' jobs, each job from its own seeded stream, and computes their
-  products. A draw depends only on its uniform and a product only on its
-  job's rows, so where a job is scored changes no bit.
+* Scoring. Stacks are dealt out whole, the one with the most rows first,
+  each to the process with the fewest rows so far. A process redraws the
+  negatives of its stacks' jobs, each job from its own seeded stream, and
+  computes their products. A draw depends only on its uniform and a product
+  only on its job's rows, so where a job is scored changes no bit.
 * Accumulation and update. The tokens are cut into consecutive ranges of
   about equal expected rows (positives plus the noise share of the
   negatives), one per process. Each process walks every span in job order
@@ -74,7 +74,14 @@ It takes plain `os.fork` and pipes, not `multiprocessing`, whose import
 alone adds about 0.7 MB to a process's resident memory. One process runs
 the same partitioned loop in-process, with no fork: when `workers` is 1,
 off Linux, with one usable CPU, or when an epoch has fewer than
-`_FORK_MIN_ROWS` rows.
+`_FORK_MIN_ROWS` rows. The usable CPUs are those of the affinity mask,
+capped by the cgroup's CPU quota: a container may list more CPUs than its
+quota lets it use. Only one and two processes have been timed (on a
+2-vCPU host); more are bit-identical by the tests, and timing each part's
+phases in turn in one process gives a critical path of 1.26, 0.94 and
+0.73 s on 2, 3 and 4 parts against 2.22 s on one (a 2,814-document
+training split, 100 epochs), but their coordination on real CPUs is
+unmeasured.
 
 The row and coefficient arrays, 12 bytes a row, are the only state that
 grows with the corpus's rows. Every other temporary is bounded by
@@ -164,6 +171,7 @@ import signal
 import sys
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import BinaryIO, Iterable
 
 import numpy as np
@@ -176,7 +184,7 @@ from .errors import (
     TrainingProcessLost,
 )
 from .features import EMBED_DIM
-from .hashing import derive_seed, derive_seeds, extend_seeds, seed_prefix
+from .hashing import derive_seed, derive_seeds
 from .wl import WLDocument
 
 logger = logging.getLogger(__name__)
@@ -385,11 +393,6 @@ def _spans(offsets: np.ndarray, limit: int | None = None) -> list[tuple[int, int
     return spans
 
 
-# The cost of a job (its derived seed, state and fill call) and of a stack
-# (its dozen array calls) in an epoch's first phase, in rows: with the rows,
-# they weigh the stacks when an epoch is dealt out to processes.
-_JOB_ROWS = 50
-_STACK_ROWS = 300
 # Rows an epoch needs before training forks. On a 2-vCPU Xeon VM, 100
 # epochs on 2 processes took 1.14-1.21x the time of 1 at 54k-61k rows and
 # 0.68-0.83x at 69k-164k (medians of 7): below the cut, the start-up and
@@ -397,8 +400,25 @@ _STACK_ROWS = 300
 _FORK_MIN_ROWS = 2 ** 16
 
 
+def _quota_cpus(root: Path = Path("/sys/fs/cgroup")) -> int | None:
+    """The whole CPUs of the CPU quota of the cgroup mounted at `root`, as a
+    container sees its own (v2 `cpu.max`, else v1 `cpu/cpu.cfs_quota_us`
+    over `cpu.cfs_period_us`), at least one; None without a quota."""
+    try:
+        if (root / "cpu.max").exists():
+            quota, period = (root / "cpu.max").read_text().split()
+        else:
+            quota, period = ((root / "cpu" / name).read_text().strip()
+                             for name in ("cpu.cfs_quota_us", "cpu.cfs_period_us"))
+        return None if quota in ("max", "-1") else max(1, int(quota) // int(period))
+    except (OSError, ValueError):
+        return None
+
+
 def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0))
+    """The CPUs this process may run on, capped by its CPU quota: a
+    container may list more CPUs than its quota lets it use."""
+    return min(len(os.sched_getaffinity(0)), _quota_cpus() or sys.maxsize)
 
 
 def _process_count(workers: int, rows: int) -> int:
@@ -477,16 +497,15 @@ class _Run:
         self.parts = self._deal(processes, ids)
 
     def _deal(self, n: int, ids: np.ndarray) -> list[_Part]:
-        """The epoch dealt out to `n` processes: stacks to the least loaded
-        process, largest first; tokens in ranges of about equal expected rows
-        (their positives plus their share of the negatives), and documents
-        in ranges of equal size."""
+        """The epoch dealt out to `n` processes: stacks to the process with
+        the fewest rows, most rows first; tokens in ranges of about equal
+        expected rows (their positives plus their share of the negatives),
+        and documents in ranges of equal size."""
         noise_share = np.diff(self.noise.cdf, prepend=0.0) * self.neg_counts.sum()
         tokens = _cuts(np.bincount(ids, minlength=len(self.tokens)) + noise_share, n)
         docs = _cuts(np.ones(len(self.hashes)), n)
         loads, dealt = [0] * n, [[] for _ in range(n)]
-        weights = [jobs.size * (p * (1 + self.params.negative) + _JOB_ROWS) + _STACK_ROWS
-                   for p, jobs in self.stacks]
+        weights = [jobs.size * p * (1 + self.params.negative) for p, jobs in self.stacks]
         for i in sorted(range(len(self.stacks)), key=weights.__getitem__, reverse=True):
             least = loads.index(min(loads))
             dealt[least].append(i)
@@ -507,8 +526,7 @@ class _Worker:
         # `_DRAW_BLOCK` (or one larger job), each filled and drawn in reused
         # buffers.
         jobs = np.concatenate([[], *(jobs for _, jobs in part.stacks)]).astype(np.intp)
-        # Each job's noise seed is `derive_seed(seed, "neg", hash, epoch)`.
-        self.seed_prefixes = [seed_prefix(run.seed, "neg", run.hashes[j]) for j in jobs.tolist()]
+        self.hashes = [run.hashes[j] for j in jobs.tolist()]
         self.neg_counts = run.neg_counts[jobs]
         firsts = np.concatenate([[0], np.cumsum(self.neg_counts)])
         self.shift = run.offsets[jobs] + run.n_pos[jobs] - firsts[:-1]
@@ -533,7 +551,8 @@ class _Worker:
         step."""
         run, dim, lr = self.run, self.run.dim, self.run.lrs[epoch]
         if self.blocks:
-            states = _pcg64_states(extend_seeds(self.seed_prefixes, epoch))
+            states = _pcg64_states([derive_seed(run.seed, "neg", h, epoch)
+                                    for h in self.hashes])
             for a, b, first, last, cuts in self.blocks:
                 u = self.uniforms[:last - first]
                 self.streams.fill(states[a:b], (u[i:j] for i, j in zip(cuts, cuts[1:])))

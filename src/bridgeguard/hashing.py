@@ -159,30 +159,11 @@ def derive_seed(seed: int, *parts: object) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
-def seed_prefix(seed: int, *parts: object):
-    """The blake2b state `derive_seed(seed, *parts, last)` reaches before its
-    last part; `extend_seeds` finishes copies of it."""
-    return hashlib.blake2b(_seed_bytes(seed, parts), digest_size=8)
-
-
-def extend_seeds(prefixes: Iterable, last: object) -> list[int]:
-    """For each `seed_prefix(seed, *parts)` of `prefixes`, `derive_seed(seed,
-    *parts, last)`: a copy of the prefix with `last` added as `_seed_bytes`
-    adds a part."""
-    tail = b"\x1f" + str(last).encode("utf-8")
-    seeds = []
-    for prefix in prefixes:
-        h = prefix.copy()
-        h.update(tail)
-        seeds.append(int.from_bytes(h.digest(), "big"))
-    return seeds
-
-
 def derive_seeds(seed: int, parts: Iterable[object], lasts: Iterable[object]) -> list[int]:
     """`[derive_seed(seed, *parts, last) for last in lasts]`, hashing the
     seed and `parts` once: each seed copies that hash state and adds its
     `last` as `_seed_bytes` adds a part."""
-    prefix = seed_prefix(seed, *parts)
+    prefix = hashlib.blake2b(_seed_bytes(seed, parts), digest_size=8)
     seeds = []
     for last in lasts:
         h = prefix.copy()

@@ -690,6 +690,31 @@ def test_training_forks_only_on_linux_with_cpus_to_spare_and_rows_that_pay(
         assert graph2vec._process_count(workers, rows) == expected
 
 
+@pytest.mark.parametrize("files, expected", [
+    ({"cpu.max": "200000 100000\n"}, 2),
+    ({"cpu.max": "150000 100000\n"}, 1),
+    ({"cpu.max": "50000 100000\n"}, 1),
+    ({"cpu.max": "max 100000\n"}, None),
+    ({"cpu/cpu.cfs_quota_us": "300000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 3),
+    ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, None),
+    ({"cpu/cpu.cfs_quota_us": "300000\n"}, None),
+    ({"cpu.max": "garbage\n"}, None),
+    ({}, None),
+])
+def test_the_cpu_quota_is_read_from_cgroup_v2_or_v1(tmp_path, files, expected):
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert graph2vec._quota_cpus(tmp_path) == expected
+
+
+@pytest.mark.parametrize("quota, expected", [(None, 8), (2, 2), (16, 8)])
+def test_usable_cpus_are_capped_by_the_cpu_quota(quota, expected):
+    with mock.patch.object(graph2vec.os, "sched_getaffinity", lambda pid: set(range(8))), \
+            mock.patch.object(graph2vec, "_quota_cpus", lambda: quota):
+        assert graph2vec._usable_cpus() == expected
+
+
 def test_a_process_count_below_one_rejected():
     with pytest.raises(InvalidConfig, match="workers must be >= 1"):
         train_graph2vec([_doc("a", "b")], params=FAST, workers=0)

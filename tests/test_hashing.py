@@ -8,9 +8,7 @@ from bridgeguard.hashing import (
     derive_seed,
     derive_seeds,
     event_topic,
-    extend_seeds,
     keccak256,
-    seed_prefix,
     selector,
     sha3_256,
     stable_hash64,
@@ -95,12 +93,3 @@ def test_extend_seeds_equals_extend_seed_per_part(seed, parts, more):
                                                    for e in range(5)]
     assert derive_seeds(seed, [], more) == [derive_seed(seed, last) for last in more]
     assert derive_seeds(seed, parts, []) == []
-
-
-@given(seed=st.integers(min_value=0, max_value=2**64 - 1),
-       parts=st.lists(_PARTS, max_size=4), last=st.one_of(st.text(), st.integers()))
-def test_extended_prefixes_equal_derive_seed(seed, parts, last):
-    prefixes = [seed_prefix(seed, *p) for p in parts]
-    assert extend_seeds(prefixes, last) == [derive_seed(seed, *p, last) for p in parts]
-    # The prefixes are copied, not used up.
-    assert extend_seeds(prefixes, last) == extend_seeds(prefixes, last)
