@@ -77,11 +77,12 @@ off Linux, with one usable CPU, or when an epoch has fewer than
 `_FORK_MIN_ROWS` rows. The usable CPUs are those of the affinity mask,
 capped by the cgroup's CPU quota: a container may list more CPUs than its
 quota lets it use. Only one and two processes have been timed (on a
-2-vCPU host); more are bit-identical by the tests, and timing each part's
-phases in turn in one process gives a critical path of 1.26, 0.94 and
-0.73 s on 2, 3 and 4 parts against 2.22 s on one (a 2,814-document
-training split, 100 epochs), but their coordination on real CPUs is
-unmeasured.
+2-vCPU host); more are bit-identical by the tests. Timing each part's
+phases in turn in one process puts the critical path (the slowest part's
+phases) at 0.53-0.58, 0.41-0.44 and 0.27-0.36 of the one-part time on 2,
+3 and 4 parts (a 2,814-document training split, 100 epochs), not a half,
+a third and a quarter, since every part walks every span. Their
+coordination on real CPUs is unmeasured.
 
 The row and coefficient arrays, 12 bytes a row, are the only state that
 grows with the corpus's rows. Every other temporary is bounded by
